@@ -5,9 +5,11 @@ are selected, subject to linear rows. write_lp/read_lp move models through
 the common text LP format so external solvers can be used; read_solution
 imports their variable assignments; verify_solution replays every row and
 independently re-checks the selected words as a code. solve_builtin is a
-self-contained exact 0-1 branch-and-bound, sharing its cover-bound
-machinery with the conflict-graph search so the two can serve as mutual
-oracles.
+self-contained exact 0-1 solver: it classifies the rows, propagates fixes
+and warm-starts here, then runs the branch-and-bound kernel it shares with
+the conflict-graph search (sdecc._branch_and_bound). Because the two
+searches share that kernel, the tests check both against a brute-force
+enumeration of independent sets rather than only against each other.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .bitseq import Word, WordSet
 from .sdecc import (
     SdeccResult,
     SearchOptions,
-    _COVER_DENOM,
-    _cover_weights,
+    _SENSE_HOLDS,
+    _branch_and_bound,
+    _incidence,
     is_sdecc,
 )
 from .vt import vt_code
@@ -75,12 +78,7 @@ class LinearConstraint:
         )
 
     def satisfied(self, assignment: Mapping[str, int]) -> bool:
-        lhs = self.evaluate(assignment)
-        if self.sense == "<=":
-            return lhs <= self.rhs
-        if self.sense == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
+        return _SENSE_HOLDS[self.sense](self.evaluate(assignment), self.rhs)
 
 
 @dataclass(frozen=True)
@@ -550,32 +548,24 @@ def solve_builtin(
     Root handling applies singleton equality fixes and their packing
     consequences, then seeds the incumbent by repairing deterministic
     candidate codes (VT classes, their complements, a plain greedy fill)
-    against the actual rows. Branching selects the packing row with the
-    most undecided variables and decides its lowest member first; bounds
-    come from the same LP-weighted and greedy clique covers the exact
-    graph search uses, restricted to the packing rows, while the other
-    rows prune by reachability and gate incumbents. Exhausts the space
-    unless the node or time budget interrupts, in which case the best
-    incumbent is returned with solver_status "feasible" (or "unknown"
-    when none was found). A proven-empty feasible set raises
-    InfeasibleModelError.
+    against the actual rows. The search is the kernel the exact graph
+    search uses (sdecc._branch_and_bound), branching on the packing row
+    with the most undecided variables and deciding its lowest member
+    first; bounds come from LP-weighted and greedy covers by the packing
+    rows, while the other rows prune by reachability and gate incumbents.
+    Exhausts the space unless the node or time budget, counted from the
+    start of this call, interrupts, in which case the best incumbent is
+    returned with solver_status "feasible" (or "unknown" when none was
+    found). A proven-empty feasible set raises InfeasibleModelError.
     """
+    started = time.monotonic()
     opts = options or SearchOptions()
     n = model.n
     nv, packing, fixes, generic = _classify_rows(model)
     if not packing:
         raise ValueError("solve_builtin needs at least one packing row")
 
-    rows_of: list[list[int]] = [[] for _ in range(nv)]
-    closed = [0] * nv
-    for mask in packing:
-        t = mask
-        while t:
-            low = t & -t
-            v = low.bit_length() - 1
-            rows_of[v].append(mask)
-            closed[v] |= mask
-            t ^= low
+    rows_of, closed = _incidence(nv, packing)
     if any(not rows for rows in rows_of):
         raise ValueError("every variable must appear in some packing row")
 
@@ -610,59 +600,20 @@ def solve_builtin(
         for v, c in terms:
             var_rows[v].append((ri, c))
 
-    def fresh_state(cand: int, included: int):
-        cur = [0] * len(generic)
-        pos = [0] * len(generic)
-        neg = [0] * len(generic)
-        for ri, (_, _, terms, _) in enumerate(generic):
-            for v, c in terms:
-                if included >> v & 1:
-                    cur[ri] += c
-                elif cand >> v & 1:
-                    if c > 0:
-                        pos[ri] += c
-                    else:
-                        neg[ri] -= c
-        return cur, pos, neg
-
-    def reachable(cur, pos, neg) -> bool:
-        for ri, (sense, rhs, _, _) in enumerate(generic):
-            if sense in (">=", "=") and cur[ri] + pos[ri] < rhs:
-                return False
-            if sense in ("<=", "=") and cur[ri] - neg[ri] > rhs:
-                return False
-        return True
-
-    def settled(cur) -> bool:
-        for ri, (sense, rhs, _, _) in enumerate(generic):
-            lhs = cur[ri]
-            if sense == "<=" and lhs > rhs:
-                return False
-            if sense == ">=" and lhs < rhs:
-                return False
-            if sense == "=" and lhs != rhs:
-                return False
-        return True
-
     def exact_check(selection: int) -> bool:
         for mask in packing:
             if (mask & selection).bit_count() > 1:
                 return False
         for sense, rhs, terms, _ in generic:
             lhs = sum(c for v, c in terms if selection >> v & 1)
-            if sense == "<=" and lhs > rhs:
-                return False
-            if sense == ">=" and lhs < rhs:
-                return False
-            if sense == "=" and lhs != rhs:
+            if not _SENSE_HOLDS[sense](lhs, rhs):
                 return False
         return True
 
     def greedy_complete(seed: Sequence[int]) -> int:
         selection = ones_mask
+        # fix propagation already put every row-mate of a one into zeros_mask
         blocked = zeros_mask | ones_mask
-        for mask in rows_of_any(ones_mask):
-            blocked |= mask
         caps = [0] * len(generic)
         for ri, (_, _, terms, _) in enumerate(generic):
             caps[ri] = sum(c for v, c in terms if ones_mask >> v & 1)
@@ -685,15 +636,6 @@ def solve_builtin(
                 caps[ri] += c
         return selection
 
-    def rows_of_any(mask: int) -> list[int]:
-        out = []
-        t = mask
-        while t:
-            low = t & -t
-            out.extend(rows_of[low.bit_length() - 1])
-            t ^= low
-        return out
-
     best_size = -1
     best_selection = 0
     seeds: list[Sequence[int]] = [()]
@@ -711,128 +653,14 @@ def solve_builtin(
                 best_size = size
                 best_selection = selection
 
-    weights = _cover_weights(nv, tuple(packing))
-    weighted = (
-        None
-        if weights is None
-        else [(m, w) for m, w in zip(packing, weights) if w]
+    taken, best_size, _, exhausted = _branch_and_bound(
+        packing, rows_of, closed, root_cand, root_size, best_size, opts,
+        started, generic=generic, included=ones_mask, branch_rows=True,
     )
-    denom = _COVER_DENOM
-    max_row_size = max(mask.bit_count() for mask in packing)
-
-    taken: list[int] = []
-    nodes = 0
-    exhausted = False
-    node_limit = opts.node_limit
-    deadline = (
-        time.monotonic() + opts.time_limit
-        if opts.time_limit is not None
-        else None
-    )
-
-    def visit(cand: int, size: int, cur, pos, neg) -> None:
-        nonlocal best_size, best_selection, nodes, exhausted
-        base = len(taken)
-        while True:
-            nodes += 1
-            if node_limit is not None and nodes > node_limit:
-                exhausted = True
-            elif (
-                deadline is not None
-                and nodes % 1024 == 0
-                and time.monotonic() > deadline
-            ):
-                exhausted = True
-            if exhausted:
-                break
-            if not reachable(cur, pos, neg):
-                break
-            if size > best_size and settled(cur):
-                best_size = size
-                best_selection = ones_mask
-                for r in taken:
-                    best_selection |= 1 << r
-            if cand == 0:
-                break
-            need = best_size - size
-            if need >= 0:
-                if weighted is not None:
-                    total = 0
-                    for m, w in weighted:
-                        if m & cand:
-                            total += w
-                    if total // denom <= need:
-                        break
-                k = 0
-                rest = cand
-                while rest and k <= need:
-                    r = (rest & -rest).bit_length() - 1
-                    pick_mask = 0
-                    pick_size = 0
-                    for m in rows_of[r]:
-                        c = (m & rest).bit_count()
-                        if c > pick_size:
-                            pick_size = c
-                            pick_mask = m
-                    rest &= ~pick_mask
-                    k += 1
-                if not rest and k <= need:
-                    break  # no cover-respecting completion can improve
-
-            # branch on the packing row with the most undecided members
-            chosen = 0
-            chosen_size = 0
-            for mask in packing:
-                c = (mask & cand).bit_count()
-                if c > chosen_size:
-                    chosen_size = c
-                    chosen = mask
-                    if c == max_row_size:
-                        break
-            undecided = chosen & cand
-            v = (undecided & -undecided).bit_length() - 1
-            bit = 1 << v
-
-            allowed = True
-            for ri, c in var_rows[v]:
-                sense, rhs = generic[ri][0], generic[ri][1]
-                if sense in ("<=", "=") and cur[ri] + c > rhs:
-                    allowed = False
-                    break
-            if allowed:
-                child_cand = cand & ~closed[v]
-                removed = cand & closed[v]
-                ccur = cur[:]
-                cpos = pos[:]
-                cneg = neg[:]
-                t = removed
-                while t:
-                    low = t & -t
-                    u = low.bit_length() - 1
-                    t ^= low
-                    for ri, c in var_rows[u]:
-                        if c > 0:
-                            cpos[ri] -= c
-                        else:
-                            cneg[ri] += c
-                for ri, c in var_rows[v]:
-                    ccur[ri] += c
-                taken.append(v)
-                visit(child_cand, size + 1, ccur, cpos, cneg)
-                taken.pop()
-                if exhausted:
-                    break
-
-            cand ^= bit  # exclude v and continue in this frame
-            for ri, c in var_rows[v]:
-                if c > 0:
-                    pos[ri] -= c
-                else:
-                    neg[ri] += c
-        del taken[base:]
-
-    cur0, pos0, neg0 = fresh_state(root_cand, ones_mask)
-    visit(root_cand, root_size, cur0, pos0, neg0)
+    if taken is not None:
+        best_selection = ones_mask
+        for v in taken:
+            best_selection |= 1 << v
 
     if best_size < 0:
         if exhausted:

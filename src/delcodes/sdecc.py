@@ -13,6 +13,7 @@ of the generated ILP models.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -197,7 +198,7 @@ def bounds(n: int) -> BoundsRecord:
     )
 
 
-# --- clique-cover pruning machinery, shared with the built-in ILP solver ---
+# --- clique-cover bounds and the branch-and-bound kernel, shared with ilp ---
 
 # lcm(1..11): every dual these instances produce rationalizes upward with
 # negligible loss at this denominator
@@ -311,6 +312,10 @@ def _cover_weights(nv: int, masks: Sequence[int]) -> tuple[int, ...] | None:
     return result
 
 
+# what each row sense requires of (left-hand side, right-hand side)
+_SENSE_HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
+
+
 @dataclass(frozen=True)
 class SearchOptions:
     """Budgets and warm start for the exact searches."""
@@ -329,22 +334,229 @@ class SearchResult:
     nodes: int
 
 
+def _incidence(
+    nv: int, packing: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """Packing rows through each variable, and each closed neighborhood.
+
+    rows_of[v] lists the masks containing v in packing order; closed[v] is
+    their union, i.e. v together with every variable it shares a row with.
+    """
+    rows_of: list[list[int]] = [[] for _ in range(nv)]
+    closed = [0] * nv
+    for mask in packing:
+        t = mask
+        while t:
+            low = t & -t
+            v = low.bit_length() - 1
+            rows_of[v].append(mask)
+            closed[v] |= mask
+            t ^= low
+    return rows_of, closed
+
+
+def _branch_and_bound(
+    packing: Sequence[int],
+    rows_of: Sequence[Sequence[int]],
+    closed: Sequence[int],
+    cand: int,
+    count: int,
+    best: int,
+    opts: SearchOptions,
+    started: float,
+    generic: Sequence[tuple[str, int, tuple[tuple[int, int], ...], str]] = (),
+    included: int = 0,
+    branch_rows: bool = False,
+) -> tuple[tuple[int, ...] | None, int, int, bool]:
+    """Exact 0-1 maximum of count + |S| over sets S inside the cand mask.
+
+    S puts at most one variable into each packing row (rows_of and closed
+    come from _incidence) and, together with the already counted variables
+    in included, satisfies every generic row (sense, rhs, terms, label).
+    Depth-first, taking a variable before excluding it; a node is cut when
+    the LP-weighted cover (exact integer weights, see _cover_weights) or a
+    greedy most-covering-row cover shows it cannot beat best. The branch
+    variable is the lowest candidate or, with branch_rows, the lowest
+    undecided member of the packing row with the most undecided members.
+    A candidate sharing no row with another candidate and lying in no
+    generic row is taken without branching: excluding it cannot do better.
+
+    Budgets are checked on every node, the deadline being started +
+    opts.time_limit. Returns (taken, best, nodes, exhausted): taken is the
+    last S that beat the initial best, or None; exhausted is true when a
+    budget stopped the search early.
+    """
+    node_limit = opts.node_limit
+    deadline = (
+        started + opts.time_limit if opts.time_limit is not None else None
+    )
+    nv = len(closed)
+    weights = _cover_weights(nv, packing)
+    weighted = (
+        None
+        if weights is None
+        else [(m, w) for m, w in zip(packing, weights) if w]
+    )
+    denom = _COVER_DENOM
+    max_row_size = max(mask.bit_count() for mask in packing)
+
+    var_rows: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    for ri, (_, _, terms, _) in enumerate(generic):
+        for v, c in terms:
+            var_rows[v].append((ri, c))
+
+    def reachable(cur, pos, neg) -> bool:
+        for ri, (sense, rhs, _, _) in enumerate(generic):
+            if sense in (">=", "=") and cur[ri] + pos[ri] < rhs:
+                return False
+            if sense in ("<=", "=") and cur[ri] - neg[ri] > rhs:
+                return False
+        return True
+
+    def settled(cur) -> bool:
+        for ri, (sense, rhs, _, _) in enumerate(generic):
+            if not _SENSE_HOLDS[sense](cur[ri], rhs):
+                return False
+        return True
+
+    best_taken: tuple[int, ...] | None = None
+    taken: list[int] = []
+    nodes = 0
+    exhausted = False
+
+    def visit(cand: int, count: int, cur, pos, neg) -> None:
+        nonlocal best, best_taken, nodes, exhausted
+        base = len(taken)
+        while True:
+            nodes += 1
+            if (node_limit is not None and nodes > node_limit) or (
+                deadline is not None and time.monotonic() > deadline
+            ):
+                exhausted = True
+                break
+            if generic and not reachable(cur, pos, neg):
+                break
+            if count > best and (not generic or settled(cur)):
+                best = count
+                best_taken = tuple(taken)
+            if cand == 0:
+                break
+            need = best - count
+            if need >= 0:
+                if weighted is not None:
+                    total = 0
+                    for m, w in weighted:
+                        if m & cand:
+                            total += w
+                    if total // denom <= need:
+                        break
+                k = 0
+                rest = cand
+                while rest and k <= need:
+                    r = (rest & -rest).bit_length() - 1
+                    pick_mask = 0
+                    pick_size = 0
+                    for m in rows_of[r]:
+                        c = (m & rest).bit_count()
+                        if c > pick_size:
+                            pick_size = c
+                            pick_mask = m
+                    rest &= ~pick_mask
+                    k += 1
+                if not rest and k <= need:
+                    break  # even this cover cannot beat the incumbent
+
+            undecided = cand
+            if branch_rows:
+                # branch on the packing row with the most undecided members
+                chosen = 0
+                chosen_size = 0
+                for mask in packing:
+                    c = (mask & cand).bit_count()
+                    if c > chosen_size:
+                        chosen_size = c
+                        chosen = mask
+                        if c == max_row_size:
+                            break
+                undecided = chosen & cand
+            v = (undecided & -undecided).bit_length() - 1
+            bit = 1 << v
+            nbr = closed[v]
+            if cand & nbr == bit and not var_rows[v]:
+                # isolated among the candidates: always take it
+                taken.append(v)
+                count += 1
+                cand ^= bit
+                continue
+
+            allowed = True
+            for ri, c in var_rows[v]:
+                sense, rhs = generic[ri][0], generic[ri][1]
+                # negative terms still undecided may pull the row back down
+                if sense in ("<=", "=") and cur[ri] + c - neg[ri] > rhs:
+                    allowed = False
+                    break
+            if allowed:
+                ccur, cpos, cneg = cur, pos, neg
+                if generic:
+                    ccur = cur[:]
+                    cpos = pos[:]
+                    cneg = neg[:]
+                    t = cand & nbr
+                    while t:
+                        low = t & -t
+                        t ^= low
+                        for ri, c in var_rows[low.bit_length() - 1]:
+                            if c > 0:
+                                cpos[ri] -= c
+                            else:
+                                cneg[ri] += c
+                    for ri, c in var_rows[v]:
+                        ccur[ri] += c
+                taken.append(v)
+                visit(cand & ~nbr, count + 1, ccur, cpos, cneg)
+                taken.pop()
+                if exhausted:
+                    break
+
+            cand ^= bit  # exclude v and carry on in this frame
+            for ri, c in var_rows[v]:
+                if c > 0:
+                    pos[ri] -= c
+                else:
+                    neg[ri] += c
+        del taken[base:]
+
+    cur = [0] * len(generic)
+    pos = [0] * len(generic)
+    neg = [0] * len(generic)
+    for ri, (_, _, terms, _) in enumerate(generic):
+        for v, c in terms:
+            if included >> v & 1:
+                cur[ri] += c
+            elif cand >> v & 1:
+                if c > 0:
+                    pos[ri] += c
+                else:
+                    neg[ri] -= c
+    visit(cand, count, cur, pos, neg)
+    return best_taken, best, nodes, exhausted
+
+
 def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResult:
     """Maximum size of a single-deletion code of length n, with witness.
 
-    Branch and bound over the conflict graph: vertices are taken in a fixed
-    order (ascending surface size, then canonical) and the incumbent starts
-    at VT_0(n). A subtree is cut when a cover of the remaining candidates
-    by center cliques shows it cannot beat the incumbent; every node tries
-    the precomputed LP-weighted cover first (exact integer weights, see
-    _cover_weights) and a greedy most-covering-clique cover second.
-    Exhausting the node or time budget downgrades proof_status to
-    "bound-limited"; the returned witness is always a valid code of the
-    reported size.
+    Branch and bound over the conflict graph (see _branch_and_bound, shared
+    with the built-in ILP solver): the center cliques are the packing rows,
+    vertices are taken lowest first in a fixed order (ascending surface
+    size, then canonical), and the incumbent starts at VT_0(n). Exhausting
+    the node or time budget downgrades proof_status to "bound-limited";
+    the returned witness is always a valid code of the reported size.
 
     Optimality proofs are fast through n = 8; n = 9 and beyond want a
     budget. n = 1 is the trivial single-word case.
     """
+    started = time.monotonic()
     opts = options or SearchOptions()
     if n == 1:
         return SearchResult(1, 1, WordSet(1, [0]), "optimal", 0)
@@ -368,100 +580,20 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
     rank = [0] * size
     for i, v in enumerate(order):
         rank[v] = i
-
-    closed = [0] * size  # vertex plus all its neighbors, as a rank mask
-    cliques_of: list[list[int]] = [[] for _ in range(size)]
     clique_masks: list[int] = []
     for _, members in sorted(graph.cliques_by_center.items()):
         mask = 0
         for v in members:
             mask |= 1 << rank[v]
         clique_masks.append(mask)
-        for v in members:
-            r = rank[v]
-            closed[r] |= mask
-            cliques_of[r].append(mask)
+    rows_of, closed = _incidence(size, clique_masks)
 
-    weights = _cover_weights(size, clique_masks)
-    weighted = (
-        None
-        if weights is None
-        else [(m, w) for m, w in zip(clique_masks, weights) if w]
+    taken, best, nodes, exhausted = _branch_and_bound(
+        clique_masks, rows_of, closed, (1 << size) - 1, 0,
+        len(best_values), opts, started,
     )
-    denom = _COVER_DENOM
-
-    best = len(best_values)
-    taken: list[int] = []
-    nodes = 0
-    exhausted = False
-    node_limit = opts.node_limit
-    deadline = (
-        time.monotonic() + opts.time_limit
-        if opts.time_limit is not None
-        else None
-    )
-
-    def visit(cand: int, count: int) -> None:
-        nonlocal best, best_values, nodes, exhausted
-        base = len(taken)
-        while True:
-            nodes += 1
-            if node_limit is not None and nodes > node_limit:
-                exhausted = True
-            elif (
-                deadline is not None
-                and nodes % 1024 == 0
-                and time.monotonic() > deadline
-            ):
-                exhausted = True
-            if exhausted:
-                break
-            if count > best:
-                best = count
-                best_values = tuple(sorted(order[r] for r in taken))
-            if cand == 0:
-                break
-            need = best - count
-            if weighted is not None:
-                total = 0
-                for m, w in weighted:
-                    if m & cand:
-                        total += w
-                if total // denom <= need:
-                    break
-            k = 0
-            rest = cand
-            while rest and k <= need:
-                r = (rest & -rest).bit_length() - 1
-                pick_mask = 0
-                pick_size = 0
-                for m in cliques_of[r]:
-                    c = (m & rest).bit_count()
-                    if c > pick_size:
-                        pick_size = c
-                        pick_mask = m
-                rest &= ~pick_mask
-                k += 1
-            if not rest and k <= need:
-                break  # even this cover cannot beat the incumbent
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
-            nbr = closed[v]
-            if cand & nbr == bit:
-                # isolated among the candidates: always take it
-                taken.append(v)
-                count += 1
-                cand ^= bit
-                continue
-            taken.append(v)
-            visit(cand & ~nbr, count + 1)
-            taken.pop()
-            if exhausted:
-                break
-            cand ^= bit  # exclude v and carry on in this frame
-        del taken[base:]
-
-    visit((1 << size) - 1, 0)
+    if taken is not None:
+        best_values = tuple(sorted(order[r] for r in taken))
     return SearchResult(
         n=n,
         size=best,

@@ -2,6 +2,8 @@
 
 import io
 import itertools
+import random
+import time
 
 import pytest
 
@@ -19,7 +21,12 @@ from delcodes.ilp import (
     verify_solution,
     write_lp,
 )
-from delcodes.sdecc import SearchOptions, is_sdecc, max_sdecc_exact
+from delcodes.sdecc import (
+    SearchOptions,
+    conflict_graph,
+    is_sdecc,
+    max_sdecc_exact,
+)
 from delcodes.vt import vt_code
 
 
@@ -464,3 +471,88 @@ def test_solved_codes_are_valid_sdeccs(n):
     model = build_model(n, {"C0"})
     sol = solve_builtin(model)
     assert is_sdecc(model.selected_words(sol))
+
+
+def test_time_limit_holds_on_the_full_length_twelve_model():
+    model = build_model(12, {"C0", "C1", "C2", "C3", "C4", "C5", "C6"})
+    start = time.perf_counter()
+    sol = solve_builtin(model, SearchOptions(time_limit=1.0))
+    elapsed = time.perf_counter() - start
+    assert sol.solver_status == "feasible"
+    assert verify_solution(model, sol).ok
+    assert elapsed < 1.5, f"a 1.0 s limit took {elapsed:.2f}s"
+
+
+def independent_sets(n: int) -> list[int]:
+    """Every independent set of the conflict graph, as a mask of values."""
+    adjacency = conflict_graph(n).adjacency
+    conflicts = [sum(1 << u for u in adjacency[v]) for v in range(1 << n)]
+    found: list[int] = []
+
+    def grow(chosen: int, cand: int) -> None:
+        if not cand:
+            found.append(chosen)
+            return
+        v = (cand & -cand).bit_length() - 1
+        rest = cand & ~(1 << v)
+        grow(chosen, rest)
+        grow(chosen | 1 << v, rest & ~conflicts[v])
+
+    grow(0, (1 << (1 << n)) - 1)
+    return found
+
+
+def row_holds(row: LinearConstraint, selection: int) -> bool:
+    lhs = sum(c for w, c in row.terms if selection >> w.value & 1)
+    if row.sense == "<=":
+        return lhs <= row.rhs
+    if row.sense == ">=":
+        return lhs >= row.rhs
+    return lhs == row.rhs
+
+
+def random_row(rng: random.Random, n: int, label: str) -> LinearConstraint:
+    values = list(range(1 << n))
+    if rng.random() < 0.25:  # a single-term equality, i.e. a fix
+        word = Word(n, rng.choice(values))
+        coeff = rng.choice((-2, -1, 1, 2))
+        rhs = rng.randint(-2, 2)
+        return LinearConstraint(((word, coeff),), "=", rhs, label)
+    terms = tuple(
+        (Word(n, v), rng.choice((-2, -1, 1, 2)))
+        for v in rng.sample(values, rng.randint(1, 6))
+    )
+    sense = rng.choice(("<=", ">=", "="))
+    return LinearConstraint(terms, sense, rng.randint(-2, 4), label)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_solver_matches_enumeration_under_extra_rows(n):
+    # extra rows exercise the generic-row paths of the search: pruning by
+    # reachability, gating incumbents, refusing to take a variable, and
+    # the rule that only row-free isolated variables skip branching
+    sets = independent_sets(n)
+    base = build_model(n, {"C0"}).constraints
+    rng = random.Random(4000 + n)
+    infeasible = 0
+    for case in range(150):
+        extra = tuple(
+            random_row(rng, n, f"r{case}_{i}")
+            for i in range(rng.randint(1, 3))
+        )
+        model = IlpModel(n, base + extra)
+        sizes = [
+            s.bit_count()
+            for s in sets
+            if all(row_holds(row, s) for row in extra)
+        ]
+        if not sizes:
+            infeasible += 1
+            with pytest.raises(InfeasibleModelError):
+                solve_builtin(model)
+            continue
+        sol = solve_builtin(model)
+        assert sol.objective == max(sizes), (case, extra)
+        assert sol.solver_status == "optimal"
+        assert verify_solution(model, sol).ok
+    assert 0 < infeasible < 150

@@ -1,7 +1,8 @@
 """Validity, decoding, conflict-graph, bounds, and exact-search tests.
 
-The exact search is checked against the known maxima table; graph structure
-is cross-checked against direct surface computations, and validity verdicts
+The exact search is checked against the known maxima table and, with the
+built-in solver, against brute-force enumeration; graph structure is
+cross-checked against direct surface computations, and validity verdicts
 against independent-set membership for small lengths.
 """
 
@@ -17,6 +18,8 @@ from delcodes.bitseq import (
     enumerate_words,
     surface_values,
 )
+from delcodes.constraints import build_model
+from delcodes.ilp import solve_builtin
 from delcodes.sdecc import (
     KNOWN_SIZES,
     SearchOptions,
@@ -271,6 +274,43 @@ def test_search_matches_known_maxima_small(n):
     assert r.proof_status == "optimal"
     assert is_sdecc(r.witness)
     assert len(r.witness) == r.size
+
+
+def brute_force_max_code(n: int) -> int:
+    """Largest valid code of length n by plain enumeration.
+
+    Conflicts come only from pairwise deletion-surface intersections, and
+    every independent set is visited: no bound, cover, ordering or row
+    machinery is shared with the searches under test.
+    """
+    surfaces = {
+        w.value: {s.value for s in deletion_surface(w)}
+        for w in enumerate_words(n)
+    }
+    conflicts = {
+        x: sum(
+            1 << y for y in surfaces if y != x and surfaces[x] & surfaces[y]
+        )
+        for x in surfaces
+    }
+
+    def largest(cand: int) -> int:
+        if not cand:
+            return 0
+        v = (cand & -cand).bit_length() - 1
+        rest = cand & ~(1 << v)
+        return max(largest(rest), 1 + largest(rest & ~conflicts[v]))
+
+    return largest((1 << (1 << n)) - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_both_searches_match_brute_force_enumeration(n):
+    # the two searches share one kernel, so agreement between them alone
+    # would not catch a kernel bug; this oracle shares nothing with it
+    expected = brute_force_max_code(n)
+    assert max_sdecc_exact(n).size == expected
+    assert solve_builtin(build_model(n, {"C0"})).objective == expected
 
 
 def test_search_proves_length_eight_quickly():
