@@ -13,8 +13,9 @@ codes as linear rows over the variables V_x, one per length-n word:
 
 C0 alone carves out exactly the valid codes; C1 and C3-C6 narrow or cut the
 search space without lowering the best objective, and C2 removes words that
-some maximum code avoids. build_model assembles any selection into a model
-for the ilp module.
+some maximum code avoids. Rows hold (word value, coefficient) int terms;
+the ilp module names variables x_<bits> only in files. build_model
+assembles any selection into a model for the ilp module.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .bitseq import (
-    Word,
-    WordSet,
-    hamming_weight,
-    insertion_values,
-    runs_of,
-    surface_values,
-)
+from .bitseq import Word, WordSet, insertion_values, runs_of, surface_values
 from .ilp import IlpModel, LinearConstraint
 from .sdecc import KNOWN_SIZES
 from .vt import vt0_size
@@ -91,7 +85,7 @@ def run_class_members(rc: RunClass) -> WordSet:
     members = [
         v
         for v in range(1 << n)
-        if hamming_weight(Word(n, v)) == rc.w
+        if v.bit_count() == rc.w
         and runs_of(v, n, 0) == rc.alpha
         and runs_of(v, n, 1) == rc.beta
     ]
@@ -110,7 +104,7 @@ def gen_c0(n: int) -> ConstraintFamily:
     for center in range(1 << (n - 1)):
         coverers = sorted(insertion_values(n - 1, center))
         rows.append(LinearConstraint(
-            terms=tuple((Word(n, v), 1) for v in coverers),
+            terms=tuple((v, 1) for v in coverers),
             sense="<=",
             rhs=1,
             label=f"c0_y{_bits(center, n - 1)}",
@@ -122,7 +116,7 @@ def gen_c1(n: int) -> ConstraintFamily:
     """One row: the selection is at least as large as VT_0(n)."""
     _check_n(n)
     row = LinearConstraint(
-        terms=tuple((Word(n, v), 1) for v in range(1 << n)),
+        terms=tuple((v, 1) for v in range(1 << n)),
         sense=">=",
         rhs=vt0_size(n),
         label="c1",
@@ -158,7 +152,7 @@ def gen_c2(n: int) -> ConstraintFamily:
     _check_n(n)
     rows = tuple(
         LinearConstraint(
-            terms=((w, 1),),
+            terms=((w.value, 1),),
             sense="=",
             rhs=0,
             label=f"c2_x{w}",
@@ -177,10 +171,10 @@ def gen_c3(n: int) -> ConstraintFamily:
     """
     _check_n(n)
     zero = LinearConstraint(
-        terms=((Word(n, 0), 1),), sense="=", rhs=1, label="c3_zero"
+        terms=((0, 1),), sense="=", rhs=1, label="c3_zero"
     )
     one = LinearConstraint(
-        terms=((Word(n, (1 << n) - 1), 1),), sense="=", rhs=1, label="c3_one"
+        terms=(((1 << n) - 1, 1),), sense="=", rhs=1, label="c3_one"
     )
     return ConstraintFamily("C3", (), (zero, one))
 
@@ -196,12 +190,11 @@ def gen_c4(n: int) -> ConstraintFamily:
     _check_n(n)
     terms = []
     for v in range(1 << n):
-        w = Word(n, v)
-        doubled = 2 * hamming_weight(w)
+        doubled = 2 * v.bit_count()
         if doubled < n:
-            terms.append((w, 1))
+            terms.append((v, 1))
         elif doubled > n:
-            terms.append((w, -1))
+            terms.append((v, -1))
     row = LinearConstraint(
         terms=tuple(terms), sense=">=", rhs=0, label="c4"
     )
@@ -223,20 +216,19 @@ def gen_c5(n: int, strengthened: bool = False) -> ConstraintFamily:
     selected. The right-hand side C(n-1, 1) = n-1 is unchanged.
     """
     _check_n(n)
-    by_weight: dict[int, list[tuple[Word, int]]] = {w: [] for w in range(n)}
+    by_weight: dict[int, list[tuple[int, int]]] = {w: [] for w in range(n)}
     for v in range(1 << n):
-        word = Word(n, v)
-        weight = hamming_weight(word)
+        weight = v.bit_count()
         if weight <= n - 1:
-            by_weight[weight].append((word, runs_of(v, n, 0)))
+            by_weight[weight].append((v, runs_of(v, n, 0)))
         if weight >= 1:
-            by_weight[weight - 1].append((word, runs_of(v, n, 1)))
+            by_weight[weight - 1].append((v, runs_of(v, n, 1)))
     rows = []
     for w in range(n):
         terms = by_weight[w]
         if strengthened and w == 1:
-            terms = [(word, c) for word, c in terms if hamming_weight(word) == 2]
-        terms.sort(key=lambda t: t[0])
+            terms = [(v, c) for v, c in terms if v.bit_count() == 2]
+        terms.sort()
         rows.append(LinearConstraint(
             terms=tuple(terms),
             sense="<=",
@@ -283,9 +275,7 @@ def gen_c6(
         for v in range(1 << q):
             head = u << (r + q)
             tail = v
-            terms = tuple(
-                (Word(n, head | (x << q) | tail), 1) for x in range(1 << r)
-            )
+            terms = tuple((head | (x << q) | tail, 1) for x in range(1 << r))
             rows.append(LinearConstraint(
                 terms=terms,
                 sense="<=",

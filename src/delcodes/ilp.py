@@ -1,19 +1,23 @@
 """Model container, LP text exchange, solution verification, built-in solver.
 
 A model holds one binary variable per length-n word and maximizes how many
-are selected, subject to linear rows. write_lp/read_lp move models through
-the common text LP format so external solvers can be used; read_solution
-imports their variable assignments; verify_solution replays every row and
-independently re-checks the selected words as a code. solve_builtin is a
-self-contained exact 0-1 solver: it classifies the rows, propagates fixes
-and warm-starts here, then runs the branch-and-bound kernel it shares with
-the conflict-graph search (sdecc._branch_and_bound). Because the two
-searches share that kernel, the tests check both against a brute-force
-enumeration of independent sets rather than only against each other.
+are selected, subject to linear rows of (word value, coefficient) terms that
+are evaluated on a bitmask of the selected values. x_<bits> names appear
+only in files and Solution.assignment: write_lp and read_lp move models
+through the common text LP format so external solvers can be used;
+read_solution imports their variable assignments; verify_solution replays
+every row on that bitmask and independently re-checks the selected words as
+a code. solve_builtin is a self-contained exact 0-1 solver: it classifies
+the rows, propagates fixes and warm-starts here, then runs the
+branch-and-bound kernel it shares with the conflict-graph search
+(sdecc._branch_and_bound). Because the two searches share that kernel, the
+tests check both against a brute-force enumeration of independent sets
+rather than only against each other.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -51,9 +55,9 @@ def variable_name(word: Word) -> str:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """One linear row: terms, sense, integer right-hand side, unique label."""
+    """One linear row: (value, coeff) terms, sense, int rhs, unique label."""
 
-    terms: tuple[tuple[Word, int], ...]
+    terms: tuple[tuple[int, int], ...]
     sense: str
     rhs: int
     label: str
@@ -64,21 +68,19 @@ class LinearConstraint:
         if not self.label:
             raise ValueError("constraint label must be nonempty")
         seen: set[int] = set()
-        for word, coeff in self.terms:
+        for value, coeff in self.terms:
             if coeff == 0:
-                raise ValueError(f"{self.label}: zero coefficient on {word}")
-            if word.value in seen:
-                raise ValueError(f"{self.label}: duplicate variable {word}")
-            seen.add(word.value)
+                raise ValueError(f"{self.label}: zero coefficient on value {value}")
+            if value in seen:
+                raise ValueError(f"{self.label}: duplicate variable value {value}")
+            seen.add(value)
 
-    def evaluate(self, assignment: Mapping[str, int]) -> int:
-        return sum(
-            coeff * assignment.get(variable_name(word), 0)
-            for word, coeff in self.terms
-        )
+    def evaluate(self, selection: int) -> int:
+        """Left-hand side when exactly the words whose bits are set are 1."""
+        return sum(c for v, c in self.terms if selection >> v & 1)
 
-    def satisfied(self, assignment: Mapping[str, int]) -> bool:
-        return _SENSE_HOLDS[self.sense](self.evaluate(assignment), self.rhs)
+    def satisfied(self, selection: int) -> bool:
+        return _SENSE_HOLDS[self.sense](self.evaluate(selection), self.rhs)
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,10 @@ class IlpModel:
             if row.label in labels:
                 raise ValueError(f"duplicate constraint label {row.label!r}")
             labels.add(row.label)
-            for word, _ in row.terms:
-                if word.n != self.n:
+            for value, _ in row.terms:
+                if not 0 <= value < 1 << self.n:
                     raise ValueError(
-                        f"{row.label}: variable {word} has length {word.n}, "
-                        f"model has {self.n}"
+                        f"{row.label}: value {value} is not in 0..2^{self.n}-1"
                     )
 
     @cached_property
@@ -121,13 +122,19 @@ class IlpModel:
             raise ValueError(f"not a variable of this model: {name!r}")
         return Word.parse(m.group(1))
 
+    def _selection(self, solution: "Solution") -> int:
+        """Bitmask of the model variables the solution sets to 1."""
+        return sum(
+            1 << v
+            for v, name in enumerate(self.variable_names)
+            if solution.assignment.get(name) == 1
+        )
+
     def selected_words(self, solution: "Solution") -> WordSet:
-        values = [
-            v
-            for v in range(1 << self.n)
-            if solution.assignment.get(variable_name(Word(self.n, v))) == 1
-        ]
-        return WordSet(self.n, values)
+        selection = self._selection(solution)
+        return WordSet(
+            self.n, (v for v in range(1 << self.n) if selection >> v & 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -158,13 +165,15 @@ class Solution:
 # ------------------------------------------------------------- LP text format
 
 
-def _term_tokens(terms: Sequence[tuple[Word, int]]) -> Iterator[str]:
-    for position, (word, coeff) in enumerate(terms):
+def _term_tokens(
+    terms: Sequence[tuple[int, int]], names: Sequence[str]
+) -> Iterator[str]:
+    for position, (value, coeff) in enumerate(terms):
         sign = "-" if coeff < 0 else "+"
         if position == 0 and sign == "+":
             sign = ""
         magnitude = "" if abs(coeff) == 1 else f"{abs(coeff)} "
-        body = f"{magnitude}{variable_name(word)}"
+        body = f"{magnitude}{names[value]}"
         yield f"{sign} {body}" if sign else body
 
 
@@ -197,18 +206,16 @@ def write_lp(model: IlpModel, sink: IO[str]) -> int:
     if c6_params:
         shape += " c6=" + ";".join(f"{p},{q}" for p, q in c6_params)
 
+    names = model.variable_names
     lines: list[str] = [header, shape, "Maximize"]
-    objective_terms = [
-        (Word(model.n, v), 1) for v in range(1 << model.n)
-    ]
-    lines.extend(_wrapped(" obj:", list(_term_tokens(objective_terms))))
+    objective_terms = [(v, 1) for v in range(1 << model.n)]
+    lines.extend(_wrapped(" obj:", list(_term_tokens(objective_terms, names))))
     lines.append("Subject To")
     for row in model.constraints:
-        parts = list(_term_tokens(row.terms))
+        parts = list(_term_tokens(row.terms, names))
         parts.append(f"{row.sense} {row.rhs}")
         lines.extend(_wrapped(f" {row.label}:", parts))
     lines.append("Binary")
-    names = model.variable_names
     lines.extend(_wrapped(f" {names[0]}", names[1:]))
     lines.append("End")
 
@@ -346,14 +353,14 @@ def read_lp(source: IO[str]) -> IlpModel:
     if {name for name, _ in objective} != declared:
         raise ValueError("objective does not cover exactly the declared variables")
 
-    def to_word(name: str) -> Word:
+    def to_value(name: str) -> int:
         if name not in declared:
             raise ValueError(f"constraint references undeclared {name!r}")
-        return Word.parse(name[2:])
+        return int(name[2:], 2)
 
     rows = tuple(
         LinearConstraint(
-            terms=tuple((to_word(name), coeff) for name, coeff in terms),
+            terms=tuple((to_value(name), coeff) for name, coeff in terms),
             sense=sense,
             rhs=rhs,
             label=label,
@@ -376,7 +383,7 @@ def read_solution(
     Comment text after # is ignored, blank lines are skipped, variables
     missing from the input default to 0, and values round to {0,1} at
     threshold 0.5. In strict mode a value farther than 1e-6 from 0 or 1
-    is an error instead.
+    is an error instead. NaN is an error in both modes.
     """
     known = set(model.variable_names)
     assignment = dict.fromkeys(model.variable_names, 0)
@@ -398,6 +405,9 @@ def read_solution(
             value = float(value_text)
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric value {value_text!r}")
+        # NaN fails every comparison, so neither test below would catch it
+        if math.isnan(value):
+            raise ValueError(f"line {lineno}: {name} = {value_text} is NaN")
         if strict and min(abs(value), abs(value - 1.0)) > 1e-6:
             raise ValueError(
                 f"line {lineno}: {name} = {value_text} is not 0/1 within 1e-6"
@@ -463,10 +473,11 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
     """
     known = set(model.variable_names)
     foreign = tuple(sorted(set(solution.assignment) - known))
+    selection = model._selection(solution)
     violated = tuple(
         row.label
         for row in model.constraints
-        if not row.satisfied(solution.assignment)
+        if not row.satisfied(selection)
     )
     words = model.selected_words(solution)
     if model.n >= 2:
@@ -497,7 +508,7 @@ def _classify_rows(model: IlpModel):
     for row in model.constraints:
         coeffs = [c for _, c in row.terms]
         if row.sense == "=" and len(row.terms) == 1:
-            word, coeff = row.terms[0]
+            v, coeff = row.terms[0]
             if row.rhs % coeff:
                 raise InfeasibleModelError(
                     f"{row.label}: forces a fractional value"
@@ -505,27 +516,23 @@ def _classify_rows(model: IlpModel):
             value = row.rhs // coeff
             if value not in (0, 1):
                 raise InfeasibleModelError(
-                    f"{row.label}: forces {word} to {value}"
+                    f"{row.label}: forces {Word(model.n, v)} to {value}"
                 )
-            prior = fixes.setdefault(word.value, value)
+            prior = fixes.setdefault(v, value)
             if prior != value:
                 raise InfeasibleModelError(
-                    f"{row.label}: conflicts with an earlier fix of {word}"
+                    f"{row.label}: conflicts with an earlier fix of "
+                    f"{Word(model.n, v)}"
                 )
             continue
         if row.sense == "<=" and row.rhs == 1 and all(c == 1 for c in coeffs):
             if len(row.terms) > 1:
                 mask = 0
-                for word, _ in row.terms:
-                    mask |= 1 << word.value
+                for v, _ in row.terms:
+                    mask |= 1 << v
                 packing.append(mask)
             continue  # a single-variable x <= 1 row is vacuous
-        generic.append((
-            row.sense,
-            row.rhs,
-            tuple((word.value, c) for word, c in row.terms),
-            row.label,
-        ))
+        generic.append((row.sense, row.rhs, row.terms, row.label))
     return nv, packing, fixes, generic
 
 
@@ -596,9 +603,13 @@ def solve_builtin(
     root_size = ones_mask.bit_count()
 
     var_rows: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    # each generic row's activity from the fixed ones, the same for every seed
+    fixed_caps = [0] * len(generic)
     for ri, (_, _, terms, _) in enumerate(generic):
         for v, c in terms:
             var_rows[v].append((ri, c))
+            if ones_mask >> v & 1:
+                fixed_caps[ri] += c
 
     def exact_check(selection: int) -> bool:
         for mask in packing:
@@ -614,9 +625,7 @@ def solve_builtin(
         selection = ones_mask
         # fix propagation already put every row-mate of a one into zeros_mask
         blocked = zeros_mask | ones_mask
-        caps = [0] * len(generic)
-        for ri, (_, _, terms, _) in enumerate(generic):
-            caps[ri] = sum(c for v, c in terms if ones_mask >> v & 1)
+        caps = fixed_caps.copy()
         order = list(seed) + [v for v in range(nv) if not (1 << v) & blocked]
         for v in order:
             bit = 1 << v

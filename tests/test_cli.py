@@ -247,6 +247,19 @@ def test_solve_strict_verify_accepts_written_file(tmp_path, capsys):
     assert status == 0
 
 
+def test_verify_rejects_nan_value_with_line_number(tmp_path, capsys):
+    model_path = tmp_path / "m.lp"
+    sol_path = tmp_path / "s.txt"
+    run(capsys, "gen", "--n", "3", "--families", "c0", "--out", str(model_path))
+    sol_path.write_text("x_000 1\nx_001 nan\n")
+    status, _, err = run(
+        capsys,
+        "verify", "--model", str(model_path), "--solution", str(sol_path),
+    )
+    assert status == 1
+    assert "error: line 2: x_001 = nan is NaN" in err
+
+
 # -------------------------------------------------------------------- bounds
 
 

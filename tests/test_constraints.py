@@ -39,11 +39,13 @@ def surface_set(word: Word) -> frozenset:
     return frozenset(w.value for w in deletion_surface(word))
 
 
-def assignment_for(n: int, values) -> dict:
-    chosen = set(values)
-    return {
-        f"x_{Word(n, v)}": (1 if v in chosen else 0) for v in range(1 << n)
-    }
+def assignment_for(n: int, values) -> int:
+    """Selection bitmask with exactly the given word values set."""
+    selection = 0
+    for v in values:
+        assert 0 <= v < 1 << n
+        selection |= 1 << v
+    return selection
 
 
 # ---------------------------------------------------------------- C0 packing
@@ -62,7 +64,7 @@ def test_c0_rows_are_center_cliques(n):
     for row in fam.constraints:
         assert row.sense == "<=" and row.rhs == 1
         center = Word.parse(row.label[len("c0_y"):])
-        members = {w.value for w, c in row.terms}
+        members = {v for v, c in row.terms}
         assert all(c == 1 for _, c in row.terms)
         expected = {
             w.value
@@ -79,8 +81,8 @@ def test_c0_each_word_appears_run_count_times(n):
     fam = gen_c0(n)
     seen: dict = {}
     for row in fam.constraints:
-        for w, _ in row.terms:
-            seen[w.value] = seen.get(w.value, 0) + 1
+        for v, _ in row.terms:
+            seen[v] = seen.get(v, 0) + 1
     for w in enumerate_words(n):
         assert seen[w.value] == run_count(w, 0) + run_count(w, 1)
 
@@ -178,7 +180,7 @@ def test_c2_rows_fix_dominated_words_to_zero(n):
     ]
     for row, v in zip(fam.constraints, dom):
         assert row.sense == "=" and row.rhs == 0
-        assert row.terms == ((Word(n, v), 1),)
+        assert row.terms == ((v, 1),)
 
 
 def test_c2_length_two_strikes_the_mixed_words():
@@ -194,9 +196,9 @@ def test_c3_fixes_both_constant_words(n):
     fam = gen_c3(n)
     zero, one = fam.constraints
     assert zero.label == "c3_zero"
-    assert zero.terms == ((Word(n, 0), 1),) and zero.rhs == 1
+    assert zero.terms == ((0, 1),) and zero.rhs == 1
     assert one.label == "c3_one"
-    assert one.terms == ((Word(n, (1 << n) - 1), 1),) and one.rhs == 1
+    assert one.terms == (((1 << n) - 1, 1),) and one.rhs == 1
     assert zero.sense == one.sense == "="
 
 
@@ -219,7 +221,7 @@ def test_vt0_misses_all_ones_at_odd_lengths(n):
 def test_c4_coefficients_by_weight(n):
     (row,) = gen_c4(n).constraints
     assert row.label == "c4" and row.sense == ">=" and row.rhs == 0
-    coeffs = {w.value: c for w, c in row.terms}
+    coeffs = dict(row.terms)
     for w in enumerate_words(n):
         weight = hamming_weight(w)
         if 2 * weight < n:
@@ -232,7 +234,7 @@ def test_c4_coefficients_by_weight(n):
 
 def test_c4_pinned_length_three_row():
     (row,) = gen_c4(3).constraints
-    rendered = [(str(w), c) for w, c in row.terms]
+    rendered = [(str(Word(3, v)), c) for v, c in row.terms]
     assert rendered == [
         ("000", 1), ("001", 1), ("010", 1), ("011", -1),
         ("100", 1), ("101", -1), ("110", -1), ("111", -1),
@@ -242,7 +244,7 @@ def test_c4_pinned_length_three_row():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_c4_complement_antisymmetry(n):
     (row,) = gen_c4(n).constraints
-    coeffs = {w.value: c for w, c in row.terms}
+    coeffs = dict(row.terms)
     for v, c in coeffs.items():
         assert coeffs[v ^ ((1 << n) - 1)] == -c
 
@@ -303,7 +305,7 @@ def test_c5_rows_match_run_count_oracle(n):
     for w, row in enumerate(fam.constraints):
         assert row.label == f"c5_w{w}"
         assert row.sense == "<=" and row.rhs == comb(n - 1, w)
-        coeffs = {word.value: c for word, c in row.terms}
+        coeffs = dict(row.terms)
         expected: dict = {}
         for x in enumerate_words(n):
             weight = hamming_weight(x)
@@ -343,8 +345,8 @@ def test_strengthened_c5_keeps_only_weight_two_terms_at_w1(n):
     fam = gen_c5(n, strengthened=True)
     assert fam.parameters == (("strengthened", 1),)
     row = next(r for r in fam.constraints if r.label == "c5_w1")
-    assert row.terms and all(hamming_weight(w) == 2 for w, _ in row.terms)
-    assert all(c == runs_of(w.value, n, 1) for w, c in row.terms)
+    assert row.terms and all(v.bit_count() == 2 for v, _ in row.terms)
+    assert all(c == runs_of(v, n, 1) for v, c in row.terms)
     assert row.rhs == comb(n - 1, 1)
     # other rows are unchanged relative to the plain family
     plain = {r.label: r for r in gen_c5(n).constraints}
@@ -400,7 +402,7 @@ def test_c6_rows_enumerate_fixed_affix_words(n, p, q):
     assert len(fam.constraints) == 1 << (p + q)
     seen = set()
     for row in fam.constraints:
-        members = {w.value for w, c in row.terms}
+        members = {v for v, c in row.terms}
         assert len(members) == 1 << r
         assert all(c == 1 for _, c in row.terms)
         seen |= members
@@ -408,8 +410,8 @@ def test_c6_rows_enumerate_fixed_affix_words(n, p, q):
         u_bits, v_bits = row.label.split("_")[2:]
         u = u_bits[1:]
         v = v_bits[1:]
-        for w, _ in row.terms:
-            text = str(w)
+        for value, _ in row.terms:
+            text = str(Word(n, value))
             if p:
                 assert text[:p] == u
             else:
@@ -503,7 +505,7 @@ def test_build_model_strengthens_c5_only_with_c3():
     row_strong = next(r for r in strong.constraints if r.label == "c5_w1")
     assert len(row_plain.terms) == 15
     assert len(row_strong.terms) == 10
-    assert all(hamming_weight(w) == 2 for w, _ in row_strong.terms)
+    assert all(v.bit_count() == 2 for v, _ in row_strong.terms)
 
 
 def test_build_model_c6_params_override_preset():

@@ -1,14 +1,16 @@
 """LP exchange, solution import, verification, and the built-in solver."""
 
+import hashlib
 import io
 import itertools
 import random
+import re
 import time
 
 import pytest
 
 from delcodes.bitseq import Word, WordSet
-from delcodes.constraints import build_model
+from delcodes.constraints import FAMILY_IDS, build_model
 from delcodes.ilp import (
     IlpModel,
     InfeasibleModelError,
@@ -55,35 +57,37 @@ def vt_solution(model: IlpModel, a: int = 0) -> Solution:
 
 def test_constraint_rejects_bad_sense():
     with pytest.raises(ValueError):
-        LinearConstraint(((Word.parse("01"), 1),), "<", 1, "row")
+        LinearConstraint(((0b01, 1),), "<", 1, "row")
 
 
 def test_constraint_rejects_duplicate_variable():
-    w = Word.parse("01")
     with pytest.raises(ValueError):
-        LinearConstraint(((w, 1), (w, 1)), "<=", 1, "row")
+        LinearConstraint(((0b01, 1), (0b01, 1)), "<=", 1, "row")
 
 
 def test_constraint_rejects_zero_coefficient():
     with pytest.raises(ValueError):
-        LinearConstraint(((Word.parse("01"), 0),), "<=", 1, "row")
+        LinearConstraint(((0b01, 0),), "<=", 1, "row")
 
 
 def test_constraint_requires_label():
     with pytest.raises(ValueError):
-        LinearConstraint(((Word.parse("01"), 1),), "<=", 1, "")
+        LinearConstraint(((0b01, 1),), "<=", 1, "")
 
 
 def test_model_rejects_duplicate_labels():
-    row = LinearConstraint(((Word.parse("01"), 1),), "<=", 1, "dup")
+    row = LinearConstraint(((0b01, 1),), "<=", 1, "dup")
     with pytest.raises(ValueError):
         IlpModel(2, (row, row))
 
 
 def test_model_rejects_foreign_word_length():
-    row = LinearConstraint(((Word.parse("010"), 1),), "<=", 1, "row")
-    with pytest.raises(ValueError):
-        IlpModel(2, (row,))
+    # a term is a word value, so a foreign word is one outside 0..2^n-1
+    IlpModel(2, (LinearConstraint(((3, 1),), "<=", 1, "row"),))
+    for value in (4, -1):
+        row = LinearConstraint(((value, 1),), "<=", 1, "row")
+        with pytest.raises(ValueError, match="not in 0..2"):
+            IlpModel(2, (row,))
 
 
 def test_model_variable_names_cover_all_words():
@@ -147,6 +151,22 @@ def test_write_lp_layout():
     assert all(len(line) <= 72 for line in lines)
 
 
+# sha256 of write_lp(build_model(n, C0..C6)). The header names the package
+# version, so a version bump changes these too; any other change to them
+# changes the file format and must be deliberate.
+GOLDEN_LP_SHA256 = {
+    6: "1434bfde8e62a64484c01a7da157fdf268bc8c094e9b06979be81c0c88672a02",
+    7: "fe76b14b39a233471702df3ceaff9a2e7b8c742d390f2c1d7186c1c023ed7940",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_LP_SHA256))
+def test_write_lp_bytes_match_golden_digest(n):
+    text = lp_text(build_model(n, FAMILY_IDS))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_LP_SHA256[n]
+
+
 def test_write_lp_omits_unit_coefficients():
     text = lp_text(build_model(3, {"C0"}))
     assert " 1 x_" not in text
@@ -180,6 +200,59 @@ def test_lp_round_trip_all_families(n):
     assert again.splitlines()[2:] == text.splitlines()[2:]  # headers differ
 
 
+def random_model(rng: random.Random) -> IlpModel:
+    n = rng.randint(2, 4)
+    rows = []
+    for i in range(rng.randint(1, 5)):
+        values = rng.sample(range(1 << n), rng.randint(1, min(6, 1 << n)))
+        terms = tuple(
+            (v, rng.choice((-3, -2, -1, 1, 2, 3))) for v in values
+        )
+        sense = rng.choice(("<=", ">=", "="))
+        rows.append(LinearConstraint(terms, sense, rng.randint(-4, 6), f"r{i}"))
+    return IlpModel(n, tuple(rows))
+
+
+def test_lp_round_trip_random_int_models():
+    rng = random.Random(7100)
+    for case in range(300):
+        model = random_model(rng)
+        back = read_lp(io.StringIO(lp_text(model)))
+        assert back.n == model.n, case
+        assert rows_key(back) == rows_key(model), case
+
+
+def mutate_lp(rng: random.Random, text: str) -> str:
+    """One seeded edit: truncate, replace a character, drop or repeat a token."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return text[: rng.randrange(len(text))]
+    if kind == 1:
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice("01x_: +-<=>\\\n9aE.") + text[i + 1:]
+    pieces = re.split(r"(\s+)", text)
+    i = rng.randrange(0, len(pieces), 2)  # even slots hold the tokens
+    if kind == 2:
+        return "".join(pieces[:i] + pieces[i + 1:])
+    return "".join(pieces[:i] + [pieces[i], " "] + pieces[i:])
+
+
+def test_read_lp_mutations_raise_only_value_error():
+    rng = random.Random(7200)
+    sources = [lp_text(build_model(n, FAMILY_IDS)) for n in (2, 3)]
+    sources += [lp_text(random_model(rng)) for _ in range(8)]
+    rejected = 0
+    for case in range(3000):
+        text = mutate_lp(rng, rng.choice(sources))
+        try:
+            read_lp(io.StringIO(text))
+        except ValueError:
+            rejected += 1
+        except Exception as exc:  # any other type is a parser bug
+            pytest.fail(f"case {case}: {type(exc).__name__}: {exc}\n{text}")
+    assert 0 < rejected < 3000
+
+
 def test_read_lp_accepts_explicit_coefficients_and_wraps():
     text = (
         "Maximize\n"
@@ -199,11 +272,7 @@ def test_read_lp_accepts_explicit_coefficients_and_wraps():
     assert model.n == 2
     r1 = model.constraints[0]
     assert r1.label == "r1" and r1.sense == "<=" and r1.rhs == 4
-    assert r1.terms == (
-        (Word.parse("00"), 2),
-        (Word.parse("01"), -3),
-        (Word.parse("10"), 1),
-    )
+    assert r1.terms == ((0b00, 2), (0b01, -3), (0b10, 1))
 
 
 def test_read_lp_strips_comments():
@@ -274,6 +343,16 @@ def test_read_solution_strict_rejects_fractional_values():
     # within tolerance is fine
     sol = read_solution(io.StringIO("x_00 0.9999999\n"), model, strict=True)
     assert sol.assignment["x_00"] == 1
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("value", ["nan", "NaN"])
+def test_read_solution_rejects_nan(value, strict):
+    # NaN fails every comparison, so rounding and the strict test miss it
+    model = build_model(2, {"C0"})
+    text = f"x_00 1\nx_01 {value}\n"
+    with pytest.raises(ValueError, match=f"line 2: x_01 = {value} is NaN"):
+        read_solution(io.StringIO(text), model, strict=strict)
 
 
 @pytest.mark.parametrize(
@@ -402,7 +481,7 @@ def test_solve_unknown_status_when_budget_blocks_everything():
     rows = list(build_model(5, {"C0"}).constraints)
     rows.append(
         LinearConstraint(
-            tuple((Word(5, v), 1) for v in range(32)), ">=", 20, "impossible"
+            tuple((v, 1) for v in range(32)), ">=", 20, "impossible"
         )
     )
     model = IlpModel(5, tuple(rows))
@@ -416,7 +495,7 @@ def test_solve_raises_on_proven_infeasible_model():
     rows = list(build_model(5, {"C0"}).constraints)
     rows.append(
         LinearConstraint(
-            tuple((Word(5, v), 1) for v in range(32)), ">=", 20, "impossible"
+            tuple((v, 1) for v in range(32)), ">=", 20, "impossible"
         )
     )
     model = IlpModel(5, tuple(rows))
@@ -426,8 +505,8 @@ def test_solve_raises_on_proven_infeasible_model():
 
 def test_solve_raises_on_conflicting_fixed_words():
     rows = list(build_model(5, {"C0"}).constraints)
-    rows.append(LinearConstraint(((Word.parse("00000"), 1),), "=", 1, "f0"))
-    rows.append(LinearConstraint(((Word.parse("10000"), 1),), "=", 1, "f1"))
+    rows.append(LinearConstraint(((0b00000, 1),), "=", 1, "f0"))
+    rows.append(LinearConstraint(((0b10000, 1),), "=", 1, "f1"))
     with pytest.raises(InfeasibleModelError):
         solve_builtin(IlpModel(5, tuple(rows)))
 
@@ -483,6 +562,18 @@ def test_time_limit_holds_on_the_full_length_twelve_model():
     assert elapsed < 1.5, f"a 1.0 s limit took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("n,known", [(9, 52), (10, 94), (11, 172)])
+def test_full_model_keeps_the_known_optimum_past_length_eight(n, known):
+    # criterion 6 proves family subsets sound only through n=8; M(n) is
+    # known here, so reaching it under all of C0..C6 shows no family cuts
+    # the optimum at these lengths either
+    model = build_model(n, FAMILY_IDS)
+    sol = solve_builtin(model, SearchOptions(node_limit=1))
+    assert sol.objective == known
+    assert sol.solver_status == "feasible"
+    assert verify_solution(model, sol).ok
+
+
 def independent_sets(n: int) -> list[int]:
     """Every independent set of the conflict graph, as a mask of values."""
     adjacency = conflict_graph(n).adjacency
@@ -503,7 +594,7 @@ def independent_sets(n: int) -> list[int]:
 
 
 def row_holds(row: LinearConstraint, selection: int) -> bool:
-    lhs = sum(c for w, c in row.terms if selection >> w.value & 1)
+    lhs = sum(c for v, c in row.terms if selection >> v & 1)
     if row.sense == "<=":
         return lhs <= row.rhs
     if row.sense == ">=":
@@ -514,12 +605,12 @@ def row_holds(row: LinearConstraint, selection: int) -> bool:
 def random_row(rng: random.Random, n: int, label: str) -> LinearConstraint:
     values = list(range(1 << n))
     if rng.random() < 0.25:  # a single-term equality, i.e. a fix
-        word = Word(n, rng.choice(values))
+        value = rng.choice(values)
         coeff = rng.choice((-2, -1, 1, 2))
         rhs = rng.randint(-2, 2)
-        return LinearConstraint(((word, coeff),), "=", rhs, label)
+        return LinearConstraint(((value, coeff),), "=", rhs, label)
     terms = tuple(
-        (Word(n, v), rng.choice((-2, -1, 1, 2)))
+        (v, rng.choice((-2, -1, 1, 2)))
         for v in rng.sample(values, rng.randint(1, 6))
     )
     sense = rng.choice(("<=", ">=", "="))
