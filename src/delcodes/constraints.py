@@ -148,7 +148,12 @@ def dominated_words(n: int) -> set[Word]:
 
 
 def gen_c2(n: int) -> ConstraintFamily:
-    """Exclusion rows: every dominated word is fixed to 0."""
+    """Exclusion rows: every dominated word is fixed to 0.
+
+    The built-in searches apply the same rule by themselves at the root
+    of their shared kernel (sdecc._drop_dominated), wherever the model's
+    other rows allow the swap; these rows state it for external solvers.
+    """
     _check_n(n)
     rows = tuple(
         LinearConstraint(

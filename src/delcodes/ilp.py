@@ -36,6 +36,13 @@ from .sdecc import (
 from .vt import vt_code
 
 _VAR_NAME = re.compile(r"^x_([01]+)$")
+# int() and float() also take "1_0", non-ASCII digits and "infinity"; the
+# file formats allow only ASCII numerals, so each reader matches its own
+_LP_INTEGER = re.compile(r"[+-]?[0-9]+")
+_SOLUTION_VALUE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|nan)",
+    re.IGNORECASE,
+)
 _SENSES = ("<=", ">=", "=")
 
 
@@ -246,13 +253,18 @@ class _Tokens:
         return tok
 
 
-def _parse_expression(tokens: _Tokens, stop: tuple[str, ...]) -> list[tuple[str, int]]:
-    """Parse `[±] [coef] name` terms until a sense token or keyword."""
+def _parse_expression(
+    tokens: _Tokens, stop: tuple[str, ...], where: str
+) -> list[tuple[str, int]]:
+    """Parse `[±] [coef] name` terms until a sense token or keyword.
+
+    where, the label of the row being read, prefixes every error.
+    """
     terms: list[tuple[str, int]] = []
     while True:
         tok = tokens.peek()
         if tok is None:
-            raise ValueError("expression ran past end of file")
+            raise ValueError(f"{where} expression ran past end of file")
         if tok in _SENSES or tok.lower() in stop:
             return terms
         sign = 1
@@ -261,20 +273,22 @@ def _parse_expression(tokens: _Tokens, stop: tuple[str, ...]) -> list[tuple[str,
             tokens.take()
             tok = tokens.peek()
             if tok is None:
-                raise ValueError("dangling sign at end of file")
+                raise ValueError(f"{where} dangling sign at end of file")
         coeff = sign
         if not _VAR_NAME.match(tok):
-            try:
-                magnitude = int(tok)
-            except ValueError:
-                raise ValueError(f"expected coefficient or variable, got {tok!r}")
-            coeff = sign * magnitude
+            if not _LP_INTEGER.fullmatch(tok):
+                raise ValueError(
+                    f"{where} expected coefficient or variable, got {tok!r}"
+                )
+            coeff = sign * int(tok)
             tokens.take()
             tok = tokens.peek()
             if tok is None:
-                raise ValueError("coefficient without a variable at end of file")
+                raise ValueError(
+                    f"{where} coefficient without a variable at end of file"
+                )
         if not _VAR_NAME.match(tok):
-            raise ValueError(f"expected variable name, got {tok!r}")
+            raise ValueError(f"{where} expected variable name, got {tok!r}")
         tokens.take()
         terms.append((tok, coeff))
 
@@ -294,7 +308,7 @@ def read_lp(source: IO[str]) -> IlpModel:
     obj_label = tokens.take()
     if not obj_label.endswith(":"):
         raise ValueError(f"objective needs a label, got {obj_label!r}")
-    objective = _parse_expression(tokens, stop=("subject",))
+    objective = _parse_expression(tokens, ("subject",), obj_label)
     if any(coeff != 1 for _, coeff in objective):
         raise ValueError("objective must have unit coefficients")
     if tokens.take().lower() != "subject" or tokens.take().lower() != "to":
@@ -310,16 +324,14 @@ def read_lp(source: IO[str]) -> IlpModel:
         label = tokens.take()
         if not label.endswith(":") or len(label) == 1:
             raise ValueError(f"expected a constraint label, got {label!r}")
-        terms = _parse_expression(tokens, stop=("binary", "end"))
+        terms = _parse_expression(tokens, ("binary", "end"), label)
         sense = tokens.take()
         if sense not in _SENSES:
             raise ValueError(f"{label} expected a sense, got {sense!r}")
         rhs_token = tokens.take()
-        try:
-            rhs = int(rhs_token)
-        except ValueError:
+        if not _LP_INTEGER.fullmatch(rhs_token):
             raise ValueError(f"{label} right-hand side {rhs_token!r} is not an integer")
-        raw_rows.append((label[:-1], terms, sense, rhs))
+        raw_rows.append((label[:-1], terms, sense, int(rhs_token)))
 
     if tokens.take().lower() != "binary":
         raise ValueError("expected a Binary section")
@@ -383,7 +395,8 @@ def read_solution(
     Comment text after # is ignored, blank lines are skipped, variables
     missing from the input default to 0, and values round to {0,1} at
     threshold 0.5. In strict mode a value farther than 1e-6 from 0 or 1
-    is an error instead. NaN is an error in both modes.
+    is an error instead. Values are ASCII decimal numerals; NaN is an
+    error in both modes.
     """
     known = set(model.variable_names)
     assignment = dict.fromkeys(model.variable_names, 0)
@@ -401,10 +414,9 @@ def read_solution(
         if name in seen:
             raise ValueError(f"line {lineno}: duplicate assignment for {name}")
         seen.add(name)
-        try:
-            value = float(value_text)
-        except ValueError:
+        if not _SOLUTION_VALUE.fullmatch(value_text):
             raise ValueError(f"line {lineno}: non-numeric value {value_text!r}")
+        value = float(value_text)
         # NaN fails every comparison, so neither test below would catch it
         if math.isnan(value):
             raise ValueError(f"line {lineno}: {name} = {value_text} is NaN")

@@ -260,6 +260,20 @@ def test_verify_rejects_nan_value_with_line_number(tmp_path, capsys):
     assert "error: line 2: x_001 = nan is NaN" in err
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "infinity"])
+def test_verify_rejects_numerals_float_would_take(tmp_path, capsys, value):
+    model_path = tmp_path / "m.lp"
+    sol_path = tmp_path / "s.txt"
+    run(capsys, "gen", "--n", "3", "--families", "c0", "--out", str(model_path))
+    sol_path.write_text(f"x_000 1\nx_001 {value}\n", encoding="utf-8")
+    status, _, err = run(
+        capsys,
+        "verify", "--model", str(model_path), "--solution", str(sol_path),
+    )
+    assert status == 1
+    assert f"error: line 2: non-numeric value '{value}'" in err
+
+
 # -------------------------------------------------------------------- bounds
 
 

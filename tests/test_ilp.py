@@ -10,7 +10,7 @@ import time
 import pytest
 
 from delcodes.bitseq import Word, WordSet
-from delcodes.constraints import FAMILY_IDS, build_model
+from delcodes.constraints import FAMILY_IDS, build_model, dominated_words
 from delcodes.ilp import (
     IlpModel,
     InfeasibleModelError,
@@ -299,6 +299,26 @@ def test_read_lp_rejects_malformed_files(mutate, message):
         read_lp(io.StringIO(mutate(text)))
 
 
+@pytest.mark.parametrize(
+    "coeff,rhs,message",
+    [
+        ("1_0", "1", "r1: expected coefficient or variable, got '1_0'"),
+        ("\u0661", "1", "r1: expected coefficient or variable, got '\u0661'"),
+        ("2", "1_0", "r1: right-hand side '1_0' is not an integer"),
+        ("2", "\u0661", "r1: right-hand side '\u0661' is not an integer"),
+    ],
+)
+def test_read_lp_rejects_numerals_int_would_take(coeff, rhs, message):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit one as 1
+    text = (
+        "Maximize\n obj: x_0 + x_1\nSubject To\n"
+        f" r1: {coeff} x_0 + x_1 <= {rhs}\n"
+        "Binary\n x_0 x_1\nEnd\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_lp(io.StringIO(text))
+
+
 def test_read_lp_rejects_undeclared_variable_in_row():
     text = lp_text(build_model(2, {"C0"}))
     text = text.replace("c0_y0: x_00", "c0_y0: x_000")
@@ -353,6 +373,57 @@ def test_read_solution_rejects_nan(value, strict):
     text = f"x_00 1\nx_01 {value}\n"
     with pytest.raises(ValueError, match=f"line 2: x_01 = {value} is NaN"):
         read_solution(io.StringIO(text), model, strict=strict)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "infinity", "inf"])
+def test_read_solution_rejects_numerals_float_would_take(value, strict):
+    # float() takes all of these; a solution value must be an ASCII numeral
+    model = build_model(2, {"C0"})
+    text = f"x_00 1\nx_01 {value}\n"
+    message = f"line 2: non-numeric value '{value}'"
+    with pytest.raises(ValueError, match=message):
+        read_solution(io.StringIO(text), model, strict=strict)
+
+
+def mutate_solution(rng: random.Random, text: str) -> str:
+    """One seeded edit: truncate, replace a character, drop a token, or
+    repeat a line.
+    """
+    kind = rng.randrange(4)
+    if kind == 0:
+        return text[: rng.randrange(len(text))]
+    if kind == 1:
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice("01x_# .+-eE\n9naif\u0661") + text[i + 1:]
+    if kind == 2:
+        pieces = re.split(r"(\s+)", text)
+        i = rng.randrange(0, len(pieces), 2)  # even slots hold the tokens
+        return "".join(pieces[:i] + pieces[i + 1:])
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    return "".join(lines[: i + 1] + lines[i:])
+
+
+def test_read_solution_mutations_raise_only_value_error():
+    rng = random.Random(7300)
+    model = build_model(3, {"C0"})
+    sol = vt_solution(model)
+    plain = "".join(
+        f"{name} {sol.assignment[name]}\n" for name in model.variable_names
+    )
+    commented = "# header\n" + plain.replace(" 0\n", " 0.0  # zero\n", 3)
+    sources = [plain, commented]
+    rejected = 0
+    for case in range(3000):
+        text = mutate_solution(rng, rng.choice(sources))
+        try:
+            read_solution(io.StringIO(text), model, strict=rng.random() < 0.5)
+        except ValueError:
+            rejected += 1
+        except Exception as exc:  # any other type is a reader bug
+            pytest.fail(f"case {case}: {type(exc).__name__}: {exc}\n{text}")
+    assert 0 < rejected < 3000
 
 
 @pytest.mark.parametrize(
@@ -478,10 +549,12 @@ def test_solve_respects_node_budget():
 
 
 def test_solve_unknown_status_when_budget_blocks_everything():
+    # M(5) = 6, so no code reaches 7; a >= 20 row would be refuted at the
+    # root, where dominance leaves too few candidates, before any budget
     rows = list(build_model(5, {"C0"}).constraints)
     rows.append(
         LinearConstraint(
-            tuple((v, 1) for v in range(32)), ">=", 20, "impossible"
+            tuple((v, 1) for v in range(32)), ">=", 7, "impossible"
         )
     )
     model = IlpModel(5, tuple(rows))
@@ -489,6 +562,8 @@ def test_solve_unknown_status_when_budget_blocks_everything():
     assert sol.solver_status == "unknown"
     assert sol.objective == 0
     assert all(v == 0 for v in sol.assignment.values())
+    with pytest.raises(InfeasibleModelError):
+        solve_builtin(model)
 
 
 def test_solve_raises_on_proven_infeasible_model():
@@ -615,6 +690,24 @@ def random_row(rng: random.Random, n: int, label: str) -> LinearConstraint:
     )
     sense = rng.choice(("<=", ">=", "="))
     return LinearConstraint(terms, sense, rng.randint(-2, 4), label)
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_ge_row_keeps_a_dominated_word_selectable(n):
+    # the root drops dominated words only when the swap keeps every
+    # generic row; a >= row asking for one of them must block its drop
+    sets = independent_sets(n)
+    base = build_model(n, {"C0"}).constraints
+    for word in sorted(dominated_words(n)):
+        row = LinearConstraint(((word.value, 1),), ">=", 1, "force")
+        model = IlpModel(n, base + (row,))
+        sol = solve_builtin(model)
+        assert sol.objective == max(
+            s.bit_count() for s in sets if s >> word.value & 1
+        ), word
+        assert sol.solver_status == "optimal"
+        assert word in model.selected_words(sol)
+        assert verify_solution(model, sol).ok
 
 
 @pytest.mark.parametrize("n", (3, 4))

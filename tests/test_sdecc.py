@@ -18,11 +18,15 @@ from delcodes.bitseq import (
     enumerate_words,
     surface_values,
 )
-from delcodes.constraints import build_model
+from delcodes.constraints import build_model, dominated_words
 from delcodes.ilp import solve_builtin
 from delcodes.sdecc import (
     KNOWN_SIZES,
     SearchOptions,
+    _COVER_DENOM,
+    _cover_weights,
+    _drop_dominated,
+    _incidence,
     bounds,
     conflict_graph,
     decode_single,
@@ -318,6 +322,52 @@ def test_search_proves_length_eight_quickly():
     assert r.size == 30
     assert r.proof_status == "optimal"
     assert is_sdecc(r.witness)
+
+
+def test_root_reduction_keeps_the_length_seven_proof_small():
+    r = max_sdecc_exact(7)
+    assert r.size == 16 and r.proof_status == "optimal"
+    assert r.nodes < 100_000  # 268,601 without the root reduction
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_root_reduction_drops_exactly_the_c2_words(n):
+    graph = conflict_graph(n)
+    masks = [
+        sum(1 << v for v in members)
+        for members in graph.cliques_by_center.values()
+    ]
+    nv = 1 << n
+    rows_of, _ = _incidence(nv, masks)
+    kept = _drop_dominated((1 << nv) - 1, rows_of, [()] * nv, ())
+    dropped = {v for v in range(nv) if not kept >> v & 1}
+    assert dropped == {w.value for w in dominated_words(n)}
+
+
+def test_root_reduction_keeps_one_of_two_twins():
+    # 0 and 1 share their only row, so each dominates the other; the
+    # dominator must still be a candidate, so exactly one of them goes
+    rows_of, _ = _incidence(2, [0b11])
+    assert _drop_dominated(0b11, rows_of, [()] * 2, ()) == 0b01
+
+
+def test_cover_weights_cover_every_vertex_on_random_families():
+    rng = random.Random(9100)
+    for case in range(200):
+        nv = rng.randint(1, 40)
+        masks = [
+            sum(1 << v for v in rng.sample(range(nv), rng.randint(1, nv)))
+            for _ in range(rng.randint(1, 30))
+        ]
+        for v in range(nv):  # every vertex lies in some mask
+            if not any(m >> v & 1 for m in masks):
+                masks[rng.randrange(len(masks))] |= 1 << v
+        weights = _cover_weights(nv, masks)
+        assert weights is not None, case
+        assert len(weights) == len(masks) and min(weights) >= 0, case
+        for v in range(nv):
+            got = sum(w for m, w in zip(masks, weights) if m >> v & 1)
+            assert got >= _COVER_DENOM, (case, v, got)
 
 
 def test_node_budget_degrades_to_bound_limited():
