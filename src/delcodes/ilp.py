@@ -39,6 +39,7 @@ _VAR_NAME = re.compile(r"^x_([01]+)$")
 # int() and float() also take "1_0", non-ASCII digits and "infinity"; the
 # file formats allow only ASCII numerals, so each reader matches its own
 _LP_INTEGER = re.compile(r"[+-]?[0-9]+")
+_LP_MAGNITUDE = re.compile(r"[0-9]+")
 _SOLUTION_VALUE = re.compile(
     r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|nan)",
     re.IGNORECASE,
@@ -258,6 +259,8 @@ def _parse_expression(
 ) -> list[tuple[str, int]]:
     """Parse `[±] [coef] name` terms until a sense token or keyword.
 
+    A coefficient after a separate sign token is an unsigned magnitude;
+    only a term without one may carry its sign in the number (`-3 x_0`).
     where, the label of the row being read, prefixes every error.
     """
     terms: list[tuple[str, int]] = []
@@ -268,15 +271,17 @@ def _parse_expression(
         if tok in _SENSES or tok.lower() in stop:
             return terms
         sign = 1
+        number = _LP_INTEGER
         if tok in ("+", "-"):
             sign = -1 if tok == "-" else 1
+            number = _LP_MAGNITUDE  # "- -3" would otherwise read as +3
             tokens.take()
             tok = tokens.peek()
             if tok is None:
                 raise ValueError(f"{where} dangling sign at end of file")
         coeff = sign
         if not _VAR_NAME.match(tok):
-            if not _LP_INTEGER.fullmatch(tok):
+            if not number.fullmatch(tok):
                 raise ValueError(
                     f"{where} expected coefficient or variable, got {tok!r}"
                 )
@@ -676,7 +681,7 @@ def solve_builtin(
 
     taken, best_size, _, exhausted = _branch_and_bound(
         packing, rows_of, closed, root_cand, root_size, best_size, opts,
-        started, generic=generic, included=ones_mask, branch_rows=True,
+        started, generic=generic, included=ones_mask,
     )
     if taken is not None:
         best_selection = ones_mask

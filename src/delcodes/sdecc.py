@@ -27,7 +27,6 @@ from .bitseq import (
     Word,
     WordSet,
     insertion_values,
-    runs_of,
     surface_values,
 )
 from .vt import vt0_size, vt_code
@@ -326,6 +325,13 @@ class SearchOptions:
     time_limit: float | None = None
     incumbent: WordSet | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("node_limit", "time_limit"):
+            limit = getattr(self, name)
+            # NaN fails every comparison, so it would never trip the deadline
+            if limit is not None and not limit >= 0:
+                raise ValueError(f"{name} must be a number >= 0, got {limit!r}")
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -417,7 +423,6 @@ def _branch_and_bound(
     started: float,
     generic: Sequence[tuple[str, int, tuple[tuple[int, int], ...], str]] = (),
     included: int = 0,
-    branch_rows: bool = False,
 ) -> tuple[tuple[int, ...] | None, int, int, bool]:
     """Exact 0-1 maximum of count + |S| over sets S inside the cand mask.
 
@@ -427,10 +432,8 @@ def _branch_and_bound(
     Depth-first, taking a variable before excluding it; a node is cut when
     the LP-weighted cover (exact integer weights, see _cover_weights) or a
     greedy most-covering-row cover shows it cannot beat best. The branch
-    variable is the lowest candidate or, with branch_rows, the lowest
-    undecided member of the packing row with the most undecided members.
-    A candidate sharing no row with another candidate and lying in no
-    generic row is taken without branching: excluding it cannot do better.
+    variable is the lowest candidate in the first packing row holding the
+    most candidates, so every variable must lie in some packing row.
     Before the first node, candidates dominated by another candidate are
     dropped once (see _drop_dominated); nodes below the root do not repeat
     the sweep.
@@ -521,28 +524,20 @@ def _branch_and_bound(
                 if not rest and k <= need:
                     break  # even this cover cannot beat the incumbent
 
-            undecided = cand
-            if branch_rows:
-                # branch on the packing row with the most undecided members
-                chosen = 0
-                chosen_size = 0
-                for mask in packing:
-                    c = (mask & cand).bit_count()
-                    if c > chosen_size:
-                        chosen_size = c
-                        chosen = mask
-                        if c == max_row_size:
-                            break
-                undecided = chosen & cand
+            # branch on the packing row with the most undecided members
+            chosen = 0
+            chosen_size = 0
+            for mask in packing:
+                c = (mask & cand).bit_count()
+                if c > chosen_size:
+                    chosen_size = c
+                    chosen = mask
+                    if c == max_row_size:
+                        break
+            undecided = chosen & cand
             v = (undecided & -undecided).bit_length() - 1
             bit = 1 << v
             nbr = closed[v]
-            if cand & nbr == bit and not var_rows[v]:
-                # isolated among the candidates: always take it
-                taken.append(v)
-                count += 1
-                cand ^= bit
-                continue
 
             allowed = True
             for ri, c in var_rows[v]:
@@ -602,14 +597,14 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
     """Maximum size of a single-deletion code of length n, with witness.
 
     Branch and bound over the conflict graph (see _branch_and_bound, shared
-    with the built-in ILP solver): the center cliques are the packing rows,
-    vertices are taken lowest first in a fixed order (ascending surface
-    size, then canonical), and the incumbent starts at VT_0(n). Before the
-    first node the kernel drops every word whose surface contains a kept
-    rival's surface; these are exactly the words the C2 family excludes
-    (see _drop_dominated), and without them the n = 7 proof takes 49,913
-    nodes. Exhausting the node or time budget downgrades proof_status to
-    "bound-limited"; the returned witness is always a valid code of the
+    with the built-in ILP solver): the center cliques, in canonical center
+    order, are the packing rows over the canonical word values, and the
+    incumbent starts at VT_0(n). Before the first node the kernel drops
+    every word whose surface contains a kept rival's surface; these are
+    exactly the words the C2 family excludes (see _drop_dominated). With
+    them dropped and branching on the fullest clique, the n = 7 proof takes
+    6,903 nodes. Exhausting the node or time budget downgrades proof_status
+    to "bound-limited"; the returned witness is always a valid code of the
     reported size.
 
     Optimality proofs are fast through n = 8; n = 9 and beyond want a
@@ -631,19 +626,12 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
         if len(inc) > len(best_values):
             best_values = inc.values
 
-    # relabel vertices so the branch order is "lowest set bit first"
     size = 1 << n
-    order = sorted(
-        range(size), key=lambda v: (runs_of(v, n, 0) + runs_of(v, n, 1), v)
-    )
-    rank = [0] * size
-    for i, v in enumerate(order):
-        rank[v] = i
     clique_masks: list[int] = []
-    for _, members in sorted(graph.cliques_by_center.items()):
+    for members in graph.cliques_by_center.values():
         mask = 0
         for v in members:
-            mask |= 1 << rank[v]
+            mask |= 1 << v
         clique_masks.append(mask)
     rows_of, closed = _incidence(size, clique_masks)
 
@@ -652,7 +640,7 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
         len(best_values), opts, started,
     )
     if taken is not None:
-        best_values = tuple(sorted(order[r] for r in taken))
+        best_values = tuple(sorted(taken))
     return SearchResult(
         n=n,
         size=best,

@@ -178,6 +178,23 @@ def test_solve_reports_objective_and_status(tmp_path, capsys):
     assert out.splitlines()[0] == "objective 10 (optimal)"
 
 
+@pytest.mark.parametrize("command", ["max", "solve"])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--time-limit", "nan"), ("--time-limit", "-1"), ("--node-limit", "-1")],
+)
+def test_budgets_that_could_never_hold_exit_one(
+    tmp_path, capsys, command, flag, value
+):
+    # NaN never trips the deadline; a negative budget stops after one node
+    path = tmp_path / "m.lp"
+    run(capsys, "gen", "--n", "6", "--families", "c0", "--out", str(path))
+    where = ["--n", "10"] if command == "max" else ["--model", str(path)]
+    status, out, err = run(capsys, command, *where, flag, value)
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and "must be a number >= 0" in err
+
+
 def test_solve_writes_solution_file_verify_accepts_it(tmp_path, capsys):
     model_path = tmp_path / "m.lp"
     sol_path = tmp_path / "s.txt"

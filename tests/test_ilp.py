@@ -319,6 +319,38 @@ def test_read_lp_rejects_numerals_int_would_take(coeff, rhs, message):
         read_lp(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "expression,token",
+    [
+        ("- -3 x_0 + x_1", "-3"),
+        ("x_0 + +2 x_1", "+2"),
+        ("- +1 x_0 + x_1", "+1"),
+    ],
+)
+def test_read_lp_rejects_a_signed_coefficient_after_a_sign(expression, token):
+    # a sign token leaves a bare magnitude, else "- -3 x_0" reads as +3 x_0
+    text = (
+        "Maximize\n obj: x_0 + x_1\nSubject To\n"
+        f" r1: {expression} <= 1\n"
+        "Binary\n x_0 x_1\nEnd\n"
+    )
+    message = f"r1: expected coefficient or variable, got '{token}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_lp(io.StringIO(text))
+
+
+def test_read_lp_accepts_a_leading_signed_coefficient():
+    text = (
+        "Maximize\n obj: x_0 + x_1\nSubject To\n"
+        " r1: -3 x_0 + 2 x_1 <= 1\n"
+        " r2: +2 x_0 - x_1 >= -1\n"
+        "Binary\n x_0 x_1\nEnd\n"
+    )
+    r1, r2 = read_lp(io.StringIO(text)).constraints
+    assert r1.terms == ((0, -3), (1, 2))
+    assert r2.terms == ((0, 2), (1, -1)) and r2.rhs == -1
+
+
 def test_read_lp_rejects_undeclared_variable_in_row():
     text = lp_text(build_model(2, {"C0"}))
     text = text.replace("c0_y0: x_00", "c0_y0: x_000")
@@ -713,8 +745,7 @@ def test_ge_row_keeps_a_dominated_word_selectable(n):
 @pytest.mark.parametrize("n", (3, 4))
 def test_solver_matches_enumeration_under_extra_rows(n):
     # extra rows exercise the generic-row paths of the search: pruning by
-    # reachability, gating incumbents, refusing to take a variable, and
-    # the rule that only row-free isolated variables skip branching
+    # reachability, gating incumbents, and refusing to take a variable
     sets = independent_sets(n)
     base = build_model(n, {"C0"}).constraints
     rng = random.Random(4000 + n)

@@ -327,7 +327,10 @@ def test_search_proves_length_eight_quickly():
 def test_root_reduction_keeps_the_length_seven_proof_small():
     r = max_sdecc_exact(7)
     assert r.size == 16 and r.proof_status == "optimal"
-    assert r.nodes < 100_000  # 268,601 without the root reduction
+    # 6,903 branching on the fullest clique over canonical labels; 49,913
+    # branching on the lowest word by surface size, 268,601 without the
+    # root reduction
+    assert r.nodes < 10_000
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -384,6 +387,26 @@ def test_time_budget_degrades_to_bound_limited():
     assert r.proof_status in ("optimal", "bound-limited")
     assert r.size >= 16
     assert is_sdecc(r.witness)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"time_limit": float("nan")},
+        {"time_limit": -1.0},
+        {"node_limit": -1},
+    ],
+)
+def test_budgets_that_could_never_hold_are_rejected(limits):
+    # NaN never trips the deadline; a negative budget stops after one node
+    with pytest.raises(ValueError, match=next(iter(limits))):
+        SearchOptions(**limits)
+
+
+def test_zero_and_infinite_budgets_stay_valid():
+    SearchOptions(node_limit=0, time_limit=0.0)
+    r = max_sdecc_exact(6, SearchOptions(time_limit=float("inf")))
+    assert r.proof_status == "optimal" and r.size == 10
 
 
 def test_incumbent_must_match_length_and_be_valid():
