@@ -128,23 +128,24 @@ def dominated_words(n: int) -> set[Word]:
     """Words x for which some y has dS(y) a proper subset of dS(x).
 
     Such an x can be swapped for its smaller-surfaced rival in any code,
-    so some maximum code avoids x entirely. Candidate rivals are words
-    sharing a surface center with x (necessary for inclusion); the proper
-    subset test is then exact. Equal surfaces do not dominate.
+    so some maximum code avoids x entirely. For each word y, the words
+    whose surface contains dS(y) are exactly those lying in the coverer
+    set of every center of dS(y); of these, the ones with a strictly
+    larger surface are dominated. Equal surfaces do not dominate.
     """
     _check_n(n)
-    surfaces = {v: surface_values(n, v) for v in range(1 << n)}
-    coverers: dict[int, list[int]] = {}
-    for v, surf in surfaces.items():
+    surfaces = [surface_values(n, v) for v in range(1 << n)]
+    coverers: list[set[int]] = [set() for _ in range(1 << (n - 1))]
+    for v, surf in enumerate(surfaces):
         for c in surf:
-            coverers.setdefault(c, []).append(v)
-    out: set[Word] = set()
-    for x, sx in surfaces.items():
-        rivals = {y for c in sx for y in coverers[c]}
-        rivals.discard(x)
-        if any(surfaces[y] < sx for y in rivals):
-            out.add(Word(n, x))
-    return out
+            coverers[c].add(v)
+    dominated: set[int] = set()
+    for sy in surfaces:
+        size = len(sy)
+        for x in set.intersection(*(coverers[c] for c in sy)):
+            if len(surfaces[x]) > size:
+                dominated.add(x)
+    return {Word(n, x) for x in dominated}
 
 
 def gen_c2(n: int) -> ConstraintFamily:

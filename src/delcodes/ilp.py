@@ -232,70 +232,60 @@ def write_lp(model: IlpModel, sink: IO[str]) -> int:
     return len(text.encode("utf-8"))
 
 
-class _Tokens:
-    """Token cursor over an LP file with comments stripped."""
-
-    def __init__(self, text: str):
-        kept: list[str] = []
-        for raw in text.splitlines():
-            cut = raw.find("\\")
-            kept.append(raw if cut < 0 else raw[:cut])
-        self.items = "\n".join(kept).split()
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of LP file")
-        self.pos += 1
-        return tok
-
-
 def _parse_expression(
-    tokens: _Tokens, stop: tuple[str, ...], where: str
-) -> list[tuple[str, int]]:
-    """Parse `[±] [coef] name` terms until a sense token or keyword.
+    items: list[str],
+    pos: int,
+    stop: tuple[str, ...],
+    where: str,
+    values: dict[str, int],
+) -> tuple[list[tuple[int, int]], int]:
+    """Parse `[±] [coef] name` terms from items[pos] until a sense or keyword.
 
+    Returns the (value, coefficient) terms and the position of the token
+    that ended them. values maps every x_<bits> name met so far to its
+    word value, so the name pattern and int() run once per distinct name.
     A coefficient after a separate sign token is an unsigned magnitude;
     only a term without one may carry its sign in the number (`-3 x_0`).
     where, the label of the row being read, prefixes every error.
     """
-    terms: list[tuple[str, int]] = []
+    terms: list[tuple[int, int]] = []
+    end = len(items)
     while True:
-        tok = tokens.peek()
-        if tok is None:
+        if pos == end:
             raise ValueError(f"{where} expression ran past end of file")
-        if tok in _SENSES or tok.lower() in stop:
-            return terms
+        tok = items[pos]
         sign = 1
         number = _LP_INTEGER
-        if tok in ("+", "-"):
+        if tok == "+" or tok == "-":
             sign = -1 if tok == "-" else 1
             number = _LP_MAGNITUDE  # "- -3" would otherwise read as +3
-            tokens.take()
-            tok = tokens.peek()
-            if tok is None:
+            pos += 1
+            if pos == end:
                 raise ValueError(f"{where} dangling sign at end of file")
+            tok = items[pos]
+        elif tok in _SENSES or tok.lower() in stop:
+            return terms, pos
         coeff = sign
-        if not _VAR_NAME.match(tok):
+        value = values.get(tok)
+        if value is None and not _VAR_NAME.match(tok):
             if not number.fullmatch(tok):
                 raise ValueError(
                     f"{where} expected coefficient or variable, got {tok!r}"
                 )
             coeff = sign * int(tok)
-            tokens.take()
-            tok = tokens.peek()
-            if tok is None:
+            pos += 1
+            if pos == end:
                 raise ValueError(
                     f"{where} coefficient without a variable at end of file"
                 )
-        if not _VAR_NAME.match(tok):
-            raise ValueError(f"{where} expected variable name, got {tok!r}")
-        tokens.take()
-        terms.append((tok, coeff))
+            tok = items[pos]
+            value = values.get(tok)
+        if value is None:
+            if not _VAR_NAME.match(tok):
+                raise ValueError(f"{where} expected variable name, got {tok!r}")
+            value = values[tok] = int(tok[2:], 2)
+        pos += 1
+        terms.append((value, coeff))
 
 
 def read_lp(source: IO[str]) -> IlpModel:
@@ -305,49 +295,70 @@ def read_lp(source: IO[str]) -> IlpModel:
     the variables the Binary section declares, those must be x_<bits>
     names of one common width covering every word of that length, every
     constraint may reference only declared variables, and labels must be
-    unique. Term order inside rows is preserved.
+    unique. Term order inside rows is preserved. One pass walks the
+    tokens by index and turns each distinct name into its word value
+    once; the checks on names run after the Binary section is read.
     """
-    tokens = _Tokens(source.read())
-    if tokens.take().lower() != "maximize":
+    kept: list[str] = []
+    for raw in source.read().splitlines():
+        cut = raw.find("\\")  # a backslash starts a comment
+        kept.append(raw if cut < 0 else raw[:cut])
+    items = "\n".join(kept).split()
+    pos = 0
+
+    def take() -> str:
+        nonlocal pos
+        if pos == len(items):
+            raise ValueError("unexpected end of LP file")
+        pos += 1
+        return items[pos - 1]
+
+    # every x_<bits> name read, in order of first appearance
+    values: dict[str, int] = {}
+    if take().lower() != "maximize":
         raise ValueError("LP file must start with Maximize")
-    obj_label = tokens.take()
+    obj_label = take()
     if not obj_label.endswith(":"):
         raise ValueError(f"objective needs a label, got {obj_label!r}")
-    objective = _parse_expression(tokens, ("subject",), obj_label)
+    objective, pos = _parse_expression(
+        items, pos, ("subject",), obj_label, values
+    )
     if any(coeff != 1 for _, coeff in objective):
         raise ValueError("objective must have unit coefficients")
-    if tokens.take().lower() != "subject" or tokens.take().lower() != "to":
+    objective_names = set(values)
+    if take().lower() != "subject" or take().lower() != "to":
         raise ValueError("expected Subject To after the objective")
 
-    raw_rows: list[tuple[str, list[tuple[str, int]], str, int]] = []
+    raw_rows: list[tuple[str, list[tuple[int, int]], str, int]] = []
     while True:
-        tok = tokens.peek()
-        if tok is None:
+        if pos == len(items):
             raise ValueError("LP file ended inside Subject To")
-        if tok.lower() in ("binary", "end"):
+        if items[pos].lower() in ("binary", "end"):
             break
-        label = tokens.take()
+        label = take()
         if not label.endswith(":") or len(label) == 1:
             raise ValueError(f"expected a constraint label, got {label!r}")
-        terms = _parse_expression(tokens, ("binary", "end"), label)
-        sense = tokens.take()
+        terms, pos = _parse_expression(
+            items, pos, ("binary", "end"), label, values
+        )
+        sense = take()
         if sense not in _SENSES:
             raise ValueError(f"{label} expected a sense, got {sense!r}")
-        rhs_token = tokens.take()
+        rhs_token = take()
         if not _LP_INTEGER.fullmatch(rhs_token):
             raise ValueError(f"{label} right-hand side {rhs_token!r} is not an integer")
         raw_rows.append((label[:-1], terms, sense, int(rhs_token)))
 
-    if tokens.take().lower() != "binary":
+    if take().lower() != "binary":
         raise ValueError("expected a Binary section")
     binary: list[str] = []
     while True:
-        tok = tokens.take()
+        tok = take()
         if tok.lower() == "end":
             break
         binary.append(tok)
-    if tokens.peek() is not None:
-        raise ValueError(f"unexpected content after End: {tokens.peek()!r}")
+    if pos < len(items):
+        raise ValueError(f"unexpected content after End: {items[pos]!r}")
 
     if not binary:
         raise ValueError("Binary section declares no variables")
@@ -367,21 +378,16 @@ def read_lp(source: IO[str]) -> IlpModel:
         raise ValueError(
             f"expected all {1 << n} variables of length {n}, got {len(declared)}"
         )
-    if {name for name, _ in objective} != declared:
+    if objective_names != declared:
         raise ValueError("objective does not cover exactly the declared variables")
-
-    def to_value(name: str) -> int:
+    # names of other widths can share a value, so the check is by name; the
+    # first undeclared name in file order is the first one a row references
+    for name in values:
         if name not in declared:
             raise ValueError(f"constraint references undeclared {name!r}")
-        return int(name[2:], 2)
 
     rows = tuple(
-        LinearConstraint(
-            terms=tuple((to_value(name), coeff) for name, coeff in terms),
-            sense=sense,
-            rhs=rhs,
-            label=label,
-        )
+        LinearConstraint(terms=tuple(terms), sense=sense, rhs=rhs, label=label)
         for label, terms, sense, rhs in raw_rows
     )
     return IlpModel(
@@ -571,12 +577,16 @@ def solve_builtin(
 
     Root handling applies singleton equality fixes and their packing
     consequences, then seeds the incumbent by repairing deterministic
-    candidate codes (VT classes, their complements, a plain greedy fill)
-    against the actual rows. The search is the kernel the exact graph
-    search uses (sdecc._branch_and_bound), branching on the packing row
-    with the most undecided variables and deciding its lowest member
-    first; bounds come from LP-weighted and greedy covers by the packing
-    rows, while the other rows prune by reachability and gate incumbents.
+    candidate codes (the given incumbent, a plain greedy fill, VT classes
+    and their complements) against the actual rows. The repair keeps
+    every packing row by construction and returns each other row's
+    activity, so a repaired seed is accepted when those sums meet every
+    row's sense; the first of the largest accepted ones starts the
+    search. The search is the kernel the exact graph search uses
+    (sdecc._branch_and_bound), branching on the packing row with the most
+    undecided variables and deciding its lowest member first; bounds come
+    from LP-weighted and greedy covers by the packing rows, while the
+    other rows prune by reachability and gate incumbents.
     Exhausts the space unless the node or time budget, counted from the
     start of this call, interrupts, in which case the best incumbent is
     returned with solver_status "feasible" (or "unknown" when none was
@@ -620,47 +630,58 @@ def solve_builtin(
     root_size = ones_mask.bit_count()
 
     var_rows: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    # (row, highest activity before v may be taken) over the <= and = rows
+    # that v's positive coefficient can push over their right-hand side
+    ceilings: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     # each generic row's activity from the fixed ones, the same for every seed
     fixed_caps = [0] * len(generic)
-    for ri, (_, _, terms, _) in enumerate(generic):
+    for ri, (sense, rhs, terms, _) in enumerate(generic):
         for v, c in terms:
             var_rows[v].append((ri, c))
-            if ones_mask >> v & 1:
+            if sense != ">=" and c > 0:
+                ceilings[v].append((ri, rhs - c))
+            if fixes.get(v) == 1:
                 fixed_caps[ri] += c
 
-    def exact_check(selection: int) -> bool:
-        for mask in packing:
-            if (mask & selection).bit_count() > 1:
-                return False
-        for sense, rhs, terms, _ in generic:
-            lhs = sum(c for v, c in terms if selection >> v & 1)
-            if not _SENSE_HOLDS[sense](lhs, rhs):
-                return False
-        return True
+    def greedy_complete(seed: Sequence[int]) -> tuple[int, list[int]]:
+        """A packing-feasible selection and each generic row's activity.
 
-    def greedy_complete(seed: Sequence[int]) -> int:
+        The seed's variables are tried first, then every variable no fix
+        decides, ascending. Every packing row holds at most one selected
+        variable: a taken variable blocks its closed neighbourhood, and fix
+        propagation already blocked every row-mate of a fixed one. A
+        variable is skipped when it would push a <= or = row over its
+        right-hand side, but rows can still end up short or be over from
+        the fixes alone, so the caller checks the returned sums against
+        every generic row.
+        """
         selection = ones_mask
-        # fix propagation already put every row-mate of a one into zeros_mask
-        blocked = zeros_mask | ones_mask
+        blocked = zeros_mask | ones_mask  # holds every selected variable
         caps = fixed_caps.copy()
-        order = list(seed) + [v for v in range(nv) if not (1 << v) & blocked]
-        for v in order:
-            bit = 1 << v
-            if bit & blocked or bit & selection:
-                continue
-            ok = True
-            for ri, c in var_rows[v]:
-                sense, rhs = generic[ri][0], generic[ri][1]
-                if sense in ("<=", "=") and c > 0 and caps[ri] + c > rhs:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            selection |= bit
-            blocked |= closed[v]
+
+        def fits(v: int) -> bool:
+            for ri, ceiling in ceilings[v]:
+                if caps[ri] > ceiling:
+                    return False
             for ri, c in var_rows[v]:
                 caps[ri] += c
-        return selection
+            return True
+
+        for v in seed:
+            if not blocked >> v & 1 and fits(v):
+                selection |= 1 << v
+                blocked |= closed[v]
+        # walk the unblocked rest by its lowest bit: each operation on a
+        # 2^n-bit mask costs time linear in its width, so visit few bits
+        rest = root_cand & ~blocked
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if fits(v):
+                selection |= low
+                rest &= ~closed[v]
+        return selection, caps
 
     best_size = -1
     best_selection = 0
@@ -672,8 +693,11 @@ def solve_builtin(
             raise ValueError(f"incumbent has length {inc.n}, expected {n}")
         seeds.insert(0, inc.values)
     for seed in seeds:
-        selection = greedy_complete(seed)
-        if exact_check(selection):
+        selection, caps = greedy_complete(seed)
+        if all(
+            _SENSE_HOLDS[sense](cap, rhs)
+            for cap, (sense, rhs, _, _) in zip(caps, generic)
+        ):
             size = selection.bit_count()
             if size > best_size:
                 best_size = size

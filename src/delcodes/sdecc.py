@@ -15,13 +15,15 @@ that rival keeps any code valid, so some maximum code avoids it.
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .bitseq import (
     Word,
@@ -66,22 +68,33 @@ class SdeccResult(NamedTuple):
 def is_sdecc(code: WordSet) -> SdeccResult:
     """Check pairwise-disjoint deletion surfaces.
 
-    On failure the result carries the first violating pair in canonical
-    order together with one shared deleted word.
+    The surfaces are disjoint exactly when their sizes add up to the size
+    of their union; a word's surface has one element per run of the word.
+    Only when they do not is the code scanned in ascending order, each
+    surface in ascending order, so that the result carries the first
+    violating pair in that order together with the first shared deleted
+    word of the later one.
     """
     n = code.n
     if n < 2:
         raise ValueError(f"validity needs length >= 2, got {n}")
+    values = code.values
+    lows = [(k, (1 << k) - 1) for k in range(n)]  # deleting bit k of v
+    union = {(v >> (k + 1) << k) | (v & low) for v in values for k, low in lows}
+    edges = (1 << (n - 1)) - 1
+    runs = sum(((v ^ (v >> 1)) & edges).bit_count() + 1 for v in values)
+    if len(union) == runs:
+        return SdeccResult(True, None, None)
     owner: dict[int, int] = {}
-    for v in code.values:
-        for c in sorted(surface_values(n, v)):
+    for v in values:
+        for c in sorted({(v >> (k + 1) << k) | (v & low) for k, low in lows}):
             prev = owner.get(c)
             if prev is not None:
                 return SdeccResult(
                     False, (Word(n, prev), Word(n, v)), Word(n - 1, c)
                 )
             owner[c] = v
-    return SdeccResult(True, None, None)
+    raise RuntimeError("surfaces overlap but no shared deleted word was found")
 
 
 def decode_single(code: WordSet, received: Word) -> Word | None:
@@ -220,8 +233,12 @@ def _packing_duals(masks: Sequence[int], nv: int) -> np.ndarray | None:
     Solved with a dense primal simplex from the slack basis. The instances
     are heavily degenerate, so right-hand sides and costs carry tiny
     deterministic perturbations and Dantzig pricing falls back to Bland's
-    rule after a stall. Returns None when the pivot cap is hit.
+    rule after a stall. Returns None when the pivot cap is hit. numpy is
+    imported here, not with the package, so that commands which never
+    reach the LP do not pay for loading it.
     """
+    import numpy as np
+
     nc = len(masks)
     tab = np.zeros((nc + 1, nv + nc + 1))
     for i, m in enumerate(masks):
@@ -290,7 +307,7 @@ def _cover_weights(nv: int, masks: Sequence[int]) -> tuple[int, ...] | None:
         duals = _packing_duals(masks, nv)
         if duals is not None:
             denom = _COVER_DENOM
-            weights = [int(np.ceil(d * denom - 1e-9)) for d in duals]
+            weights = [math.ceil(d * denom - 1e-9) for d in duals]
             by_vertex: list[list[int]] = [[] for _ in range(nv)]
             for idx, m in enumerate(masks):
                 t = m

@@ -3,6 +3,10 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -339,6 +343,23 @@ def test_json_flag_accepted_before_and_after_subcommand(capsys):
     out = capsys.readouterr().out
     assert status == before == 0
     assert json.loads(out) == data
+
+
+# ------------------------------------------------------------------ start-up
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # numpy serves only the cover LP; vt, check, gen, verify and large
+    # solves never reach it, so they should not pay for importing it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import delcodes, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert probe.stdout.strip() == "False"
 
 
 # ---------------------------------------------------- file pipeline equality

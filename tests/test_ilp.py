@@ -771,3 +771,74 @@ def test_solver_matches_enumeration_under_extra_rows(n):
         assert sol.solver_status == "optimal"
         assert verify_solution(model, sol).ok
     assert 0 < infeasible < 150
+
+
+def test_full_length_twelve_selection_is_pinned():
+    # which warm-start seed wins, and what 20 nodes add to it, decide this
+    # selection; its digest pins both
+    model = build_model(12, FAMILY_IDS)
+    sol = solve_builtin(model, SearchOptions(node_limit=20))
+    values = model.selected_words(sol).values
+    digest = hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+    assert (sol.objective, sol.solver_status) == (316, "feasible")
+    assert digest == (
+        "531eddc460c67386501feb0d0313188d867e255016077256903cb03554fbf575"
+    )
+
+
+@pytest.mark.parametrize("n,pairs", [(4, None), (5, 80)])
+def test_warm_start_seeds_that_miss_a_ge_row_are_refused(n, pairs):
+    # with no node to search, the answer is the best seed that meets every
+    # row, or status unknown when every seed misses the pair row
+    sets = independent_sets(n)
+    base = build_model(n, {"C0"}).constraints
+    candidates = list(itertools.combinations(range(1 << n), 2))
+    if pairs is not None:
+        candidates = random.Random(6000 + n).sample(candidates, pairs)
+    missed = 0
+    for x, y in candidates:
+        row = LinearConstraint(((x, 1), (y, 1)), ">=", 2, "pair")
+        model = IlpModel(n, base + (row,))
+        warm = solve_builtin(model, SearchOptions(node_limit=0))
+        if warm.solver_status == "unknown":
+            missed += 1
+        else:
+            assert warm.solver_status == "feasible"
+            assert verify_solution(model, warm).ok, (x, y)
+        sizes = [s.bit_count() for s in sets if row_holds(row, s)]
+        if not sizes:
+            with pytest.raises(InfeasibleModelError):
+                solve_builtin(model)
+            continue
+        sol = solve_builtin(model)
+        assert sol.objective == max(sizes), (x, y)
+        assert sol.solver_status == "optimal"
+        assert verify_solution(model, sol).ok
+    assert missed > 0
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_warm_start_repairs_an_incumbent_that_breaks_a_le_row(n):
+    incumbent = vt_code(n, 0)
+    row = LinearConstraint(
+        tuple((v, 1) for v in incumbent.values), "<=", 2, "few"
+    )
+    model = IlpModel(n, build_model(n, {"C0"}).constraints + (row,))
+    assert not row_holds(row, sum(1 << v for v in incumbent.values))
+    warm = solve_builtin(model, SearchOptions(node_limit=0, incumbent=incumbent))
+    assert warm.solver_status == "feasible"
+    assert verify_solution(model, warm).ok
+    sol = solve_builtin(model, SearchOptions(incumbent=incumbent))
+    assert sol.objective == max(
+        s.bit_count() for s in independent_sets(n) if row_holds(row, s)
+    )
+    assert sol.solver_status == "optimal"
+    assert verify_solution(model, sol).ok
+
+
+def test_fixes_that_alone_break_a_le_row_are_infeasible():
+    # C3 fixes both constant words to 1, which puts this row at 3 > 2
+    row = LinearConstraint(((0b00000, 2), (0b11111, 1)), "<=", 2, "over")
+    model = IlpModel(5, build_model(5, {"C0", "C3"}).constraints + (row,))
+    with pytest.raises(InfeasibleModelError):
+        solve_builtin(model)

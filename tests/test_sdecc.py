@@ -87,6 +87,46 @@ def test_validity_matches_pairwise_surface_disjointness(n):
         assert bool(is_sdecc(WordSet(n, sample))) == expected
 
 
+def ordered_scan(n, values):
+    """Reference verdict: words ascending, each surface ascending, and the
+    first deleted word already owned by an earlier word is the collision."""
+    owner = {}
+    for bits in sorted(format(v, f"0{n}b") for v in values):
+        for deleted in sorted({bits[:i] + bits[i + 1:] for i in range(n)}):
+            if deleted in owner:
+                return False, (owner[deleted], bits), deleted
+            owner[deleted] = bits
+    return True, None, None
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_validity_reports_the_first_collision_of_an_ordered_scan(n):
+    rng = random.Random(5000 + n)
+    words = range(1 << n)
+    cases = [rng.sample(words, rng.randint(2, min(24, 1 << n))) for _ in range(60)]
+    for a in range(n + 1):
+        members = set(vt_code(n, a).values)
+        covered = {c for v in members for c in surface_values(n, v)}
+        # one outside word whose surface meets the class's
+        intruders = [
+            x for x in words
+            if x not in members and surface_values(n, x) & covered
+        ]
+        cases.append(sorted(members | {rng.choice(intruders)}))
+    invalid = 0
+    for values in cases:
+        result = is_sdecc(WordSet(n, values))
+        ok, pair, shared = ordered_scan(n, values)
+        assert result.ok == ok, values
+        if ok:
+            assert result.first_pair is None and result.shared is None
+            continue
+        invalid += 1
+        assert tuple(str(w) for w in result.first_pair) == pair, values
+        assert str(result.shared) == shared, values
+    assert invalid > n + 1  # every injected class, and some random sets
+
+
 # ------------------------------------------------------------------ decoding
 
 
