@@ -27,6 +27,7 @@ from .ilp import (
     solve_builtin,
     verify_solution,
     write_lp,
+    write_solution,
 )
 from .sdecc import SearchOptions, bounds, is_sdecc, max_sdecc_exact
 from .vt import is_perfect, parse_code, vt0_size, vt1_size, vt_code
@@ -185,15 +186,8 @@ def _cmd_solve(args: argparse.Namespace) -> _Handled:
     }
     lines = [f"objective {solution.objective} ({solution.solver_status})"]
     if args.out:
-        body = [
-            f"# delcodes solution objective={solution.objective} "
-            f"status={solution.solver_status}"
-        ]
-        body.extend(
-            f"{name} {solution.assignment[name]}"
-            for name in model.variable_names
-        )
-        Path(args.out).write_text("\n".join(body) + "\n", encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as sink:
+            write_solution(solution, sink)
         data["solution_path"] = args.out
         lines.append(f"wrote {args.out}")
     return 0, data, lines

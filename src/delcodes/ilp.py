@@ -2,17 +2,18 @@
 
 A model holds one binary variable per length-n word and maximizes how many
 are selected, subject to linear rows of (word value, coefficient) terms that
-are evaluated on a bitmask of the selected values. x_<bits> names appear
-only in files and Solution.assignment: write_lp and read_lp move models
+are evaluated on a bitmask of the selected values. A Solution holds such a
+selection bitmask. x_<bits> names appear only at the file boundary and in
+the read-only Solution.assignment view: write_lp and read_lp move models
 through the common text LP format so external solvers can be used;
-read_solution imports their variable assignments; verify_solution replays
-every row on that bitmask and independently re-checks the selected words as
-a code. solve_builtin is a self-contained exact 0-1 solver: it classifies
-the rows, propagates fixes and warm-starts here, then runs the
-branch-and-bound kernel it shares with the conflict-graph search
-(sdecc._branch_and_bound). Because the two searches share that kernel, the
-tests check both against a brute-force enumeration of independent sets
-rather than only against each other.
+write_solution and read_solution move selections through `name value`
+files; verify_solution replays every row on the selection and independently
+re-checks the selected words as a code. solve_builtin is a self-contained
+exact 0-1 solver: it classifies the rows, propagates fixes and warm-starts
+here, then runs the branch-and-bound kernel it shares with the
+conflict-graph search (sdecc._branch_and_bound). Because the two searches
+share that kernel, the tests check both against a brute-force enumeration
+of independent sets rather than only against each other.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import IO, Iterator, Mapping, Sequence
 
 from .bitseq import Word, WordSet
@@ -59,6 +61,11 @@ class InfeasibleModelError(RuntimeError):
 def variable_name(word: Word) -> str:
     """LP variable name for a word: x_ followed by its bits."""
     return f"x_{word}"
+
+
+def _variable_names(n: int) -> tuple[str, ...]:
+    """Names of all length-n words, in ascending word order."""
+    return tuple(variable_name(Word(n, v)) for v in range(1 << n))
 
 
 @dataclass(frozen=True)
@@ -120,9 +127,7 @@ class IlpModel:
 
     @cached_property
     def variable_names(self) -> tuple[str, ...]:
-        return tuple(
-            variable_name(Word(self.n, v)) for v in range(1 << self.n)
-        )
+        return _variable_names(self.n)
 
     def word_of(self, name: str) -> Word:
         m = _VAR_NAME.match(name)
@@ -130,44 +135,46 @@ class IlpModel:
             raise ValueError(f"not a variable of this model: {name!r}")
         return Word.parse(m.group(1))
 
-    def _selection(self, solution: "Solution") -> int:
-        """Bitmask of the model variables the solution sets to 1."""
-        return sum(
-            1 << v
-            for v, name in enumerate(self.variable_names)
-            if solution.assignment.get(name) == 1
-        )
-
     def selected_words(self, solution: "Solution") -> WordSet:
-        selection = self._selection(solution)
-        return WordSet(
-            self.n, (v for v in range(1 << self.n) if selection >> v & 1)
-        )
+        if solution.n != self.n:
+            raise ValueError(f"solution has length {solution.n}, not {self.n}")
+        return WordSet(self.n, _ones(solution.selection))
+
+
+def _ones(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 @dataclass(frozen=True)
 class Solution:
-    """A 0-1 assignment to every model variable; treat as read-only."""
+    """A 0-1 value per length-n word: bit v of selection is word v's value."""
 
-    assignment: dict[str, int]
-    objective: int
+    n: int
+    selection: int
     source: str  # "built-in" or "imported"
     solver_status: str  # "optimal", "feasible", or "unknown"
 
     def __post_init__(self) -> None:
+        if not 1 <= self.n <= 24:
+            raise ValueError(f"solution length {self.n} is not in 1..24")
+        if self.selection < 0 or self.selection.bit_length() > 1 << self.n:
+            raise ValueError(f"selection is not in 0..2^(2^{self.n})-1")
         if self.source not in ("built-in", "imported"):
             raise ValueError(f"unknown source {self.source!r}")
         if self.solver_status not in ("optimal", "feasible", "unknown"):
             raise ValueError(f"unknown status {self.solver_status!r}")
-        ones = 0
-        for name, value in self.assignment.items():
-            if value not in (0, 1):
-                raise ValueError(f"{name}: assignment value {value!r} not 0/1")
-            ones += value
-        if ones != self.objective:
-            raise ValueError(
-                f"objective {self.objective} but {ones} variables are 1"
-            )
+
+    @property
+    def objective(self) -> int:
+        return self.selection.bit_count()
+
+    @cached_property
+    def assignment(self) -> Mapping[str, int]:
+        """Read-only map from each variable name, ascending, to its value."""
+        bits = bin(self.selection)[:1:-1].ljust(1 << self.n, "0")
+        names = _variable_names(self.n)
+        return MappingProxyType(dict(zip(names, map(int, bits))))
 
 
 # ------------------------------------------------------------- LP text format
@@ -409,9 +416,7 @@ def read_solution(
     is an error instead. Values are ASCII decimal numerals; NaN is an
     error in both modes.
     """
-    known = set(model.variable_names)
-    assignment = dict.fromkeys(model.variable_names, 0)
-    seen: set[str] = set()
+    values: dict[str, int] = {}
     for lineno, raw in enumerate(source.read().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -420,11 +425,10 @@ def read_solution(
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'name value', got {raw!r}")
         name, value_text = parts
-        if name not in known:
+        if len(name) != model.n + 2 or not _VAR_NAME.match(name):
             raise ValueError(f"line {lineno}: unknown variable {name!r}")
-        if name in seen:
+        if name in values:
             raise ValueError(f"line {lineno}: duplicate assignment for {name}")
-        seen.add(name)
         if not _SOLUTION_VALUE.fullmatch(value_text):
             raise ValueError(f"line {lineno}: non-numeric value {value_text!r}")
         value = float(value_text)
@@ -435,13 +439,26 @@ def read_solution(
             raise ValueError(
                 f"line {lineno}: {name} = {value_text} is not 0/1 within 1e-6"
             )
-        assignment[name] = 1 if value >= 0.5 else 0
-    return Solution(
-        assignment=assignment,
-        objective=sum(assignment.values()),
-        source="imported",
-        solver_status="unknown",
-    )
+        values[name] = 1 if value >= 0.5 else 0
+    selection = 0
+    for name, value in values.items():
+        if value:
+            selection |= 1 << int(name[2:], 2)
+    return Solution(model.n, selection, "imported", "unknown")
+
+
+def write_solution(solution: Solution, sink: IO[str]) -> None:
+    """Write the solution in the format read_solution reads.
+
+    A `# delcodes solution objective=... status=...` header, then one
+    `name value` line per variable in ascending word order, LF endings.
+    """
+    lines = [
+        f"# delcodes solution objective={solution.objective} "
+        f"status={solution.solver_status}"
+    ]
+    lines.extend(f"{name} {one}" for name, one in solution.assignment.items())
+    sink.write("\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------- verification
@@ -494,22 +511,26 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
     selected words directly, so a model missing packing rows cannot hide
     an invalid selection.
     """
-    known = set(model.variable_names)
-    foreign = tuple(sorted(set(solution.assignment) - known))
-    selection = model._selection(solution)
+    selection = solution.selection
+    foreign: tuple[str, ...] = ()
+    if solution.n != model.n:
+        # none of its variables belongs to the model, which selects nothing
+        foreign = tuple(
+            name for name, value in solution.assignment.items() if value
+        )
+        selection = 0
     violated = tuple(
         row.label
         for row in model.constraints
         if not row.satisfied(selection)
     )
-    words = model.selected_words(solution)
+    words = WordSet(model.n, _ones(selection))
     if model.n >= 2:
         code_result = is_sdecc(words)
     else:
         code_result = SdeccResult(len(words) <= 1, None, None)
-    objective_ok = solution.objective == len(words) and not foreign
     return VerifyReport(
-        ok=not violated and code_result.ok and objective_ok,
+        ok=not violated and code_result.ok and solution.n == model.n,
         objective=solution.objective,
         checked=len(model.constraints),
         violated=violated,
@@ -523,9 +544,9 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
 
 
 def _classify_rows(model: IlpModel):
-    """Split rows into packing masks, singleton fixes, and generic rows."""
+    """Split rows into packing members, singleton fixes, and generic rows."""
     nv = 1 << model.n
-    packing: list[int] = []
+    packing: list[tuple[int, ...]] = []
     fixes: dict[int, int] = {}
     generic: list[tuple[str, int, tuple[tuple[int, int], ...], str]] = []
     for row in model.constraints:
@@ -550,24 +571,10 @@ def _classify_rows(model: IlpModel):
             continue
         if row.sense == "<=" and row.rhs == 1 and all(c == 1 for c in coeffs):
             if len(row.terms) > 1:
-                mask = 0
-                for v, _ in row.terms:
-                    mask |= 1 << v
-                packing.append(mask)
+                packing.append(tuple(v for v, _ in row.terms))
             continue  # a single-variable x <= 1 row is vacuous
         generic.append((row.sense, row.rhs, row.terms, row.label))
     return nv, packing, fixes, generic
-
-
-def _candidate_pool(n: int) -> list[tuple[int, ...]]:
-    """Deterministic warm-start candidates: all VT classes and complements."""
-    pool: list[tuple[int, ...]] = []
-    top = (1 << n) - 1
-    for a in range(n + 1):
-        values = vt_code(n, a).values
-        pool.append(values)
-        pool.append(tuple(sorted(top ^ v for v in values)))
-    return pool
 
 
 def solve_builtin(
@@ -577,8 +584,8 @@ def solve_builtin(
 
     Root handling applies singleton equality fixes and their packing
     consequences, then seeds the incumbent by repairing deterministic
-    candidate codes (the given incumbent, a plain greedy fill, VT classes
-    and their complements) against the actual rows. The repair keeps
+    candidate codes (the given incumbent, a plain greedy fill, VT_0 and
+    its complement) against the actual rows. The repair keeps
     every packing row by construction and returns each other row's
     activity, so a repaired seed is accepted when those sums meet every
     row's sense; the first of the largest accepted ones starts the
@@ -595,11 +602,11 @@ def solve_builtin(
     started = time.monotonic()
     opts = options or SearchOptions()
     n = model.n
-    nv, packing, fixes, generic = _classify_rows(model)
-    if not packing:
+    nv, packing_rows, fixes, generic = _classify_rows(model)
+    if not packing_rows:
         raise ValueError("solve_builtin needs at least one packing row")
 
-    rows_of, closed = _incidence(nv, packing)
+    packing, rows_of, closed = _incidence(nv, packing_rows)
     if any(not rows for rows in rows_of):
         raise ValueError("every variable must appear in some packing row")
 
@@ -685,8 +692,10 @@ def solve_builtin(
 
     best_size = -1
     best_selection = 0
-    seeds: list[Sequence[int]] = [()]
-    seeds.extend(_candidate_pool(n))
+    # of all VT classes and their complements, only these ever won on the
+    # generated models
+    vt0 = vt_code(n, 0).values
+    seeds: list[Sequence[int]] = [(), vt0, sorted((nv - 1) ^ v for v in vt0)]
     if opts.incumbent is not None:
         inc = opts.incumbent
         if inc.n != n:
@@ -715,8 +724,6 @@ def solve_builtin(
     if best_size < 0:
         if exhausted:
             status = "unknown"
-            best_selection = 0
-            best_size = 0
         else:
             raise InfeasibleModelError(
                 "search exhausted without any feasible selection"
@@ -726,13 +733,4 @@ def solve_builtin(
     else:
         status = "optimal"
 
-    assignment = {
-        name: (best_selection >> v) & 1
-        for v, name in enumerate(model.variable_names)
-    }
-    return Solution(
-        assignment=assignment,
-        objective=best_size,
-        source="built-in",
-        solver_status=status,
-    )
+    return Solution(n, best_selection, "built-in", status)

@@ -127,6 +127,15 @@ def test_max_rejects_mismatched_incumbent(tmp_path, capsys):
     assert status == 1 and "length" in err
 
 
+def test_max_rejects_mismatched_incumbent_at_length_one(tmp_path, capsys):
+    # n = 1 has a trivial answer, but a wrong-length incumbent is still an error
+    path = tmp_path / "seed.txt"
+    path.write_text(format_code(vt_code(5, 0)))
+    status, out, err = run(capsys, "max", "--n", "1", "--incumbent", str(path))
+    assert status == 1 and out == ""
+    assert "incumbent has length 5, expected 1" in err
+
+
 # ------------------------------------------------------------- gen and solve
 
 

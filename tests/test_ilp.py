@@ -22,6 +22,7 @@ from delcodes.ilp import (
     variable_name,
     verify_solution,
     write_lp,
+    write_solution,
 )
 from delcodes.sdecc import (
     SearchOptions,
@@ -38,18 +39,13 @@ def lp_text(model: IlpModel) -> str:
     return buf.getvalue()
 
 
+def selection_of(values) -> int:
+    return sum(1 << v for v in set(values))
+
+
 def vt_solution(model: IlpModel, a: int = 0) -> Solution:
-    values = set(vt_code(model.n, a).values)
-    assignment = {
-        name: (1 if model.word_of(name).value in values else 0)
-        for name in model.variable_names
-    }
-    return Solution(
-        assignment=assignment,
-        objective=len(values),
-        source="imported",
-        solver_status="unknown",
-    )
+    selection = selection_of(vt_code(model.n, a).values)
+    return Solution(model.n, selection, "imported", "unknown")
 
 
 # ----------------------------------------------------------------- the types
@@ -103,14 +99,21 @@ def test_model_variable_names_cover_all_words():
 
 
 def test_solution_objective_must_count_ones():
+    sol = Solution(2, 0b1001, "built-in", "optimal")
+    assert sol.objective == 2
+    assert dict(sol.assignment) == {"x_00": 1, "x_01": 0, "x_10": 0, "x_11": 1}
+    with pytest.raises(TypeError):
+        sol.assignment["x_01"] = 1  # a read-only view of the bitmask
     with pytest.raises(ValueError):
-        Solution({"x_0": 1, "x_1": 1}, 1, "built-in", "optimal")
+        Solution(1, 0b1, "oracle", "optimal")
     with pytest.raises(ValueError):
-        Solution({"x_0": 2}, 2, "built-in", "optimal")
+        Solution(1, 0b1, "built-in", "great")
+
+
+@pytest.mark.parametrize("n,selection", [(1, 4), (2, 1 << 16), (3, -1), (0, 0)])
+def test_solution_rejects_selection_out_of_range(n, selection):
     with pytest.raises(ValueError):
-        Solution({"x_0": 1}, 1, "oracle", "optimal")
-    with pytest.raises(ValueError):
-        Solution({"x_0": 1}, 1, "built-in", "great")
+        Solution(n, selection, "imported", "unknown")
 
 
 def test_selected_words_reads_ones():
@@ -383,9 +386,28 @@ def test_read_solution_parses_comments_defaults_and_rounds():
         "x_10 0.2\n"
     )
     sol = read_solution(io.StringIO(text), model)
+    assert sol.n == 2 and sol.selection == 0b0011
     assert sol.assignment == {"x_00": 1, "x_01": 1, "x_10": 0, "x_11": 0}
     assert sol.objective == 2
     assert sol.source == "imported" and sol.solver_status == "unknown"
+
+
+def test_write_solution_round_trips_in_the_cli_format():
+    sol = Solution(2, 0b1001, "built-in", "optimal")
+    buf = io.StringIO()
+    write_solution(sol, buf)
+    assert buf.getvalue() == (
+        "# delcodes solution objective=2 status=optimal\n"
+        "x_00 1\nx_01 0\nx_10 0\nx_11 1\n"
+    )
+    back = read_solution(io.StringIO(buf.getvalue()), build_model(2, {"C0"}))
+    assert back.selection == sol.selection
+    model = build_model(7, {"C0"})
+    sol = solve_builtin(model)
+    buf = io.StringIO()
+    write_solution(sol, buf)
+    back = read_solution(io.StringIO(buf.getvalue()), model, strict=True)
+    assert back.selection == sol.selection and sol.objective == 16
 
 
 def test_read_solution_strict_rejects_fractional_values():
@@ -490,11 +512,7 @@ def test_verify_accepts_vt_solution():
 def test_verify_flags_packing_violation_and_invalid_code():
     model = build_model(5, {"C0"})
     values = set(vt_code(5, 0).values) | {0b10000}  # conflicts with 00000
-    assignment = {
-        name: (1 if model.word_of(name).value in values else 0)
-        for name in model.variable_names
-    }
-    sol = Solution(assignment, len(values), "imported", "unknown")
+    sol = Solution(5, selection_of(values), "imported", "unknown")
     report = verify_solution(model, sol)
     assert not report.ok
     assert "c0_y0000" in report.violated
@@ -506,10 +524,8 @@ def test_verify_flags_packing_violation_and_invalid_code():
 
 def test_verify_flags_lower_bound_shortfall():
     model = build_model(5, {"C0", "C1"})
-    assignment = dict.fromkeys(model.variable_names, 0)
-    assignment["x_00000"] = 1
     report = verify_solution(
-        model, Solution(assignment, 1, "imported", "unknown")
+        model, Solution(5, 1 << 0b00000, "imported", "unknown")
     )
     assert not report.ok
     assert report.violated == ("c1",)
@@ -517,22 +533,19 @@ def test_verify_flags_lower_bound_shortfall():
 
 
 def test_verify_flags_foreign_variables():
+    # a solution over length-3 words selects none of the length-2 model's
     model = build_model(2, {"C0"})
-    assignment = dict.fromkeys(model.variable_names, 0)
-    assignment["x_000"] = 1
     report = verify_solution(
-        model, Solution(assignment, 1, "imported", "unknown")
+        model, Solution(3, 1 << 0b000, "imported", "unknown")
     )
     assert not report.ok
     assert report.foreign_names == ("x_000",)
+    assert len(report.words) == 0
 
 
 def test_verify_empty_selection_passes_packing_only_model():
     model = build_model(3, {"C0"})
-    assignment = dict.fromkeys(model.variable_names, 0)
-    report = verify_solution(
-        model, Solution(assignment, 0, "imported", "unknown")
-    )
+    report = verify_solution(model, Solution(3, 0, "imported", "unknown"))
     assert report.ok
 
 

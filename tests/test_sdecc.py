@@ -376,12 +376,8 @@ def test_root_reduction_keeps_the_length_seven_proof_small():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_root_reduction_drops_exactly_the_c2_words(n):
     graph = conflict_graph(n)
-    masks = [
-        sum(1 << v for v in members)
-        for members in graph.cliques_by_center.values()
-    ]
     nv = 1 << n
-    rows_of, _ = _incidence(nv, masks)
+    _, rows_of, _ = _incidence(nv, graph.cliques_by_center.values())
     kept = _drop_dominated((1 << nv) - 1, rows_of, [()] * nv, ())
     dropped = {v for v in range(nv) if not kept >> v & 1}
     assert dropped == {w.value for w in dominated_words(n)}
@@ -390,7 +386,7 @@ def test_root_reduction_drops_exactly_the_c2_words(n):
 def test_root_reduction_keeps_one_of_two_twins():
     # 0 and 1 share their only row, so each dominates the other; the
     # dominator must still be a candidate, so exactly one of them goes
-    rows_of, _ = _incidence(2, [0b11])
+    _, rows_of, _ = _incidence(2, [(0, 1)])
     assert _drop_dominated(0b11, rows_of, [()] * 2, ()) == 0b01
 
 
