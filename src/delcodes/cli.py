@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json as jsonlib
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -348,10 +349,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, InfeasibleModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(jsonlib.dumps(data, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.json:
+            print(jsonlib.dumps(data, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; devnull keeps the exit-time flush silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return status
 
 

@@ -345,14 +345,9 @@ def build_model(
         for p, q in pairs:
             families.append(gen_c6(n, p, q))
 
-    constraints: list[LinearConstraint] = []
-    seen: set[str] = set()
-    for family in families:
-        for row in family.constraints:
-            if row.label in seen:
-                raise ValueError(f"duplicate constraint label {row.label!r}")
-            seen.add(row.label)
-            constraints.append(row)
+    constraints = tuple(
+        row for family in families for row in family.constraints
+    )
 
     from . import __version__
 
@@ -362,4 +357,4 @@ def build_model(
         "families": tuple(sorted(ids)),
         "c6_params": pairs,
     }
-    return IlpModel(n=n, constraints=tuple(constraints), metadata=metadata)
+    return IlpModel(n=n, constraints=constraints, metadata=metadata)

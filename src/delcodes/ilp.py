@@ -33,6 +33,7 @@ from .sdecc import (
     _SENSE_HOLDS,
     _branch_and_bound,
     _incidence,
+    _ones,
     is_sdecc,
 )
 from .vt import vt_code
@@ -139,11 +140,6 @@ class IlpModel:
         if solution.n != self.n:
             raise ValueError(f"solution has length {solution.n}, not {self.n}")
         return WordSet(self.n, _ones(solution.selection))
-
-
-def _ones(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 @dataclass(frozen=True)
@@ -544,11 +540,16 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
 
 
 def _classify_rows(model: IlpModel):
-    """Split rows into packing members, singleton fixes, and generic rows."""
+    """Split rows into packing members, singleton fixes, and generic rows.
+
+    Generic rows come as (sense, rhs) pairs; var_rows[v] lists the
+    (generic row index, coefficient) pairs of variable v in row order.
+    """
     nv = 1 << model.n
     packing: list[tuple[int, ...]] = []
     fixes: dict[int, int] = {}
-    generic: list[tuple[str, int, tuple[tuple[int, int], ...], str]] = []
+    generic: list[tuple[str, int]] = []
+    var_rows: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for row in model.constraints:
         coeffs = [c for _, c in row.terms]
         if row.sense == "=" and len(row.terms) == 1:
@@ -573,8 +574,10 @@ def _classify_rows(model: IlpModel):
             if len(row.terms) > 1:
                 packing.append(tuple(v for v, _ in row.terms))
             continue  # a single-variable x <= 1 row is vacuous
-        generic.append((row.sense, row.rhs, row.terms, row.label))
-    return nv, packing, fixes, generic
+        for v, c in row.terms:
+            var_rows[v].append((len(generic), c))
+        generic.append((row.sense, row.rhs))
+    return nv, packing, fixes, generic, var_rows
 
 
 def solve_builtin(
@@ -602,7 +605,7 @@ def solve_builtin(
     started = time.monotonic()
     opts = options or SearchOptions()
     n = model.n
-    nv, packing_rows, fixes, generic = _classify_rows(model)
+    nv, packing_rows, fixes, generic, var_rows = _classify_rows(model)
     if not packing_rows:
         raise ValueError("solve_builtin needs at least one packing row")
 
@@ -611,9 +614,8 @@ def solve_builtin(
         raise ValueError("every variable must appear in some packing row")
 
     # propagate fixes: a selected word saturates its packing rows
-    queue = [v for v, value in fixes.items() if value == 1]
-    while queue:
-        v = queue.pop()
+    ones = [v for v, value in fixes.items() if value == 1]
+    for v in reversed(ones):
         others = closed[v] & ~(1 << v)
         while others:
             low = others & -others
@@ -626,29 +628,25 @@ def solve_builtin(
             fixes.setdefault(u, 0)
 
     ones_mask = 0
-    zeros_mask = 0
-    for v, value in fixes.items():
-        if value == 1:
-            ones_mask |= 1 << v
-        else:
-            zeros_mask |= 1 << v
-    full = (1 << nv) - 1
-    root_cand = full & ~ones_mask & ~zeros_mask
-    root_size = ones_mask.bit_count()
+    for v in ones:
+        ones_mask |= 1 << v
+    fixed_mask = 0
+    for v in fixes:
+        fixed_mask |= 1 << v
+    root_cand = ((1 << nv) - 1) & ~fixed_mask
 
-    var_rows: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     # (row, highest activity before v may be taken) over the <= and = rows
     # that v's positive coefficient can push over their right-hand side
-    ceilings: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    ceilings = [
+        [(ri, generic[ri][1] - c) for ri, c in rows
+         if c > 0 and generic[ri][0] != ">="]
+        for rows in var_rows
+    ]
     # each generic row's activity from the fixed ones, the same for every seed
     fixed_caps = [0] * len(generic)
-    for ri, (sense, rhs, terms, _) in enumerate(generic):
-        for v, c in terms:
-            var_rows[v].append((ri, c))
-            if sense != ">=" and c > 0:
-                ceilings[v].append((ri, rhs - c))
-            if fixes.get(v) == 1:
-                fixed_caps[ri] += c
+    for v in ones:
+        for ri, c in var_rows[v]:
+            fixed_caps[ri] += c
 
     def greedy_complete(seed: Sequence[int]) -> tuple[int, list[int]]:
         """A packing-feasible selection and each generic row's activity.
@@ -663,7 +661,7 @@ def solve_builtin(
         every generic row.
         """
         selection = ones_mask
-        blocked = zeros_mask | ones_mask  # holds every selected variable
+        blocked = fixed_mask  # holds every selected variable
         caps = fixed_caps.copy()
 
         def fits(v: int) -> bool:
@@ -705,21 +703,19 @@ def solve_builtin(
         selection, caps = greedy_complete(seed)
         if all(
             _SENSE_HOLDS[sense](cap, rhs)
-            for cap, (sense, rhs, _, _) in zip(caps, generic)
+            for cap, (sense, rhs) in zip(caps, generic)
         ):
             size = selection.bit_count()
             if size > best_size:
                 best_size = size
                 best_selection = selection
 
-    taken, best_size, _, exhausted = _branch_and_bound(
-        packing, rows_of, closed, root_cand, root_size, best_size, opts,
+    selection, best_size, _, exhausted = _branch_and_bound(
+        packing, rows_of, closed, var_rows, root_cand, best_size, opts,
         started, generic=generic, included=ones_mask,
     )
-    if taken is not None:
-        best_selection = ones_mask
-        for v in taken:
-            best_selection |= 1 << v
+    if selection is not None:
+        best_selection = selection
 
     if best_size < 0:
         if exhausted:

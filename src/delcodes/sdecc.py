@@ -296,37 +296,37 @@ def _cover_weights(nv: int, masks: Sequence[int]) -> tuple[int, ...] | None:
     so the bound stays sound even when the LP solve was inexact. Returns
     None when some vertex appears in no mask, the instance is too large,
     or the simplex gives up; callers then rely on greedy covers alone.
-    Results are cached per mask family.
+    Results are cached per mask family; a family too large to solve is
+    neither hashed nor kept.
     """
+    if not masks or nv > _COVER_MAX_VERTICES:
+        return None
     key = (nv, tuple(masks))
     try:
         return _cover_weight_cache[key]
     except KeyError:
         pass
     result: tuple[int, ...] | None = None
-    if masks and nv <= _COVER_MAX_VERTICES:
-        duals = _packing_duals(masks, nv)
-        if duals is not None:
-            denom = _COVER_DENOM
-            weights = [math.ceil(d * denom - 1e-9) for d in duals]
-            by_vertex: list[list[int]] = [[] for _ in range(nv)]
-            for idx, m in enumerate(masks):
-                t = m
-                while t:
-                    low = t & -t
-                    by_vertex[low.bit_length() - 1].append(idx)
-                    t ^= low
-            covered = True
-            for v in range(nv):
-                rows = by_vertex[v]
-                if not rows:
-                    covered = False
-                    break
-                got = sum(weights[i] for i in rows)
-                if got < denom:
-                    weights[rows[0]] += denom - got
-            if covered:
-                result = tuple(weights)
+    duals = _packing_duals(masks, nv)
+    if duals is not None:
+        denom = _COVER_DENOM
+        weights = [math.ceil(d * denom - 1e-9) for d in duals]
+        by_vertex: list[list[int]] = [[] for _ in range(nv)]
+        for idx, m in enumerate(masks):
+            t = m
+            while t:
+                low = t & -t
+                by_vertex[low.bit_length() - 1].append(idx)
+                t ^= low
+        for v in range(nv):
+            rows = by_vertex[v]
+            if not rows:
+                break
+            got = sum(weights[i] for i in rows)
+            if got < denom:
+                weights[rows[0]] += denom - got
+        else:
+            result = tuple(weights)
     _cover_weight_cache[key] = result
     return result
 
@@ -360,6 +360,11 @@ class SearchResult:
     nodes: int
 
 
+def _ones(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 def _incidence(
     nv: int, rows: Iterable[Sequence[int]]
 ) -> tuple[list[int], list[list[int]], list[int]]:
@@ -389,7 +394,7 @@ def _drop_dominated(
     cand: int,
     rows_of: Sequence[Sequence[int]],
     var_rows: Sequence[Sequence[tuple[int, int]]],
-    generic: Sequence[tuple[str, int, tuple[tuple[int, int], ...], str]],
+    generic: Sequence[tuple[str, int]],
 ) -> int:
     """The cand mask without candidates that some optimum can avoid.
 
@@ -438,19 +443,20 @@ def _branch_and_bound(
     packing: Sequence[int],
     rows_of: Sequence[Sequence[int]],
     closed: Sequence[int],
+    var_rows: Sequence[Sequence[tuple[int, int]]],
     cand: int,
-    count: int,
     best: int,
     opts: SearchOptions,
     started: float,
-    generic: Sequence[tuple[str, int, tuple[tuple[int, int], ...], str]] = (),
+    generic: Sequence[tuple[str, int]] = (),
     included: int = 0,
-) -> tuple[tuple[int, ...] | None, int, int, bool]:
-    """Exact 0-1 maximum of count + |S| over sets S inside the cand mask.
+) -> tuple[int | None, int, int, bool]:
+    """Exact 0-1 maximum of |included| + |S| over sets S inside the cand mask.
 
     S puts at most one variable into each packing row (rows_of and closed
-    come from _incidence) and, together with the already counted variables
-    in included, satisfies every generic row (sense, rhs, terms, label).
+    come from _incidence) and, together with the variables already selected
+    in included, satisfies every generic row (sense, rhs); var_rows[v]
+    lists v's (row index, coefficient) pairs in row order.
     Depth-first, taking a variable before excluding it; a node is cut when
     the LP-weighted cover (exact integer weights, see _cover_weights) or a
     greedy most-covering-row cover shows it cannot beat best. The branch
@@ -461,9 +467,9 @@ def _branch_and_bound(
     the sweep.
 
     Budgets are checked on every node, the deadline being started +
-    opts.time_limit. Returns (taken, best, nodes, exhausted): taken is the
-    last S that beat the initial best, or None; exhausted is true when a
-    budget stopped the search early.
+    opts.time_limit. Returns (selection, best, nodes, exhausted): selection
+    is the bitmask of included plus the last S that beat the initial best,
+    or None; exhausted is true when a budget stopped the search early.
     """
     node_limit = opts.node_limit
     deadline = (
@@ -479,14 +485,10 @@ def _branch_and_bound(
     denom = _COVER_DENOM
     max_row_size = max(mask.bit_count() for mask in packing)
 
-    var_rows: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for ri, (_, _, terms, _) in enumerate(generic):
-        for v, c in terms:
-            var_rows[v].append((ri, c))
     cand = _drop_dominated(cand, rows_of, var_rows, generic)
 
     def reachable(cur, pos, neg) -> bool:
-        for ri, (sense, rhs, _, _) in enumerate(generic):
+        for ri, (sense, rhs) in enumerate(generic):
             if sense in (">=", "=") and cur[ri] + pos[ri] < rhs:
                 return False
             if sense in ("<=", "=") and cur[ri] - neg[ri] > rhs:
@@ -494,19 +496,17 @@ def _branch_and_bound(
         return True
 
     def settled(cur) -> bool:
-        for ri, (sense, rhs, _, _) in enumerate(generic):
+        for ri, (sense, rhs) in enumerate(generic):
             if not _SENSE_HOLDS[sense](cur[ri], rhs):
                 return False
         return True
 
-    best_taken: tuple[int, ...] | None = None
-    taken: list[int] = []
+    best_selection: int | None = None
     nodes = 0
     exhausted = False
 
-    def visit(cand: int, count: int, cur, pos, neg) -> None:
-        nonlocal best, best_taken, nodes, exhausted
-        base = len(taken)
+    def visit(cand: int, selection: int, count: int, cur, pos, neg) -> None:
+        nonlocal best, best_selection, nodes, exhausted
         while True:
             nodes += 1
             if (node_limit is not None and nodes > node_limit) or (
@@ -518,7 +518,7 @@ def _branch_and_bound(
                 break
             if count > best and (not generic or settled(cur)):
                 best = count
-                best_taken = tuple(taken)
+                best_selection = selection
             if cand == 0:
                 break
             need = best - count
@@ -563,7 +563,7 @@ def _branch_and_bound(
 
             allowed = True
             for ri, c in var_rows[v]:
-                sense, rhs = generic[ri][0], generic[ri][1]
+                sense, rhs = generic[ri]
                 # negative terms still undecided may pull the row back down
                 if sense in ("<=", "=") and cur[ri] + c - neg[ri] > rhs:
                     allowed = False
@@ -585,9 +585,7 @@ def _branch_and_bound(
                                 cneg[ri] += c
                     for ri, c in var_rows[v]:
                         ccur[ri] += c
-                taken.append(v)
-                visit(cand & ~nbr, count + 1, ccur, cpos, cneg)
-                taken.pop()
+                visit(cand & ~nbr, selection | bit, count + 1, ccur, cpos, cneg)
                 if exhausted:
                     break
 
@@ -597,22 +595,21 @@ def _branch_and_bound(
                     pos[ri] -= c
                 else:
                     neg[ri] += c
-        del taken[base:]
 
     cur = [0] * len(generic)
     pos = [0] * len(generic)
     neg = [0] * len(generic)
-    for ri, (_, _, terms, _) in enumerate(generic):
-        for v, c in terms:
-            if included >> v & 1:
-                cur[ri] += c
-            elif cand >> v & 1:
-                if c > 0:
-                    pos[ri] += c
-                else:
-                    neg[ri] -= c
-    visit(cand, count, cur, pos, neg)
-    return best_taken, best, nodes, exhausted
+    for v in _ones(included):
+        for ri, c in var_rows[v]:
+            cur[ri] += c
+    for v in _ones(cand):
+        for ri, c in var_rows[v]:
+            if c > 0:
+                pos[ri] += c
+            else:
+                neg[ri] -= c
+    visit(cand, included, included.bit_count(), cur, pos, neg)
+    return best_selection, best, nodes, exhausted
 
 
 def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResult:
@@ -653,12 +650,12 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
         size, graph.cliques_by_center.values()
     )
 
-    taken, best, nodes, exhausted = _branch_and_bound(
-        clique_masks, rows_of, closed, (1 << size) - 1, 0,
+    selection, best, nodes, exhausted = _branch_and_bound(
+        clique_masks, rows_of, closed, [()] * size, (1 << size) - 1,
         len(best_values), opts, started,
     )
-    if taken is not None:
-        best_values = tuple(sorted(taken))
+    if selection is not None:
+        best_values = _ones(selection)
     return SearchResult(
         n=n,
         size=best,

@@ -371,6 +371,25 @@ def test_importing_the_package_leaves_numpy_unloaded():
     assert probe.stdout.strip() == "False"
 
 
+def test_reader_closing_the_pipe_early_exits_1_without_a_traceback():
+    # about 260 kB of codewords, more than a pipe buffer holds, so the
+    # write is still going when the reader closes its end
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "delcodes", "vt", "--n", "18", "--a", "0",
+         "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"|VT_0(18)|")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+    assert b"Exception ignored" not in err
+
+
 # ---------------------------------------------------- file pipeline equality
 
 

@@ -504,6 +504,12 @@ def test_build_model_rejects_c6_params_without_c6():
         build_model(5, {"C0"}, c6_params=((1, 0),))
 
 
+def test_build_model_rejects_repeated_c6_params():
+    # the same (p, q) twice repeats every C6 label
+    with pytest.raises(ValueError, match="duplicate constraint label"):
+        build_model(7, {"C0", "C6"}, c6_params=[(1, 0), (1, 0)])
+
+
 def test_build_model_accepts_lowercase_ids():
     model = build_model(4, {"c0", "c3"})
     assert model.metadata["families"] == ("C0", "C3")

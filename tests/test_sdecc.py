@@ -24,6 +24,7 @@ from delcodes.sdecc import (
     KNOWN_SIZES,
     SearchOptions,
     _COVER_DENOM,
+    _cover_weight_cache,
     _cover_weights,
     _drop_dominated,
     _incidence,
@@ -407,6 +408,16 @@ def test_cover_weights_cover_every_vertex_on_random_families():
         for v in range(nv):
             got = sum(w for m, w in zip(masks, weights) if m >> v & 1)
             assert got >= _COVER_DENOM, (case, v, got)
+
+
+def test_cover_weight_cache_keeps_only_families_it_solves():
+    # above the simplex cap the 2^n-bit masks are neither hashed nor kept
+    solve_builtin(build_model(9, {"C0"}), SearchOptions(node_limit=1))
+    assert all(nv <= 256 for nv, _ in _cover_weight_cache)
+    for key in [key for key in _cover_weight_cache if key[0] == 128]:
+        del _cover_weight_cache[key]
+    solve_builtin(build_model(7, {"C0"}), SearchOptions(node_limit=1))
+    assert any(nv == 128 for nv, _ in _cover_weight_cache)
 
 
 def test_node_budget_degrades_to_bound_limited():
