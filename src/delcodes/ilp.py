@@ -9,9 +9,10 @@ through the common text LP format so external solvers can be used;
 write_solution and read_solution move selections through `name value`
 files; verify_solution replays every row on the selection and independently
 re-checks the selected words as a code. solve_builtin is a self-contained
-exact 0-1 solver: it classifies the rows, propagates fixes and warm-starts
-here, then runs the branch-and-bound kernel it shares with the
-conflict-graph search (sdecc._branch_and_bound). Because the two searches
+exact 0-1 solver: it classifies the rows, propagates fixes and picks its
+warm-start seeds here, then runs the branch-and-bound kernel it shares with
+the conflict-graph search (sdecc._branch_and_bound), which completes those
+seeds and searches from the best of them. Because the two searches
 share that kernel, the tests check both against a brute-force enumeration
 of independent sets rather than only against each other.
 """
@@ -48,6 +49,8 @@ _SOLUTION_VALUE = re.compile(
     re.IGNORECASE,
 )
 _SENSES = ("<=", ">=", "=")
+# a backslash starts a comment that runs to the next str.splitlines boundary
+_LP_COMMENT = re.compile(r"\\[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 
 
 class InfeasibleModelError(RuntimeError):
@@ -83,6 +86,12 @@ class LinearConstraint:
             raise ValueError(f"sense must be one of {_SENSES}, got {self.sense!r}")
         if not self.label:
             raise ValueError("constraint label must be nonempty")
+        # LP tokens split on whitespace (str.isspace, as split() tests it)
+        # and a backslash starts a comment
+        if self.label.split() != [self.label] or "\\" in self.label:
+            raise ValueError(
+                f"constraint label {self.label!r} holds whitespace or a backslash"
+            )
         seen: set[int] = set()
         for value, coeff in self.terms:
             if coeff == 0:
@@ -302,11 +311,7 @@ def read_lp(source: IO[str]) -> IlpModel:
     tokens by index and turns each distinct name into its word value
     once; the checks on names run after the Binary section is read.
     """
-    kept: list[str] = []
-    for raw in source.read().splitlines():
-        cut = raw.find("\\")  # a backslash starts a comment
-        kept.append(raw if cut < 0 else raw[:cut])
-    items = "\n".join(kept).split()
+    items = _LP_COMMENT.sub("", source.read()).split()
     pos = 0
 
     def take() -> str:
@@ -586,17 +591,15 @@ def solve_builtin(
     """Exact 0-1 solve of the model by branch and bound.
 
     Root handling applies singleton equality fixes and their packing
-    consequences, then seeds the incumbent by repairing deterministic
-    candidate codes (the given incumbent, a plain greedy fill, VT_0 and
-    its complement) against the actual rows. The repair keeps
-    every packing row by construction and returns each other row's
-    activity, so a repaired seed is accepted when those sums meet every
-    row's sense; the first of the largest accepted ones starts the
-    search. The search is the kernel the exact graph search uses
-    (sdecc._branch_and_bound), branching on the packing row with the most
-    undecided variables and deciding its lowest member first; bounds come
-    from LP-weighted and greedy covers by the packing rows, while the
-    other rows prune by reachability and gate incumbents.
+    consequences. The search is the kernel the exact graph search uses
+    (sdecc._branch_and_bound). It warm-starts from deterministic seeds,
+    the given incumbent, the empty seed (a plain greedy fill), VT_0 and
+    its complement, each greedily completed against the actual rows;
+    the first of the largest completions that meets every row starts
+    the search. It branches on the packing row with the most undecided
+    variables and decides its lowest member first; bounds come from
+    LP-weighted and greedy covers by the packing rows, while the other
+    rows prune by reachability and gate incumbents.
     Exhausts the space unless the node or time budget, counted from the
     start of this call, interrupts, in which case the best incumbent is
     returned with solver_status "feasible" (or "unknown" when none was
@@ -633,63 +636,7 @@ def solve_builtin(
     fixed_mask = 0
     for v in fixes:
         fixed_mask |= 1 << v
-    root_cand = ((1 << nv) - 1) & ~fixed_mask
 
-    # (row, highest activity before v may be taken) over the <= and = rows
-    # that v's positive coefficient can push over their right-hand side
-    ceilings = [
-        [(ri, generic[ri][1] - c) for ri, c in rows
-         if c > 0 and generic[ri][0] != ">="]
-        for rows in var_rows
-    ]
-    # each generic row's activity from the fixed ones, the same for every seed
-    fixed_caps = [0] * len(generic)
-    for v in ones:
-        for ri, c in var_rows[v]:
-            fixed_caps[ri] += c
-
-    def greedy_complete(seed: Sequence[int]) -> tuple[int, list[int]]:
-        """A packing-feasible selection and each generic row's activity.
-
-        The seed's variables are tried first, then every variable no fix
-        decides, ascending. Every packing row holds at most one selected
-        variable: a taken variable blocks its closed neighbourhood, and fix
-        propagation already blocked every row-mate of a fixed one. A
-        variable is skipped when it would push a <= or = row over its
-        right-hand side, but rows can still end up short or be over from
-        the fixes alone, so the caller checks the returned sums against
-        every generic row.
-        """
-        selection = ones_mask
-        blocked = fixed_mask  # holds every selected variable
-        caps = fixed_caps.copy()
-
-        def fits(v: int) -> bool:
-            for ri, ceiling in ceilings[v]:
-                if caps[ri] > ceiling:
-                    return False
-            for ri, c in var_rows[v]:
-                caps[ri] += c
-            return True
-
-        for v in seed:
-            if not blocked >> v & 1 and fits(v):
-                selection |= 1 << v
-                blocked |= closed[v]
-        # walk the unblocked rest by its lowest bit: each operation on a
-        # 2^n-bit mask costs time linear in its width, so visit few bits
-        rest = root_cand & ~blocked
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if fits(v):
-                selection |= low
-                rest &= ~closed[v]
-        return selection, caps
-
-    best_size = -1
-    best_selection = 0
     # of all VT classes and their complements, only these ever won on the
     # generated models
     vt0 = vt_code(n, 0).values
@@ -699,34 +646,16 @@ def solve_builtin(
         if inc.n != n:
             raise ValueError(f"incumbent has length {inc.n}, expected {n}")
         seeds.insert(0, inc.values)
-    for seed in seeds:
-        selection, caps = greedy_complete(seed)
-        if all(
-            _SENSE_HOLDS[sense](cap, rhs)
-            for cap, (sense, rhs) in zip(caps, generic)
-        ):
-            size = selection.bit_count()
-            if size > best_size:
-                best_size = size
-                best_selection = selection
 
-    selection, best_size, _, exhausted = _branch_and_bound(
-        packing, rows_of, closed, var_rows, root_cand, best_size, opts,
-        started, generic=generic, included=ones_mask,
+    selection, _, exhausted = _branch_and_bound(
+        packing, rows_of, closed, var_rows, ((1 << nv) - 1) & ~fixed_mask,
+        seeds, opts, started, generic=generic, included=ones_mask,
     )
-    if selection is not None:
-        best_selection = selection
-
-    if best_size < 0:
-        if exhausted:
-            status = "unknown"
-        else:
+    if selection is None:
+        if not exhausted:
             raise InfeasibleModelError(
                 "search exhausted without any feasible selection"
             )
-    elif exhausted:
-        status = "feasible"
-    else:
-        status = "optimal"
-
-    return Solution(n, best_selection, "built-in", status)
+        return Solution(n, 0, "built-in", "unknown")
+    status = "feasible" if exhausted else "optimal"
+    return Solution(n, selection, "built-in", status)

@@ -445,31 +445,39 @@ def _branch_and_bound(
     closed: Sequence[int],
     var_rows: Sequence[Sequence[tuple[int, int]]],
     cand: int,
-    best: int,
+    seeds: Iterable[Sequence[int]],
     opts: SearchOptions,
     started: float,
     generic: Sequence[tuple[str, int]] = (),
     included: int = 0,
-) -> tuple[int | None, int, int, bool]:
+) -> tuple[int | None, int, bool]:
     """Exact 0-1 maximum of |included| + |S| over sets S inside the cand mask.
 
     S puts at most one variable into each packing row (rows_of and closed
     come from _incidence) and, together with the variables already selected
     in included, satisfies every generic row (sense, rhs); var_rows[v]
     lists v's (row index, coefficient) pairs in row order.
+
+    Warm start: each seed, a sequence of variables, is completed greedily
+    over cand, its members first in order, then every variable still free
+    in ascending order, taking those that no taken one blocks and that
+    pass the take test. The first of the largest completions that meets
+    every generic row becomes the incumbent.
+
     Depth-first, taking a variable before excluding it; a node is cut when
     the LP-weighted cover (exact integer weights, see _cover_weights) or a
-    greedy most-covering-row cover shows it cannot beat best. The branch
-    variable is the lowest candidate in the first packing row holding the
-    most candidates, so every variable must lie in some packing row.
-    Before the first node, candidates dominated by another candidate are
-    dropped once (see _drop_dominated); nodes below the root do not repeat
-    the sweep.
+    greedy most-covering-row cover shows it cannot beat the incumbent. The
+    branch variable is the lowest candidate in the first packing row
+    holding the most candidates, so every variable must lie in some
+    packing row. After the warm start, candidates dominated by another
+    candidate are dropped once (see _drop_dominated); nodes below the root
+    do not repeat the sweep.
 
     Budgets are checked on every node, the deadline being started +
-    opts.time_limit. Returns (selection, best, nodes, exhausted): selection
-    is the bitmask of included plus the last S that beat the initial best,
-    or None; exhausted is true when a budget stopped the search early.
+    opts.time_limit. Returns (selection, nodes, exhausted): selection is
+    the bitmask of the best selection found, a completed seed or a tree
+    result, and None only when no seed was accepted and the tree found
+    nothing; exhausted is true when a budget stopped the search early.
     """
     node_limit = opts.node_limit
     deadline = (
@@ -485,7 +493,15 @@ def _branch_and_bound(
     denom = _COVER_DENOM
     max_row_size = max(mask.bit_count() for mask in packing)
 
-    cand = _drop_dominated(cand, rows_of, var_rows, generic)
+    def fits(v: int, cur, neg) -> bool:
+        # the take test, with neg the undecided negative mass per row; a
+        # negative term cannot fail it where reachable holds
+        for ri, c in var_rows[v]:
+            if c > 0:
+                sense, rhs = generic[ri]
+                if sense != ">=" and cur[ri] + c - neg[ri] > rhs:
+                    return False
+        return True
 
     def reachable(cur, pos, neg) -> bool:
         for ri, (sense, rhs) in enumerate(generic):
@@ -501,7 +517,43 @@ def _branch_and_bound(
                 return False
         return True
 
+    root_cur = [0] * len(generic)
+    for v in _ones(included):
+        for ri, c in var_rows[v]:
+            root_cur[ri] += c
+
+    # the warm start fills over every candidate: the reduced set would
+    # change which completion wins
+    zeros = [0] * len(generic)  # the fill counts on no negative term
+    best = -1
     best_selection: int | None = None
+    for seed in seeds:
+        selection = included
+        free = cand
+        cur = root_cur.copy()
+        for v in seed:
+            if free >> v & 1 and fits(v, cur, zeros):
+                selection |= 1 << v
+                free &= ~closed[v]
+                for ri, c in var_rows[v]:
+                    cur[ri] += c
+        # walk the free rest by its lowest bit: each operation on a
+        # 2^n-bit mask costs time linear in its width, so visit few bits
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            if fits(v, cur, zeros):
+                selection |= low
+                free &= ~closed[v]
+                for ri, c in var_rows[v]:
+                    cur[ri] += c
+        if selection.bit_count() > best and settled(cur):
+            best = selection.bit_count()
+            best_selection = selection
+
+    cand = _drop_dominated(cand, rows_of, var_rows, generic)
+
     nodes = 0
     exhausted = False
 
@@ -561,14 +613,7 @@ def _branch_and_bound(
             bit = 1 << v
             nbr = closed[v]
 
-            allowed = True
-            for ri, c in var_rows[v]:
-                sense, rhs = generic[ri]
-                # negative terms still undecided may pull the row back down
-                if sense in ("<=", "=") and cur[ri] + c - neg[ri] > rhs:
-                    allowed = False
-                    break
-            if allowed:
+            if fits(v, cur, neg):
                 ccur, cpos, cneg = cur, pos, neg
                 if generic:
                     ccur = cur[:]
@@ -596,20 +641,16 @@ def _branch_and_bound(
                 else:
                     neg[ri] += c
 
-    cur = [0] * len(generic)
     pos = [0] * len(generic)
     neg = [0] * len(generic)
-    for v in _ones(included):
-        for ri, c in var_rows[v]:
-            cur[ri] += c
     for v in _ones(cand):
         for ri, c in var_rows[v]:
             if c > 0:
                 pos[ri] += c
             else:
                 neg[ri] -= c
-    visit(cand, included, included.bit_count(), cur, pos, neg)
-    return best_selection, best, nodes, exhausted
+    visit(cand, included, included.bit_count(), root_cur, pos, neg)
+    return best_selection, nodes, exhausted
 
 
 def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResult:
@@ -617,13 +658,16 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
 
     Branch and bound over the conflict graph (see _branch_and_bound, shared
     with the built-in ILP solver): the center cliques, in canonical center
-    order, are the packing rows over the canonical word values, and the
-    incumbent starts at VT_0(n). Before the first node the kernel drops
-    every word whose surface contains a kept rival's surface; these are
-    exactly the words the C2 family excludes (see _drop_dominated). With
-    them dropped and branching on the fullest clique, the n = 7 proof takes
-    6,903 nodes. Exhausting the node or time budget downgrades proof_status
-    to "bound-limited"; the returned witness is always a valid code of the
+    order, are the packing rows over the canonical word values. The kernel
+    warm-starts from VT_0(n), then from the incumbent in the options, each
+    greedily completed; the first of the largest starts the search, so
+    VT_0 wins a tie and stays the witness when the tree finds nothing
+    larger. Before the first node the kernel drops every word whose
+    surface contains a kept rival's surface; these are exactly the words
+    the C2 family excludes (see _drop_dominated). With them dropped and
+    branching on the fullest clique, the n = 7 proof takes 6,903 nodes.
+    Exhausting the node or time budget downgrades proof_status to
+    "bound-limited"; the returned witness is always a valid code of the
     reported size.
 
     Optimality proofs are fast through n = 8; n = 9 and beyond want a
@@ -638,28 +682,27 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
         return SearchResult(1, 1, WordSet(1, [0]), "optimal", 0)
     graph = conflict_graph(n)
 
-    best_values = tuple(vt_code(n, 0).values)
+    # VT_0 is perfect, so its completion adds nothing; listed first, it
+    # wins ties against the incumbent
+    seeds = [vt_code(n, 0).values]
     if inc is not None:
         if not is_sdecc(inc):
             raise ValueError("incumbent is not a valid single-deletion code")
-        if len(inc) > len(best_values):
-            best_values = inc.values
+        seeds.append(inc.values)
 
     size = 1 << n
     clique_masks, rows_of, closed = _incidence(
         size, graph.cliques_by_center.values()
     )
 
-    selection, best, nodes, exhausted = _branch_and_bound(
+    selection, nodes, exhausted = _branch_and_bound(
         clique_masks, rows_of, closed, [()] * size, (1 << size) - 1,
-        len(best_values), opts, started,
+        seeds, opts, started,
     )
-    if selection is not None:
-        best_values = _ones(selection)
     return SearchResult(
         n=n,
-        size=best,
-        witness=WordSet(n, best_values),
+        size=selection.bit_count(),
+        witness=WordSet(n, _ones(selection)),
         proof_status="bound-limited" if exhausted else "optimal",
         nodes=nodes,
     )

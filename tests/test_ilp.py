@@ -71,6 +71,14 @@ def test_constraint_requires_label():
         LinearConstraint(((0b01, 1),), "<=", 1, "")
 
 
+@pytest.mark.parametrize("label", ["a b", "a\\b", "tab\there"])
+def test_constraint_rejects_a_label_lp_text_cannot_hold(label):
+    # LP tokens split on whitespace and a backslash starts a comment, so
+    # read_lp would refuse the file write_lp made from such a row
+    with pytest.raises(ValueError, match=re.escape(repr(label))):
+        LinearConstraint(((0b01, 1),), "<=", 1, label)
+
+
 def test_model_rejects_duplicate_labels():
     row = LinearConstraint(((0b01, 1),), "<=", 1, "dup")
     with pytest.raises(ValueError):
@@ -283,6 +291,21 @@ def test_read_lp_strips_comments():
     text = "\\ leading comment\n" + lp_text(model) + "\\ trailing\n"
     text = text.replace("Subject To", "Subject To \\ inline comment")
     assert rows_key(read_lp(io.StringIO(text))) == rows_key(model)
+
+
+@pytest.mark.parametrize(
+    "boundary", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                 "\x85", "\u2028", "\u2029"],
+)
+def test_read_lp_ends_a_comment_at_every_line_boundary(boundary):
+    # the first row's label follows the boundary, so a comment that ran
+    # past it would swallow the label
+    model = build_model(2, {"C0"})
+    text = lp_text(model)
+    commented = text.replace("Subject To\n", f"Subject To \\ x_00 {boundary}")
+    plain = text.replace("Subject To\n", f"Subject To {boundary}")
+    assert rows_key(read_lp(io.StringIO(commented))) == rows_key(model)
+    assert rows_key(read_lp(io.StringIO(plain))) == rows_key(model)
 
 
 @pytest.mark.parametrize(

@@ -473,6 +473,20 @@ def test_incumbent_warm_start_is_accepted():
     assert r.proof_status == "optimal"
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_witness_is_vt0_through_length_eight(n):
+    # VT_0 is optimal here and the first seed, so no node replaces it
+    assert max_sdecc_exact(n).witness == vt_code(n, 0)
+
+
+@pytest.mark.parametrize("n", (9, 10, 11))
+def test_witness_is_vt0_when_no_node_may_run(n):
+    r = max_sdecc_exact(n, SearchOptions(node_limit=0))
+    vt0 = vt_code(n, 0)
+    assert r.witness == vt0 and r.size == len(vt0)
+    assert r.proof_status == "bound-limited" and r.nodes == 1
+
+
 def test_search_is_deterministic():
     a = max_sdecc_exact(6)
     b = max_sdecc_exact(6)
