@@ -216,15 +216,24 @@ def write_lp(model: IlpModel, sink: IO[str]) -> int:
     Output is deterministic byte-for-byte for a given model: fixed section
     order, constraint order as stored, unit coefficients omitted, lines
     wrapped at 72 columns with two-space continuations, LF endings.
+    The generator, family names and C6 parameters go into the comment
+    header; a line break in any of them would end its comment early, so
+    it raises ValueError before anything is written.
     """
     meta = model.metadata
     generator = str(meta.get("generator", "delcodes"))
     families = ",".join(str(f) for f in meta.get("families", ())) or "-"
+    c6_params = meta.get("c6_params", ()) or ()
+    c6 = ";".join(f"{p},{q}" for p, q in c6_params)
+    for field_name, text in (
+        ("generator", generator), ("families", families), ("c6_params", c6)
+    ):
+        if "".join(text.splitlines()) != text:
+            raise ValueError(f"{field_name} metadata holds a line break")
     header = f"\\ {generator} model"
     shape = f"\\ n={model.n} families={families}"
-    c6_params = meta.get("c6_params", ()) or ()
-    if c6_params:
-        shape += " c6=" + ";".join(f"{p},{q}" for p, q in c6_params)
+    if c6:
+        shape += " c6=" + c6
 
     names = model.variable_names
     lines: list[str] = [header, shape, "Maximize"]
@@ -598,7 +607,8 @@ def solve_builtin(
     the first of the largest completions that meets every row starts
     the search. It branches on the packing row with the most undecided
     variables and decides its lowest member first; bounds come from
-    LP-weighted and greedy covers by the packing rows, while the other
+    greedy covers by the packing rows and from an LP-weighted cover by
+    those rows and the clique rows separated from them, while the other
     rows prune by reachability and gate incumbents.
     Exhausts the space unless the node or time budget, counted from the
     start of this call, interrupts, in which case the best incumbent is

@@ -10,7 +10,9 @@ originals); covers by these cliques, both greedy and LP-weighted, drive the
 pruning of the exact search, and the same cliques become the covering rows
 of the generated ILP models. Before branching, the exact search drops
 every word whose deletion surface contains another word's: swapping it for
-that rival keeps any code valid, so some maximum code avoids it.
+that rival keeps any code valid, so some maximum code avoids it. The
+LP-weighted cover also takes larger cliques of the conflict graph, found
+where the LP point violates them, until its bound reaches the incumbent.
 """
 
 from __future__ import annotations
@@ -222,21 +224,27 @@ _COVER_DENOM = 27720
 # instances fall back to the greedy cover alone
 _COVER_MAX_VERTICES = 256
 _cover_weight_cache: dict[
-    tuple[int, tuple[int, ...]], tuple[int, ...] | None
+    tuple[int, tuple[int, ...], int],
+    tuple[tuple[int, ...], tuple[int, ...]] | None,
 ] = {}
+# a clique row counts as violated when the LP point puts more than this on it
+_CLIQUE_SLACK = 1 + 1e-6
 
 
-def _packing_duals(masks: Sequence[int], nv: int) -> np.ndarray | None:
-    """Row duals of the fractional relaxation of a set-packing problem.
+def _packing_duals(
+    masks: Sequence[int], nv: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row duals and a primal point of a set-packing LP relaxation.
 
     The primal maximizes the sum of nv variables in [0,1] subject to one
     row per mask: the variables named by the mask's bits sum to at most 1.
     Solved with a dense primal simplex from the slack basis. The instances
     are heavily degenerate, so right-hand sides and costs carry tiny
     deterministic perturbations and Dantzig pricing falls back to Bland's
-    rule after a stall. Returns None when the pivot cap is hit. numpy is
-    imported here, not with the package, so that commands which never
-    reach the LP do not pay for loading it.
+    rule after a stall. Returns (duals, x), x holding the values of the
+    basic variables and 0 elsewhere, or None when the pivot cap is hit.
+    numpy is imported here, not with the package, so that commands which
+    never reach the LP do not pay for loading it.
     """
     import numpy as np
 
@@ -253,6 +261,7 @@ def _packing_duals(masks: Sequence[int], nv: int) -> np.ndarray | None:
         tab[i, -1] = 1.0 + 1e-7 * (i + 1)
     jitter = (np.arange(nv) * 2654435761 % 8192) / 8192.0
     tab[-1, :nv] = -1.0 - 1e-6 * jitter
+    basis = list(range(nv, nv + nc))  # the column basic in each row
     stall = 0
     for _ in range(20000):
         costs = tab[-1, :-1]
@@ -272,6 +281,7 @@ def _packing_duals(masks: Sequence[int], nv: int) -> np.ndarray | None:
         ratios = np.full(nc, np.inf)
         ratios[positive] = tab[:nc, -1][positive] / col[positive]
         i = int(np.argmin(ratios))
+        basis[i] = j
         previous = tab[-1, -1]
         tab[i] /= tab[i, j]
         scale = tab[:, j].copy()
@@ -280,53 +290,130 @@ def _packing_duals(masks: Sequence[int], nv: int) -> np.ndarray | None:
         stall = stall + 1 if tab[-1, -1] - previous < 1e-12 else 0
     else:
         return None
-    return np.maximum(tab[-1, nv:nv + nc], 0.0)
+    x = np.zeros(nv)
+    for i, j in enumerate(basis):
+        if j < nv:
+            x[j] = tab[i, -1]
+    return np.maximum(tab[-1, nv:nv + nc], 0.0), x
 
 
-def _cover_weights(nv: int, masks: Sequence[int]) -> tuple[int, ...] | None:
-    """Integer weights turning the mask family into a weighted cover bound.
+def _violated_cliques(
+    x: Sequence[float], closed: Sequence[int], nv: int
+) -> list[int]:
+    """Maximal cliques of the row graph that the LP point x violates.
 
-    The weights satisfy, for every vertex v < nv, sum of W over masks
-    containing v >= _COVER_DENOM. Any selection that puts at most one
-    vertex into each mask then has size at most the sum of W over masks
-    meeting the selectable set, floor-divided by _COVER_DENOM: each
-    selected vertex consumes a full denominator of weight and no mask is
-    charged twice. Weights come from simplex duals rationalized upward,
-    then any per-vertex shortfall is repaired in exact integer arithmetic,
-    so the bound stays sound even when the LP solve was inexact. Returns
-    None when some vertex appears in no mask, the instance is too large,
-    or the simplex gives up; callers then rely on greedy covers alone.
-    Results are cached per mask family; a family too large to solve is
-    neither hashed nor kept.
+    Two variables are adjacent when they share a packing row, so closed[v]
+    is v's closed neighbourhood. Bron-Kerbosch with Tomita pivoting (TCS
+    2006) lists the maximal cliques of the subgraph on x's support,
+    skipping every branch whose clique and candidates together weigh at
+    most _CLIQUE_SLACK. Each listed clique heavier than that is grown to a
+    maximal clique of the whole graph, lowest vertex first; the vertices it
+    gains lie outside the support, so distinct cliques stay distinct.
+    Returns the grown cliques as masks, in the order they were found.
+    """
+    support = 0
+    for v in range(nv):
+        if x[v] > 1e-9:
+            support |= 1 << v
+    # closed[u] holds u itself, which must not count as u's neighbour
+    nbrs = {v: closed[v] & support ^ 1 << v for v in _ones(support)}
+    found: list[int] = []
+
+    def weight(mask: int) -> float:
+        return sum(x[v] for v in _ones(mask))
+
+    def expand(clique: int, held: float, cand: int, done: int) -> None:
+        if held + weight(cand) <= _CLIQUE_SLACK:
+            return
+        if not cand:
+            if not done:  # maximal within the support
+                grow = functools.reduce(
+                    operator.and_, (closed[v] for v in _ones(clique))
+                ) & ~clique
+                while grow:
+                    low = grow & -grow
+                    clique |= low
+                    grow &= closed[low.bit_length() - 1] ^ low
+                found.append(clique)
+            return
+        pivot = max(
+            _ones(cand | done), key=lambda u: (cand & nbrs[u]).bit_count()
+        )
+        for v in _ones(cand & ~nbrs[pivot]):
+            bit = 1 << v
+            expand(clique | bit, held + x[v], cand & nbrs[v], done & nbrs[v])
+            cand ^= bit
+            done |= bit
+
+    expand(0, 0.0, support, 0)
+    return found
+
+
+def _cover_weights(
+    nv: int, masks: Sequence[int], closed: Sequence[int], target: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Clique rows and integer weights making a weighted cover bound.
+
+    The rows are the masks, then any clique rows separated here; closed[v]
+    is the union of the masks holding v. Every row puts at most one vertex
+    into any selection that puts at most one vertex into each mask: its
+    members pairwise share a mask. The weights satisfy, for every vertex
+    v < nv, sum of W over rows containing v >= _COVER_DENOM. Such a
+    selection then has size at most the sum of W over rows meeting the
+    selectable set, floor-divided by _COVER_DENOM: each selected vertex
+    consumes a full denominator of weight and no row is charged twice.
+
+    Each round solves the packing LP over the rows so far, rationalizes
+    its duals upward and repairs any per-vertex shortfall in exact integer
+    arithmetic, so the bound stays sound even when the LP solve was
+    inexact. The rounds stop once the bound is at most target, or when
+    _violated_cliques finds no new row that the LP point violates; the
+    last repaired round is returned. Returns None when some vertex appears
+    in no mask, the instance is too large, or the first simplex gives up;
+    callers then rely on greedy covers alone. Results are cached per mask
+    family and target; a family too large to solve is neither hashed nor
+    kept.
     """
     if not masks or nv > _COVER_MAX_VERTICES:
         return None
-    key = (nv, tuple(masks))
+    key = (nv, tuple(masks), target)
     try:
         return _cover_weight_cache[key]
     except KeyError:
         pass
-    result: tuple[int, ...] | None = None
-    duals = _packing_duals(masks, nv)
-    if duals is not None:
+    result: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    everyone = (1 << nv) - 1
+    if functools.reduce(operator.or_, masks) & everyone == everyone:
         denom = _COVER_DENOM
-        weights = [math.ceil(d * denom - 1e-9) for d in duals]
+        rows = list(masks)
+        known = set(rows)
         by_vertex: list[list[int]] = [[] for _ in range(nv)]
-        for idx, m in enumerate(masks):
-            t = m
-            while t:
-                low = t & -t
-                by_vertex[low.bit_length() - 1].append(idx)
-                t ^= low
-        for v in range(nv):
-            rows = by_vertex[v]
-            if not rows:
+        for idx, m in enumerate(rows):
+            for v in _ones(m):
+                by_vertex[v].append(idx)
+        while True:
+            solved = _packing_duals(rows, nv)
+            if solved is None:
                 break
-            got = sum(weights[i] for i in rows)
-            if got < denom:
-                weights[rows[0]] += denom - got
-        else:
-            result = tuple(weights)
+            duals, x = solved
+            weights = [math.ceil(d * denom - 1e-9) for d in duals]
+            for through in by_vertex:
+                got = sum(weights[i] for i in through)
+                if got < denom:
+                    weights[through[0]] += denom - got
+            result = (tuple(rows), tuple(weights))
+            if sum(weights) // denom <= target:
+                break
+            new = [
+                c for c in _violated_cliques(x, closed, nv) if c not in known
+            ]
+            if not new:
+                break
+            for c in new:
+                for v in _ones(c):
+                    by_vertex[v].append(len(rows))
+                rows.append(c)
+            known.update(new)
     _cover_weight_cache[key] = result
     return result
 
@@ -465,13 +552,18 @@ def _branch_and_bound(
     every generic row becomes the incumbent.
 
     Depth-first, taking a variable before excluding it; a node is cut when
-    the LP-weighted cover (exact integer weights, see _cover_weights) or a
-    greedy most-covering-row cover shows it cannot beat the incumbent. The
-    branch variable is the lowest candidate in the first packing row
-    holding the most candidates, so every variable must lie in some
-    packing row. After the warm start, candidates dominated by another
-    candidate are dropped once (see _drop_dominated); nodes below the root
-    do not repeat the sweep.
+    the LP-weighted cover or a greedy most-covering-row cover shows it
+    cannot beat the incumbent. The LP-weighted cover is built once, after
+    the warm start: _cover_weights adds clique rows separated from the
+    packing rows until its root bound is at most the incumbent's size or
+    no violated clique is left, and gives every row an exact integer
+    weight. A cut drops only subtrees holding nothing strictly better than
+    the incumbent, so the incumbents the tree finds do not depend on the
+    separated rows. The branch variable is the lowest candidate in the
+    first packing row holding the most candidates, so every variable must
+    lie in some packing row. After the warm start, candidates dominated by
+    another candidate are dropped once (see _drop_dominated); nodes below
+    the root do not repeat the sweep.
 
     Budgets are checked on every node, the deadline being started +
     opts.time_limit. Returns (selection, nodes, exhausted): selection is
@@ -484,12 +576,6 @@ def _branch_and_bound(
         started + opts.time_limit if opts.time_limit is not None else None
     )
     nv = len(closed)
-    weights = _cover_weights(nv, packing)
-    weighted = (
-        None
-        if weights is None
-        else [(m, w) for m, w in zip(packing, weights) if w]
-    )
     denom = _COVER_DENOM
     max_row_size = max(mask.bit_count() for mask in packing)
 
@@ -552,6 +638,11 @@ def _branch_and_bound(
             best = selection.bit_count()
             best_selection = selection
 
+    # built after the warm start, so separation can stop at the incumbent
+    cover = _cover_weights(nv, packing, closed, best)
+    weighted = None if cover is None else [
+        (m, w) for m, w in zip(*cover) if w
+    ]
     cand = _drop_dominated(cand, rows_of, var_rows, generic)
 
     nodes = 0
@@ -664,8 +755,10 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
     VT_0 wins a tie and stays the witness when the tree finds nothing
     larger. Before the first node the kernel drops every word whose
     surface contains a kept rival's surface; these are exactly the words
-    the C2 family excludes (see _drop_dominated). With them dropped and
-    branching on the fullest clique, the n = 7 proof takes 6,903 nodes.
+    the C2 family excludes (see _drop_dominated). Clique rows separated
+    for the root cover bring it to 16.99 at n = 7, so each proof through
+    n = 8 closes at its first node; with the center cliques alone the
+    n = 7 bound is 17.15 and the tree took 6,903 nodes.
     Exhausting the node or time budget downgrades proof_status to
     "bound-limited"; the returned witness is always a valid code of the
     reported size.

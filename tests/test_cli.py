@@ -104,11 +104,11 @@ def test_max_reports_optimum_with_witness(capsys):
 
 def test_max_node_limit_downgrades_to_bound_limited(capsys):
     status, data, _ = run_json(
-        capsys, "max", "--n", "7", "--node-limit", "10"
+        capsys, "max", "--n", "9", "--node-limit", "10"
     )
     assert status == 0
     assert data["status"] == "bound-limited"
-    assert data["size"] >= 14
+    assert data["size"] >= 52
 
 
 def test_max_incumbent_warm_start(tmp_path, capsys):

@@ -308,6 +308,28 @@ def test_read_lp_ends_a_comment_at_every_line_boundary(boundary):
     assert rows_key(read_lp(io.StringIO(plain))) == rows_key(model)
 
 
+@pytest.mark.parametrize("boundary", ["\n", "\r", "\u2028"])
+@pytest.mark.parametrize(
+    "field,metadata",
+    [
+        ("generator", lambda text: {"generator": f"my{text}tool"}),
+        ("families", lambda text: {"families": ("C0", f"C{text}1")}),
+    ],
+)
+def test_write_lp_refuses_a_header_field_with_a_line_break(
+    boundary, field, metadata
+):
+    # the rest of the field would start a line outside the comment, which
+    # read_lp would refuse to read
+    model = IlpModel(
+        3, build_model(3, {"C0"}).constraints, metadata=metadata(boundary)
+    )
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=field):
+        write_lp(model, sink)
+    assert sink.getvalue() == ""
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -608,11 +630,22 @@ def test_solver_agrees_with_graph_search(n):
     assert search.proof_status == "optimal"
 
 
+def test_every_length_seven_family_model_closes_at_the_root():
+    # a search that needed a second node would stop at this budget with
+    # status feasible
+    optional = FAMILY_IDS[1:]
+    for k in range(len(optional) + 1):
+        for combo in itertools.combinations(optional, k):
+            model = build_model(7, {"C0", *combo})
+            sol = solve_builtin(model, SearchOptions(node_limit=1))
+            assert (sol.objective, sol.solver_status) == (16, "optimal"), combo
+
+
 def test_solve_respects_node_budget():
-    model = build_model(7, {"C0"})
+    model = build_model(9, {"C0"})
     sol = solve_builtin(model, SearchOptions(node_limit=10))
     assert sol.solver_status == "feasible"
-    assert sol.objective >= 14  # the warm start already finds a strong code
+    assert sol.objective >= 52  # the warm start already finds a strong code
     assert verify_solution(model, sol).ok
 
 

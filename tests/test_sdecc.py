@@ -6,11 +6,14 @@ cross-checked against direct surface computations, and validity verdicts
 against independent-set membership for small lengths.
 """
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 
+from delcodes import sdecc
 from delcodes.bitseq import (
     Word,
     WordSet,
@@ -19,7 +22,7 @@ from delcodes.bitseq import (
     surface_values,
 )
 from delcodes.constraints import build_model, dominated_words
-from delcodes.ilp import solve_builtin
+from delcodes.ilp import IlpModel, LinearConstraint, solve_builtin
 from delcodes.sdecc import (
     KNOWN_SIZES,
     SearchOptions,
@@ -368,10 +371,10 @@ def test_search_proves_length_eight_quickly():
 def test_root_reduction_keeps_the_length_seven_proof_small():
     r = max_sdecc_exact(7)
     assert r.size == 16 and r.proof_status == "optimal"
-    # 6,903 branching on the fullest clique over canonical labels; 49,913
-    # branching on the lowest word by surface size, 268,601 without the
-    # root reduction
-    assert r.nodes < 10_000
+    # separated clique rows bring the cover bound under 17 at the root;
+    # with the center cliques alone it is 17.15 and the tree takes 6,903
+    # nodes (268,601 without the root reduction)
+    assert r.nodes == 1
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -402,29 +405,132 @@ def test_cover_weights_cover_every_vertex_on_random_families():
         for v in range(nv):  # every vertex lies in some mask
             if not any(m >> v & 1 for m in masks):
                 masks[rng.randrange(len(masks))] |= 1 << v
-        weights = _cover_weights(nv, masks)
-        assert weights is not None, case
-        assert len(weights) == len(masks) and min(weights) >= 0, case
+        closed = [
+            functools.reduce(operator.or_, (m for m in masks if m >> v & 1))
+            for v in range(nv)
+        ]
+        # a target no bound meets runs the separation to convergence
+        cover = _cover_weights(nv, masks, closed, -1)
+        assert cover is not None, case
+        rows, weights = cover
+        assert rows[:len(masks)] == tuple(masks), case
+        assert len(weights) == len(rows) and min(weights) >= 0, case
         for v in range(nv):
-            got = sum(w for m, w in zip(masks, weights) if m >> v & 1)
+            got = sum(w for m, w in zip(rows, weights) if m >> v & 1)
             assert got >= _COVER_DENOM, (case, v, got)
 
 
 def test_cover_weight_cache_keeps_only_families_it_solves():
     # above the simplex cap the 2^n-bit masks are neither hashed nor kept
     solve_builtin(build_model(9, {"C0"}), SearchOptions(node_limit=1))
-    assert all(nv <= 256 for nv, _ in _cover_weight_cache)
+    assert all(nv <= 256 for nv, _, _ in _cover_weight_cache)
     for key in [key for key in _cover_weight_cache if key[0] == 128]:
         del _cover_weight_cache[key]
     solve_builtin(build_model(7, {"C0"}), SearchOptions(node_limit=1))
-    assert any(nv == 128 for nv, _ in _cover_weight_cache)
+    # the key ends with the target, here M(7), the rows were separated for
+    assert any(key[0] == 128 and key[2] == 16 for key in _cover_weight_cache)
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_separated_rows_are_maximal_cliques_of_the_input_rows(n):
+    nv = 1 << n
+    masks, _, closed = _incidence(
+        nv, conflict_graph(n).cliques_by_center.values()
+    )
+    rows, _ = _cover_weights(nv, masks, closed, -1)
+    assert rows[:len(masks)] == tuple(masks) and len(rows) > len(masks)
+    # adjacency is read off the masks themselves, not off closed
+    share: set[tuple[int, int]] = set()
+    for m in masks:
+        share.update(itertools.permutations(_members(m), 2))
+    for row in rows[len(masks):]:
+        members = _members(row)
+        pairs = itertools.combinations(members, 2)
+        assert all(pair in share for pair in pairs), row
+        assert not any(
+            all((w, u) in share for u in members)
+            for w in range(nv)
+            if not row >> w & 1
+        ), row
+
+
+def _members(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def random_packing_model(rng: random.Random, n: int) -> IlpModel:
+    nv = 1 << n
+    rows = [
+        rng.sample(range(nv), rng.randint(2, 4))
+        for _ in range(rng.randint(nv // 2, 2 * nv))
+    ]
+    covered = {v for row in rows for v in row}
+    rows += [[v, (v + 1) % nv] for v in range(nv) if v not in covered]
+    return IlpModel(n, tuple(
+        LinearConstraint(tuple((v, 1) for v in sorted(row)), "<=", 1, f"p{i}")
+        for i, row in enumerate(rows)
+    ))
+
+
+def brute_force_max_packing(model: IlpModel) -> int:
+    # branches on the candidate of most conflicts and takes a candidate
+    # with none outright: a different order from the kernel's
+    nv = 1 << model.n
+    nbr = [1 << v for v in range(nv)]
+    for row in model.constraints:
+        mask = sum(1 << v for v, _ in row.terms)
+        for v, _ in row.terms:
+            nbr[v] |= mask
+
+    def largest(cand: int) -> int:
+        if not cand:
+            return 0
+        degree, v = max(
+            ((nbr[v] & cand).bit_count(), v) for v in _members(cand)
+        )
+        if degree == 1:
+            return cand.bit_count()
+        return max(largest(cand ^ 1 << v), 1 + largest(cand & ~nbr[v]))
+
+    return largest((1 << nv) - 1)
+
+
+def test_solver_matches_brute_force_on_random_packing_models(monkeypatch):
+    separated = 0
+    calls = 0
+    violated_cliques = sdecc._violated_cliques
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return violated_cliques(*args)
+
+    monkeypatch.setattr(sdecc, "_violated_cliques", counted)
+    rng = random.Random(8000)
+    for case in range(300):
+        model = random_packing_model(rng, 4 + case % 2)
+        before = calls
+        sol = solve_builtin(model)
+        separated += calls > before
+        assert sol.solver_status == "optimal", case
+        assert sol.objective == brute_force_max_packing(model), case
+    assert separated >= 100
+
+
+def test_length_eight_root_adds_no_rows():
+    # the center cliques alone bound the root by 30.32, whose floor is
+    # already M(8), so no clique is separated
+    max_sdecc_exact(8)
+    masks, _, _ = _incidence(256, conflict_graph(8).cliques_by_center.values())
+    rows, _ = _cover_weight_cache[256, tuple(masks), 30]
+    assert len(rows) == 128
 
 
 def test_node_budget_degrades_to_bound_limited():
-    r = max_sdecc_exact(7, SearchOptions(node_limit=5))
+    r = max_sdecc_exact(9, SearchOptions(node_limit=5))
     assert r.proof_status == "bound-limited"
     # the starting incumbent is already the true maximum here
-    assert r.size == 16
+    assert r.size == 52
     assert is_sdecc(r.witness)
     assert r.nodes <= 6
 
