@@ -23,7 +23,7 @@ import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -223,9 +223,11 @@ _COVER_DENOM = 27720
 # the dense-tableau simplex is reliable up to this many columns; larger
 # instances fall back to the greedy cover alone
 _COVER_MAX_VERTICES = 256
+# per mask family: the separation rounds run so far, and the generator
+# that runs the next ones (None once it has stopped)
 _cover_weight_cache: dict[
-    tuple[int, tuple[int, ...], int],
-    tuple[tuple[int, ...], tuple[int, ...]] | None,
+    tuple[int, tuple[int, ...]],
+    tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], Iterator | None],
 ] = {}
 # a clique row counts as violated when the LP point puts more than this on it
 _CLIQUE_SLACK = 1 + 1e-6
@@ -298,9 +300,10 @@ def _packing_duals(
 
 
 def _violated_cliques(
-    x: Sequence[float], closed: Sequence[int], nv: int
+    x: Sequence[float], closed: Sequence[int], nv: int, known: set[int],
+    limit: int,
 ) -> list[int]:
-    """Maximal cliques of the row graph that the LP point x violates.
+    """Up to limit maximal cliques of the row graph that x violates.
 
     Two variables are adjacent when they share a packing row, so closed[v]
     is v's closed neighbourhood. Bron-Kerbosch with Tomita pivoting (TCS
@@ -309,7 +312,9 @@ def _violated_cliques(
     most _CLIQUE_SLACK. Each listed clique heavier than that is grown to a
     maximal clique of the whole graph, lowest vertex first; the vertices it
     gains lie outside the support, so distinct cliques stay distinct.
-    Returns the grown cliques as masks, in the order they were found.
+    Returns the grown cliques not in known as masks, in the order they were
+    found; the search stops at the limit-th, since a point spread evenly
+    over a dense graph violates exponentially many.
     """
     support = 0
     for v in range(nv):
@@ -323,7 +328,7 @@ def _violated_cliques(
         return sum(x[v] for v in _ones(mask))
 
     def expand(clique: int, held: float, cand: int, done: int) -> None:
-        if held + weight(cand) <= _CLIQUE_SLACK:
+        if len(found) >= limit or held + weight(cand) <= _CLIQUE_SLACK:
             return
         if not cand:
             if not done:  # maximal within the support
@@ -334,7 +339,8 @@ def _violated_cliques(
                     low = grow & -grow
                     clique |= low
                     grow &= closed[low.bit_length() - 1] ^ low
-                found.append(clique)
+                if clique not in known:
+                    found.append(clique)
             return
         pivot = max(
             _ones(cand | done), key=lambda u: (cand & nbrs[u]).bit_count()
@@ -349,73 +355,102 @@ def _violated_cliques(
     return found
 
 
-def _cover_weights(
-    nv: int, masks: Sequence[int], closed: Sequence[int], target: int
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Clique rows and integer weights making a weighted cover bound.
-
-    The rows are the masks, then any clique rows separated here; closed[v]
-    is the union of the masks holding v. Every row puts at most one vertex
-    into any selection that puts at most one vertex into each mask: its
-    members pairwise share a mask. The weights satisfy, for every vertex
-    v < nv, sum of W over rows containing v >= _COVER_DENOM. Such a
-    selection then has size at most the sum of W over rows meeting the
-    selectable set, floor-divided by _COVER_DENOM: each selected vertex
-    consumes a full denominator of weight and no row is charged twice.
+def _separation_rounds(
+    nv: int, masks: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The rounds of _cover_weights on one mask family, as (rows, weights).
 
     Each round solves the packing LP over the rows so far, rationalizes
     its duals upward and repairs any per-vertex shortfall in exact integer
     arithmetic, so the bound stays sound even when the LP solve was
-    inexact. The rounds stop once the bound is at most target, or when
-    _violated_cliques finds no new row that the LP point violates; the
-    last repaired round is returned. Returns None when some vertex appears
-    in no mask, the instance is too large, or the first simplex gives up;
-    callers then rely on greedy covers alone. Results are cached per mask
-    family and target; a family too large to solve is neither hashed nor
-    kept.
+    inexact. The next round adds the rows _violated_cliques separates from
+    the LP point, at most nv in all, so the LP tableau gains at most nv
+    rows and columns over the first round's. Stops when some vertex
+    appears in no mask, a simplex gives up, or no new violated clique is
+    found.
+    """
+    everyone = (1 << nv) - 1
+    if functools.reduce(operator.or_, masks) & everyone != everyone:
+        return
+    denom = _COVER_DENOM
+    rows = list(masks)
+    known = set(rows)
+    by_vertex: list[list[int]] = [[] for _ in range(nv)]
+    closed = [0] * nv  # v and every variable sharing an input mask with it
+    for idx, m in enumerate(rows):
+        for v in _ones(m):
+            by_vertex[v].append(idx)
+            closed[v] |= m
+    room = nv  # how many rows separation may still add
+    while True:
+        solved = _packing_duals(rows, nv)
+        if solved is None:
+            return
+        duals, x = solved
+        weights = [math.ceil(d * denom - 1e-9) for d in duals]
+        for through in by_vertex:
+            got = sum(weights[i] for i in through)
+            if got < denom:
+                weights[through[0]] += denom - got
+        yield tuple(rows), tuple(weights)
+        new = _violated_cliques(x, closed, nv, known, room)
+        if not new:
+            return
+        room -= len(new)
+        for c in new:
+            for v in _ones(c):
+                by_vertex[v].append(len(rows))
+            rows.append(c)
+        known.update(new)
+
+
+def _cover_weights(
+    nv: int, masks: Sequence[int], target: int,
+    deadline: float | None = None,
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Clique rows and integer weights making a weighted cover bound.
+
+    The rows are the masks, then any clique rows separated from them (see
+    _separation_rounds). Every row puts at most one vertex into any
+    selection that puts at most one vertex into each mask: its members
+    pairwise share a mask. The weights satisfy, for every vertex v < nv,
+    sum of W over rows containing v >= _COVER_DENOM. Such a selection
+    then has size at most the sum of W over rows meeting the selectable
+    set, floor-divided by _COVER_DENOM: each selected vertex consumes a
+    full denominator of weight and no row is charged twice.
+
+    Returns the first round whose bound is at most target, else the last
+    round run. Rounds after the first are not started once the monotonic
+    clock passes deadline. Returns None when the first round does not
+    exist: some vertex appears in no mask, the instance is too large, or
+    the first simplex gives up; callers then rely on greedy covers alone.
+    The rounds are cached per mask family and a later call resumes where
+    an earlier one stopped; a family too large to solve is neither hashed
+    nor kept.
     """
     if not masks or nv > _COVER_MAX_VERTICES:
         return None
-    key = (nv, tuple(masks), target)
-    try:
-        return _cover_weight_cache[key]
-    except KeyError:
-        pass
-    result: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    everyone = (1 << nv) - 1
-    if functools.reduce(operator.or_, masks) & everyone == everyone:
-        denom = _COVER_DENOM
-        rows = list(masks)
-        known = set(rows)
-        by_vertex: list[list[int]] = [[] for _ in range(nv)]
-        for idx, m in enumerate(rows):
-            for v in _ones(m):
-                by_vertex[v].append(idx)
-        while True:
-            solved = _packing_duals(rows, nv)
-            if solved is None:
-                break
-            duals, x = solved
-            weights = [math.ceil(d * denom - 1e-9) for d in duals]
-            for through in by_vertex:
-                got = sum(weights[i] for i in through)
-                if got < denom:
-                    weights[through[0]] += denom - got
-            result = (tuple(rows), tuple(weights))
-            if sum(weights) // denom <= target:
-                break
-            new = [
-                c for c in _violated_cliques(x, closed, nv) if c not in known
-            ]
-            if not new:
-                break
-            for c in new:
-                for v in _ones(c):
-                    by_vertex[v].append(len(rows))
-                rows.append(c)
-            known.update(new)
-    _cover_weight_cache[key] = result
-    return result
+    key = (nv, tuple(masks))
+    # taken out while the rounds run: an interrupted call leaves no entry
+    # whose generator has died mid-round
+    entry = _cover_weight_cache.pop(key, None)
+    rounds, more = entry or ([], _separation_rounds(nv, masks))
+    denom = _COVER_DENOM
+    for rows, weights in rounds:
+        if sum(weights) // denom <= target:
+            return rows, weights
+    while more is not None:
+        if rounds and deadline is not None and time.monotonic() > deadline:
+            break
+        step = next(more, None)
+        if step is None:
+            more = None
+            break
+        rounds.append(step)
+        if sum(step[1]) // denom <= target:
+            break
+    _cover_weight_cache[key] = rounds, more
+    return rounds[-1] if rounds else None
 
 
 # what each row sense requires of (left-hand side, right-hand side)
@@ -555,21 +590,23 @@ def _branch_and_bound(
     the LP-weighted cover or a greedy most-covering-row cover shows it
     cannot beat the incumbent. The LP-weighted cover is built once, after
     the warm start: _cover_weights adds clique rows separated from the
-    packing rows until its root bound is at most the incumbent's size or
-    no violated clique is left, and gives every row an exact integer
-    weight. A cut drops only subtrees holding nothing strictly better than
-    the incumbent, so the incumbents the tree finds do not depend on the
-    separated rows. The branch variable is the lowest candidate in the
-    first packing row holding the most candidates, so every variable must
-    lie in some packing row. After the warm start, candidates dominated by
-    another candidate are dropped once (see _drop_dominated); nodes below
-    the root do not repeat the sweep.
+    packing rows until its root bound is at most the incumbent's size, no
+    violated clique is left, the row cap is reached or the deadline has
+    passed, and gives every row an exact integer weight. A cut drops only
+    subtrees holding nothing strictly better than the incumbent, so the
+    incumbents the tree finds do not depend on the separated rows. The
+    branch variable is the lowest candidate in the first packing row
+    holding the most candidates, so every variable must lie in some
+    packing row. After the warm start, candidates dominated by another
+    candidate are dropped once (see _drop_dominated); nodes below the
+    root do not repeat the sweep.
 
-    Budgets are checked on every node, the deadline being started +
-    opts.time_limit. Returns (selection, nodes, exhausted): selection is
-    the bitmask of the best selection found, a completed seed or a tree
-    result, and None only when no seed was accepted and the tree found
-    nothing; exhausted is true when a budget stopped the search early.
+    Budgets are checked on every node and between separation rounds, the
+    deadline being started + opts.time_limit. Returns (selection, nodes,
+    exhausted): selection is the bitmask of the best selection found, a
+    completed seed or a tree result, and None only when no seed was
+    accepted and the tree found nothing; exhausted is true when a budget
+    stopped the search early.
     """
     node_limit = opts.node_limit
     deadline = (
@@ -639,7 +676,7 @@ def _branch_and_bound(
             best_selection = selection
 
     # built after the warm start, so separation can stop at the incumbent
-    cover = _cover_weights(nv, packing, closed, best)
+    cover = _cover_weights(nv, packing, best, deadline)
     weighted = None if cover is None else [
         (m, w) for m, w in zip(*cover) if w
     ]

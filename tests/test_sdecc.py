@@ -6,10 +6,9 @@ cross-checked against direct surface computations, and validity verdicts
 against independent-set membership for small lengths.
 """
 
-import functools
 import itertools
-import operator
 import random
+import time
 
 import pytest
 
@@ -30,6 +29,7 @@ from delcodes.sdecc import (
     _cover_weight_cache,
     _cover_weights,
     _drop_dominated,
+    _violated_cliques,
     _incidence,
     bounds,
     conflict_graph,
@@ -405,12 +405,8 @@ def test_cover_weights_cover_every_vertex_on_random_families():
         for v in range(nv):  # every vertex lies in some mask
             if not any(m >> v & 1 for m in masks):
                 masks[rng.randrange(len(masks))] |= 1 << v
-        closed = [
-            functools.reduce(operator.or_, (m for m in masks if m >> v & 1))
-            for v in range(nv)
-        ]
         # a target no bound meets runs the separation to convergence
-        cover = _cover_weights(nv, masks, closed, -1)
+        cover = _cover_weights(nv, masks, -1)
         assert cover is not None, case
         rows, weights = cover
         assert rows[:len(masks)] == tuple(masks), case
@@ -423,12 +419,15 @@ def test_cover_weights_cover_every_vertex_on_random_families():
 def test_cover_weight_cache_keeps_only_families_it_solves():
     # above the simplex cap the 2^n-bit masks are neither hashed nor kept
     solve_builtin(build_model(9, {"C0"}), SearchOptions(node_limit=1))
-    assert all(nv <= 256 for nv, _, _ in _cover_weight_cache)
+    assert all(nv <= 256 for nv, _ in _cover_weight_cache)
     for key in [key for key in _cover_weight_cache if key[0] == 128]:
         del _cover_weight_cache[key]
     solve_builtin(build_model(7, {"C0"}), SearchOptions(node_limit=1))
-    # the key ends with the target, here M(7), the rows were separated for
-    assert any(key[0] == 128 and key[2] == 16 for key in _cover_weight_cache)
+    # the rounds stop at the first bound of M(7), the incumbent's size
+    [(rounds, _)] = [
+        entry for key, entry in _cover_weight_cache.items() if key[0] == 128
+    ]
+    assert [sum(w) // _COVER_DENOM for _, w in rounds][-2:] == [17, 16]
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))
@@ -437,7 +436,7 @@ def test_separated_rows_are_maximal_cliques_of_the_input_rows(n):
     masks, _, closed = _incidence(
         nv, conflict_graph(n).cliques_by_center.values()
     )
-    rows, _ = _cover_weights(nv, masks, closed, -1)
+    rows, _ = _cover_weights(nv, masks, -1)
     assert rows[:len(masks)] == tuple(masks) and len(rows) > len(masks)
     # adjacency is read off the masks themselves, not off closed
     share: set[tuple[int, int]] = set()
@@ -520,10 +519,69 @@ def test_solver_matches_brute_force_on_random_packing_models(monkeypatch):
 def test_length_eight_root_adds_no_rows():
     # the center cliques alone bound the root by 30.32, whose floor is
     # already M(8), so no clique is separated
-    max_sdecc_exact(8)
     masks, _, _ = _incidence(256, conflict_graph(8).cliques_by_center.values())
-    rows, _ = _cover_weight_cache[256, tuple(masks), 30]
-    assert len(rows) == 128
+    _cover_weight_cache.pop((256, tuple(masks)), None)
+    max_sdecc_exact(8)
+    rounds, _ = _cover_weight_cache[256, tuple(masks)]
+    assert [len(rows) for rows, _ in rounds] == [128]
+
+
+def cocktail_party_model(n: int) -> IlpModel:
+    # each variable conflicts with every other but its partner v ^ 1: the
+    # LP optimum spreads 1/2 over all, and every one of the 2^(nv/2)
+    # maximal cliques is violated
+    nv = 1 << n
+    return IlpModel(n, tuple(
+        LinearConstraint(((u, 1), (v, 1)), "<=", 1, f"p{u}_{v}")
+        for u in range(nv)
+        for v in range(u + 1, nv)
+        if v != u ^ 1
+    ))
+
+
+def test_separation_is_capped_on_a_point_violating_every_clique():
+    nv = 32
+    model = cocktail_party_model(5)
+    masks, _, closed = _incidence(
+        nv, [[v for v, _ in row.terms] for row in model.constraints]
+    )
+    found = _violated_cliques([0.5] * nv, closed, nv, {masks[0]}, 10)
+    assert len(found) == len(set(found)) == 10
+    assert all(c.bit_count() == 16 and c not in masks for c in found)
+    rows, _ = _cover_weights(nv, masks, -1)
+    assert len(masks) < len(rows) <= len(masks) + nv
+
+
+def test_solver_closes_the_cocktail_party_model():
+    started = time.monotonic()
+    sol = solve_builtin(cocktail_party_model(5))
+    assert (sol.objective, sol.solver_status) == (2, "optimal")
+    assert time.monotonic() - started < 10
+
+
+def test_time_budget_stops_separation_after_the_first_round(monkeypatch):
+    # the >= row rejects every seed, so the rounds would run to convergence
+    rows = list(build_model(8, {"C0"}).constraints)
+    rows.append(
+        LinearConstraint(((0b00000001, 1), (0b00000110, 1)), ">=", 2, "both")
+    )
+    model = IlpModel(8, tuple(rows))
+    masks = [sum(1 << v for v, _ in row.terms) for row in rows[:-1]]
+    _cover_weight_cache.pop((256, tuple(masks)), None)
+    calls = 0
+    violated_cliques = sdecc._violated_cliques
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return violated_cliques(*args)
+
+    monkeypatch.setattr(sdecc, "_violated_cliques", counted)
+    sol = solve_builtin(model, SearchOptions(time_limit=0.0))
+    assert sol.solver_status == "unknown" and calls == 0
+    # the cut-short family is resumed, not served as converged
+    rows, _ = _cover_weights(256, masks, -1)
+    assert calls > 0 and len(rows) > len(masks)
 
 
 def test_node_budget_degrades_to_bound_limited():
