@@ -1,0 +1,373 @@
+"""The packing LP and the clique separation behind the LP-weighted cover.
+
+The exact searches bound a node by a weighted cover of its candidates:
+rows that each admit at most one selected variable, with integer weights
+giving every variable at least _COVER_DENOM in total. The weights come
+from the duals of the set-packing LP relaxation over those rows. One
+PackingLP object holds that LP as a dense tableau: it solves from the
+slack basis once, then takes clique rows separated from its optimal point
+and re-solves from its last optimal tableau by dual simplex, so a round
+costs the few pivots the new rows need rather than a whole solve.
+_cover_weights runs those rounds per mask family and caches them together
+with the LP, so a later call on the same family resumes warm.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import operator
+import time
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# lcm(1..11): every dual these instances produce rationalizes upward with
+# negligible loss at this denominator
+_COVER_DENOM = 27720
+# the dense-tableau simplex is reliable up to this many columns; larger
+# instances fall back to the greedy cover alone
+_COVER_MAX_VERTICES = 256
+# per mask family: the separation rounds run so far, and the generator
+# that runs the next ones (None once it has stopped)
+_cover_weight_cache: dict[
+    tuple[int, tuple[int, ...]],
+    tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], Iterator | None],
+] = {}
+# a clique row counts as violated when the LP point puts more than this on it
+_CLIQUE_SLACK = 1 + 1e-6
+# pivots one solve may take before it gives up; the instances here need
+# fewer than a thousand
+_MAX_PIVOTS = 20000
+
+
+class PackingLP:
+    """The set-packing LP over nv variables, re-solved as rows are added.
+
+    The LP maximizes the sum of x >= 0 subject to one row per mask: the
+    variables named by the mask's bits sum to at most 1. The instances are
+    heavily degenerate, so the right-hand side of row i is 1 + 1e-7 (i + 1)
+    and the cost of variable v is 1 plus a deterministic jitter below
+    1e-6. The perturbed LP has one optimal basis, so solving rows in one
+    go or a few at a time reaches the same point and the same duals.
+
+    The tableau is condensed: a row per constraint, labelled with the
+    variable basic in it, and a column per nonbasic variable; variables
+    v < nv are structural and nv + i is the slack of row i. The last
+    column holds the basic values and the last row the reduced costs of
+    the minimization of -(perturbed sum of x). add_rows writes each new
+    row in terms of the current nonbasic variables, with its slack basic.
+    A violated new row makes the basis primal infeasible but keeps it dual
+    feasible, so dual simplex (most negative basic value leaves, ratio
+    test on the reduced costs) restores feasibility, and primal simplex
+    with Dantzig pricing then clears any reduced cost left negative. From
+    the slack basis every basic value is positive, so the first add_rows
+    is a plain primal solve.
+
+    numpy is imported here, not with the package, so that commands which
+    never reach the LP do not pay for loading it.
+    """
+
+    def __init__(self, nv: int) -> None:
+        import numpy as np
+
+        self.nv = nv
+        jitter = (np.arange(nv) * 2654435761 % 8192) / 8192.0
+        self._tab = np.zeros((1, nv + 1))
+        self._tab[0, :nv] = -1.0 - 1e-6 * jitter
+        self._basic = np.zeros(0, dtype=np.int64)  # the variable of each row
+        self._nonbasic = np.arange(nv)  # the variable of each column
+
+    def add_rows(self, masks: Sequence[int]) -> bool:
+        """Add one row per mask and re-solve; False when the simplex gives up.
+
+        It gives up when a solve hits the pivot cap, or when the tableau
+        claims the LP unbounded (a variable in no row) or infeasible (only
+        rounding can cause that); the object must then not be used again.
+        """
+        import numpy as np
+
+        nv = self.nv
+        tab = self._tab
+        basic = self._basic
+        nonbasic = self._nonbasic
+        m = len(basic)
+        width = (nv + 7) // 8
+        packed = np.frombuffer(
+            b"".join(mask.to_bytes(width, "little") for mask in masks),
+            dtype=np.uint8,
+        ).reshape(len(masks), width)
+        members = np.unpackbits(packed, axis=1, bitorder="little")[:, :nv]
+        # row k: its members' structural columns and its slack, in terms of
+        # the nonbasic variables: a basic member contributes minus its row
+        new = np.zeros((len(masks), nv + 1))
+        new[:, -1] = 1.0 + 1e-7 * np.arange(m + 1, m + len(masks) + 1)
+        free = np.flatnonzero(nonbasic < nv)
+        new[:, free] = members[:, nonbasic[free]]
+        held = np.flatnonzero(basic < nv)
+        if held.size:
+            # sums of rows: a matrix product would have BLAS allocate its
+            # work buffers, raising peak memory for this one product
+            for k, row in enumerate(members[:, basic[held]].astype(bool)):
+                new[k] -= tab[held[row]].sum(axis=0)
+        self._tab = np.vstack((tab[:-1], new, tab[-1:]))
+        self._basic = np.concatenate(
+            (basic, np.arange(nv + m, nv + m + len(masks)))
+        )
+        return self._solve()
+
+    def _solve(self) -> bool:
+        import numpy as np
+
+        tab = self._tab
+        m = len(self._basic)
+        values = tab[:m, -1]
+        costs = tab[-1, :-1]
+        for _ in range(_MAX_PIVOTS):
+            r = int(np.argmin(values))
+            if values[r] < -1e-9:  # dual simplex: row r leaves
+                row = tab[r, :-1]
+                eligible = row < -1e-9
+                if not eligible.any():
+                    return False
+                ratios = np.divide(
+                    np.maximum(costs, 0.0), -row,
+                    out=np.full(self.nv, np.inf), where=eligible,
+                )
+                self._pivot(r, int(np.argmin(ratios)))
+                continue
+            c = int(np.argmin(costs))  # primal simplex: column c enters
+            if costs[c] >= -1e-9:
+                return True
+            col = tab[:m, c]
+            positive = col > 1e-9
+            if not positive.any():
+                return False
+            ratios = np.divide(
+                values, col, out=np.full(m, np.inf), where=positive
+            )
+            self._pivot(int(np.argmin(ratios)), c)
+        return False
+
+    def _pivot(self, r: int, c: int) -> None:
+        # the nonbasic variable of column c enters in row r; the variable
+        # leaving row r takes over column c
+        tab = self._tab
+        inverse = 1.0 / tab[r, c]
+        pivot_row = tab[r] * inverse
+        col = tab[:, c].copy()
+        col[r] = 0.0
+        tab -= col[:, None] * pivot_row
+        tab[r] = pivot_row
+        tab[:, c] = col * -inverse
+        tab[r, c] = inverse
+        self._basic[r], self._nonbasic[c] = self._nonbasic[c], self._basic[r]
+
+    def solution(self) -> tuple[np.ndarray, np.ndarray]:
+        """(duals, x): row duals clipped at 0, and the primal point."""
+        import numpy as np
+
+        nv = self.nv
+        tab = self._tab
+        m = len(self._basic)
+        x = np.zeros(nv)
+        rows = np.flatnonzero(self._basic < nv)
+        x[self._basic[rows]] = tab[rows, -1]
+        duals = np.zeros(m)
+        cols = np.flatnonzero(self._nonbasic >= nv)
+        duals[self._nonbasic[cols] - nv] = tab[-1, cols]
+        return np.maximum(duals, 0.0), x
+
+
+def _violated_cliques(
+    x: Sequence[float], closed: Sequence[int], nv: int, known: set[int],
+    limit: int,
+) -> list[int]:
+    """Up to limit maximal cliques of the row graph that x violates.
+
+    Two variables are adjacent when they share a packing row, so closed[v]
+    is v's closed neighbourhood. Bron-Kerbosch with Tomita pivoting (TCS
+    2006) lists the maximal cliques of the subgraph on x's support,
+    skipping every branch whose clique and candidates together weigh at
+    most _CLIQUE_SLACK. The search runs on the support renumbered 0, 1, ...
+    in ascending order, so its masks are as short as the support. Each
+    listed clique heavier than that is grown to a maximal clique of the
+    whole graph, lowest vertex first; the vertices it gains lie outside the
+    support, so distinct cliques stay distinct. Returns the grown cliques
+    not in known as masks over all nv variables, in the order they were
+    found; the search stops at the limit-th, since a point spread evenly
+    over a dense graph violates exponentially many.
+    """
+    support = [v for v in range(nv) if x[v] > 1e-9]
+    weights = [float(x[v]) for v in support]
+    where = {v: 1 << i for i, v in enumerate(support)}
+    within = sum(1 << v for v in support)
+    nbrs = []  # in support positions; closed[v] holds v itself, dropped here
+    for v in support:
+        t = closed[v] & within ^ 1 << v
+        mask = 0
+        while t:
+            low = t & -t
+            mask |= where[low.bit_length() - 1]
+            t ^= low
+        nbrs.append(mask)
+    found: list[int] = []
+
+    def expand(clique: int, held: float, cand: int, done: int) -> None:
+        if len(found) >= limit:
+            return
+        mass = 0
+        t = cand
+        while t:
+            low = t & -t
+            mass += weights[low.bit_length() - 1]
+            t ^= low
+        if held + mass <= _CLIQUE_SLACK:
+            return
+        if not cand:
+            if not done:  # maximal within the support
+                grown = 0
+                grow = -1
+                while clique:
+                    low = clique & -clique
+                    v = support[low.bit_length() - 1]
+                    grown |= 1 << v
+                    grow &= closed[v]
+                    clique ^= low
+                grow &= ~grown
+                while grow:
+                    low = grow & -grow
+                    grown |= low
+                    grow &= closed[low.bit_length() - 1] ^ low
+                if grown not in known:
+                    found.append(grown)
+            return
+        pivot = -1
+        most = -1
+        t = cand | done
+        while t:
+            low = t & -t
+            u = low.bit_length() - 1
+            count = (cand & nbrs[u]).bit_count()
+            if count > most:
+                most = count
+                pivot = u
+            t ^= low
+        t = cand & ~nbrs[pivot]
+        while t:
+            low = t & -t
+            v = low.bit_length() - 1
+            expand(clique | low, held + weights[v], cand & nbrs[v],
+                   done & nbrs[v])
+            cand ^= low
+            done |= low
+            t ^= low
+
+    expand(0, 0.0, (1 << len(support)) - 1, 0)
+    return found
+
+
+def _separation_rounds(
+    nv: int, masks: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The rounds of _cover_weights on one mask family, as (rows, weights).
+
+    Each round solves the packing LP over the rows so far, rationalizes
+    its duals upward and repairs any per-vertex shortfall in exact integer
+    arithmetic, so the bound stays sound even when the LP solve was
+    inexact. The next round adds the rows _violated_cliques separates from
+    the LP point, at most nv in all, to the same PackingLP, which re-solves
+    from the last round's tableau. Stops when some vertex appears in no
+    mask, a simplex gives up, or no new violated clique is found.
+    """
+    everyone = (1 << nv) - 1
+    if functools.reduce(operator.or_, masks) & everyone != everyone:
+        return
+    denom = _COVER_DENOM
+    lp = PackingLP(nv)
+    rows = list(masks)
+    known = set(rows)
+    by_vertex: list[list[int]] = [[] for _ in range(nv)]
+    closed = [0] * nv  # v and every variable sharing an input mask with it
+    for idx, m in enumerate(rows):
+        t = m
+        while t:
+            low = t & -t
+            v = low.bit_length() - 1
+            by_vertex[v].append(idx)
+            closed[v] |= m
+            t ^= low
+    room = nv  # how many rows separation may still add
+    new = rows
+    while True:
+        if not lp.add_rows(new):
+            return
+        duals, x = lp.solution()
+        weights = [math.ceil(d * denom - 1e-9) for d in duals]
+        for through in by_vertex:
+            got = sum(weights[i] for i in through)
+            if got < denom:
+                weights[through[0]] += denom - got
+        yield tuple(rows), tuple(weights)
+        new = _violated_cliques(x, closed, nv, known, room)
+        if not new:
+            return
+        room -= len(new)
+        for c in new:
+            t = c
+            while t:
+                low = t & -t
+                by_vertex[low.bit_length() - 1].append(len(rows))
+                t ^= low
+            rows.append(c)
+        known.update(new)
+
+
+def _cover_weights(
+    nv: int, masks: Sequence[int], target: int,
+    deadline: float | None = None,
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Clique rows and integer weights making a weighted cover bound.
+
+    The rows are the masks, then any clique rows separated from them (see
+    _separation_rounds). Every row puts at most one vertex into any
+    selection that puts at most one vertex into each mask: its members
+    pairwise share a mask. The weights satisfy, for every vertex v < nv,
+    sum of W over rows containing v >= _COVER_DENOM. Such a selection
+    then has size at most the sum of W over rows meeting the selectable
+    set, floor-divided by _COVER_DENOM: each selected vertex consumes a
+    full denominator of weight and no row is charged twice.
+
+    Returns the first round whose bound is at most target, else the last
+    round run. Rounds after the first are not started once the monotonic
+    clock passes deadline. Returns None when the first round does not
+    exist: some vertex appears in no mask, the instance is too large, or
+    the first simplex gives up; callers then rely on greedy covers alone.
+    The rounds are cached per mask family, with the generator that holds
+    the family's PackingLP, and a later call resumes where an earlier one
+    stopped; a family too large to solve is neither hashed nor kept.
+    """
+    if not masks or nv > _COVER_MAX_VERTICES:
+        return None
+    key = (nv, tuple(masks))
+    # taken out while the rounds run: an interrupted call leaves no entry
+    # whose generator has died mid-round
+    entry = _cover_weight_cache.pop(key, None)
+    rounds, more = entry or ([], _separation_rounds(nv, masks))
+    denom = _COVER_DENOM
+    for rows, weights in rounds:
+        if sum(weights) // denom <= target:
+            return rows, weights
+    while more is not None:
+        if rounds and deadline is not None and time.monotonic() > deadline:
+            break
+        step = next(more, None)
+        if step is None:
+            more = None
+            break
+        rounds.append(step)
+        if sum(step[1]) // denom <= target:
+            break
+    _cover_weight_cache[key] = rounds, more
+    return rounds[-1] if rounds else None

@@ -608,7 +608,8 @@ def solve_builtin(
     the search. It branches on the packing row with the most undecided
     variables and decides its lowest member first; bounds come from
     greedy covers by the packing rows and from an LP-weighted cover by
-    those rows and the clique rows separated from them, while the other
+    those rows and the clique rows separated from them (coverlp, whose
+    packing LP re-solves warm as clique rows are added), while the other
     rows prune by reachability and gate incumbents.
     Exhausts the space unless the node or time budget, counted from the
     start of this call, interrupts, in which case the best incumbent is

@@ -11,22 +11,20 @@ pruning of the exact search, and the same cliques become the covering rows
 of the generated ILP models. Before branching, the exact search drops
 every word whose deletion surface contains another word's: swapping it for
 that rival keeps any code valid, so some maximum code avoids it. The
-LP-weighted cover also takes larger cliques of the conflict graph, found
-where the LP point violates them, until its bound reaches the incumbent.
+LP-weighted cover comes from coverlp, which also takes larger cliques of
+the conflict graph, found where the LP point violates them, and re-solves
+its packing LP warm after each batch until the bound reaches the
+incumbent.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, NamedTuple, Sequence
 
 from .bitseq import (
     Word,
@@ -34,6 +32,7 @@ from .bitseq import (
     insertion_values,
     surface_values,
 )
+from .coverlp import _COVER_DENOM, _cover_weights
 from .vt import vt0_size, vt_code
 
 GRAPH_MAX_N = 14
@@ -215,243 +214,7 @@ def bounds(n: int) -> BoundsRecord:
     )
 
 
-# --- clique-cover bounds and the branch-and-bound kernel, shared with ilp ---
-
-# lcm(1..11): every dual these instances produce rationalizes upward with
-# negligible loss at this denominator
-_COVER_DENOM = 27720
-# the dense-tableau simplex is reliable up to this many columns; larger
-# instances fall back to the greedy cover alone
-_COVER_MAX_VERTICES = 256
-# per mask family: the separation rounds run so far, and the generator
-# that runs the next ones (None once it has stopped)
-_cover_weight_cache: dict[
-    tuple[int, tuple[int, ...]],
-    tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], Iterator | None],
-] = {}
-# a clique row counts as violated when the LP point puts more than this on it
-_CLIQUE_SLACK = 1 + 1e-6
-
-
-def _packing_duals(
-    masks: Sequence[int], nv: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Row duals and a primal point of a set-packing LP relaxation.
-
-    The primal maximizes the sum of nv variables in [0,1] subject to one
-    row per mask: the variables named by the mask's bits sum to at most 1.
-    Solved with a dense primal simplex from the slack basis. The instances
-    are heavily degenerate, so right-hand sides and costs carry tiny
-    deterministic perturbations and Dantzig pricing falls back to Bland's
-    rule after a stall. Returns (duals, x), x holding the values of the
-    basic variables and 0 elsewhere, or None when the pivot cap is hit.
-    numpy is imported here, not with the package, so that commands which
-    never reach the LP do not pay for loading it.
-    """
-    import numpy as np
-
-    nc = len(masks)
-    tab = np.zeros((nc + 1, nv + nc + 1))
-    for i, m in enumerate(masks):
-        row = tab[i]
-        t = m
-        while t:
-            low = t & -t
-            row[low.bit_length() - 1] = 1.0
-            t ^= low
-        tab[i, nv + i] = 1.0
-        tab[i, -1] = 1.0 + 1e-7 * (i + 1)
-    jitter = (np.arange(nv) * 2654435761 % 8192) / 8192.0
-    tab[-1, :nv] = -1.0 - 1e-6 * jitter
-    basis = list(range(nv, nv + nc))  # the column basic in each row
-    stall = 0
-    for _ in range(20000):
-        costs = tab[-1, :-1]
-        if stall <= 400:
-            j = int(np.argmin(costs))
-            if costs[j] >= -1e-9:
-                break
-        else:
-            negative = np.nonzero(costs < -1e-9)[0]
-            if negative.size == 0:
-                break
-            j = int(negative[0])
-        col = tab[:nc, j]
-        positive = col > 1e-9
-        if not positive.any():
-            return None
-        ratios = np.full(nc, np.inf)
-        ratios[positive] = tab[:nc, -1][positive] / col[positive]
-        i = int(np.argmin(ratios))
-        basis[i] = j
-        previous = tab[-1, -1]
-        tab[i] /= tab[i, j]
-        scale = tab[:, j].copy()
-        scale[i] = 0.0
-        tab -= np.outer(scale, tab[i])
-        stall = stall + 1 if tab[-1, -1] - previous < 1e-12 else 0
-    else:
-        return None
-    x = np.zeros(nv)
-    for i, j in enumerate(basis):
-        if j < nv:
-            x[j] = tab[i, -1]
-    return np.maximum(tab[-1, nv:nv + nc], 0.0), x
-
-
-def _violated_cliques(
-    x: Sequence[float], closed: Sequence[int], nv: int, known: set[int],
-    limit: int,
-) -> list[int]:
-    """Up to limit maximal cliques of the row graph that x violates.
-
-    Two variables are adjacent when they share a packing row, so closed[v]
-    is v's closed neighbourhood. Bron-Kerbosch with Tomita pivoting (TCS
-    2006) lists the maximal cliques of the subgraph on x's support,
-    skipping every branch whose clique and candidates together weigh at
-    most _CLIQUE_SLACK. Each listed clique heavier than that is grown to a
-    maximal clique of the whole graph, lowest vertex first; the vertices it
-    gains lie outside the support, so distinct cliques stay distinct.
-    Returns the grown cliques not in known as masks, in the order they were
-    found; the search stops at the limit-th, since a point spread evenly
-    over a dense graph violates exponentially many.
-    """
-    support = 0
-    for v in range(nv):
-        if x[v] > 1e-9:
-            support |= 1 << v
-    # closed[u] holds u itself, which must not count as u's neighbour
-    nbrs = {v: closed[v] & support ^ 1 << v for v in _ones(support)}
-    found: list[int] = []
-
-    def weight(mask: int) -> float:
-        return sum(x[v] for v in _ones(mask))
-
-    def expand(clique: int, held: float, cand: int, done: int) -> None:
-        if len(found) >= limit or held + weight(cand) <= _CLIQUE_SLACK:
-            return
-        if not cand:
-            if not done:  # maximal within the support
-                grow = functools.reduce(
-                    operator.and_, (closed[v] for v in _ones(clique))
-                ) & ~clique
-                while grow:
-                    low = grow & -grow
-                    clique |= low
-                    grow &= closed[low.bit_length() - 1] ^ low
-                if clique not in known:
-                    found.append(clique)
-            return
-        pivot = max(
-            _ones(cand | done), key=lambda u: (cand & nbrs[u]).bit_count()
-        )
-        for v in _ones(cand & ~nbrs[pivot]):
-            bit = 1 << v
-            expand(clique | bit, held + x[v], cand & nbrs[v], done & nbrs[v])
-            cand ^= bit
-            done |= bit
-
-    expand(0, 0.0, support, 0)
-    return found
-
-
-def _separation_rounds(
-    nv: int, masks: Sequence[int]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The rounds of _cover_weights on one mask family, as (rows, weights).
-
-    Each round solves the packing LP over the rows so far, rationalizes
-    its duals upward and repairs any per-vertex shortfall in exact integer
-    arithmetic, so the bound stays sound even when the LP solve was
-    inexact. The next round adds the rows _violated_cliques separates from
-    the LP point, at most nv in all, so the LP tableau gains at most nv
-    rows and columns over the first round's. Stops when some vertex
-    appears in no mask, a simplex gives up, or no new violated clique is
-    found.
-    """
-    everyone = (1 << nv) - 1
-    if functools.reduce(operator.or_, masks) & everyone != everyone:
-        return
-    denom = _COVER_DENOM
-    rows = list(masks)
-    known = set(rows)
-    by_vertex: list[list[int]] = [[] for _ in range(nv)]
-    closed = [0] * nv  # v and every variable sharing an input mask with it
-    for idx, m in enumerate(rows):
-        for v in _ones(m):
-            by_vertex[v].append(idx)
-            closed[v] |= m
-    room = nv  # how many rows separation may still add
-    while True:
-        solved = _packing_duals(rows, nv)
-        if solved is None:
-            return
-        duals, x = solved
-        weights = [math.ceil(d * denom - 1e-9) for d in duals]
-        for through in by_vertex:
-            got = sum(weights[i] for i in through)
-            if got < denom:
-                weights[through[0]] += denom - got
-        yield tuple(rows), tuple(weights)
-        new = _violated_cliques(x, closed, nv, known, room)
-        if not new:
-            return
-        room -= len(new)
-        for c in new:
-            for v in _ones(c):
-                by_vertex[v].append(len(rows))
-            rows.append(c)
-        known.update(new)
-
-
-def _cover_weights(
-    nv: int, masks: Sequence[int], target: int,
-    deadline: float | None = None,
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Clique rows and integer weights making a weighted cover bound.
-
-    The rows are the masks, then any clique rows separated from them (see
-    _separation_rounds). Every row puts at most one vertex into any
-    selection that puts at most one vertex into each mask: its members
-    pairwise share a mask. The weights satisfy, for every vertex v < nv,
-    sum of W over rows containing v >= _COVER_DENOM. Such a selection
-    then has size at most the sum of W over rows meeting the selectable
-    set, floor-divided by _COVER_DENOM: each selected vertex consumes a
-    full denominator of weight and no row is charged twice.
-
-    Returns the first round whose bound is at most target, else the last
-    round run. Rounds after the first are not started once the monotonic
-    clock passes deadline. Returns None when the first round does not
-    exist: some vertex appears in no mask, the instance is too large, or
-    the first simplex gives up; callers then rely on greedy covers alone.
-    The rounds are cached per mask family and a later call resumes where
-    an earlier one stopped; a family too large to solve is neither hashed
-    nor kept.
-    """
-    if not masks or nv > _COVER_MAX_VERTICES:
-        return None
-    key = (nv, tuple(masks))
-    # taken out while the rounds run: an interrupted call leaves no entry
-    # whose generator has died mid-round
-    entry = _cover_weight_cache.pop(key, None)
-    rounds, more = entry or ([], _separation_rounds(nv, masks))
-    denom = _COVER_DENOM
-    for rows, weights in rounds:
-        if sum(weights) // denom <= target:
-            return rows, weights
-    while more is not None:
-        if rounds and deadline is not None and time.monotonic() > deadline:
-            break
-        step = next(more, None)
-        if step is None:
-            more = None
-            break
-        rounds.append(step)
-        if sum(step[1]) // denom <= target:
-            break
-    _cover_weight_cache[key] = rounds, more
-    return rounds[-1] if rounds else None
-
+# --- the branch-and-bound kernel, shared with ilp ---
 
 # what each row sense requires of (left-hand side, right-hand side)
 _SENSE_HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
@@ -589,17 +352,20 @@ def _branch_and_bound(
     Depth-first, taking a variable before excluding it; a node is cut when
     the LP-weighted cover or a greedy most-covering-row cover shows it
     cannot beat the incumbent. The LP-weighted cover is built once, after
-    the warm start: _cover_weights adds clique rows separated from the
-    packing rows until its root bound is at most the incumbent's size, no
-    violated clique is left, the row cap is reached or the deadline has
-    passed, and gives every row an exact integer weight. A cut drops only
-    subtrees holding nothing strictly better than the incumbent, so the
-    incumbents the tree finds do not depend on the separated rows. The
-    branch variable is the lowest candidate in the first packing row
-    holding the most candidates, so every variable must lie in some
-    packing row. After the warm start, candidates dominated by another
-    candidate are dropped once (see _drop_dominated); nodes below the
-    root do not repeat the sweep.
+    the warm start: coverlp._cover_weights adds clique rows separated from
+    the packing rows, re-solving one packing LP by dual simplex from its
+    last optimum after each batch, until its root bound is at most the
+    incumbent's size, no violated clique is left, the row cap is reached
+    or the deadline has passed, and gives every row an exact integer
+    weight. A row family solved in an earlier call resumes from its
+    cached rounds and LP. A cut drops only subtrees holding nothing
+    strictly better than the incumbent, so the incumbents the tree finds
+    do not depend on the separated rows. The branch variable is the
+    lowest candidate in the first packing row holding the most
+    candidates, so every variable must lie in some packing row. After
+    the warm start, candidates dominated by another candidate are dropped
+    once (see _drop_dominated); nodes below the root do not repeat the
+    sweep.
 
     Budgets are checked on every node and between separation rounds, the
     deadline being started + opts.time_limit. Returns (selection, nodes,

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from delcodes import sdecc
+from delcodes import coverlp
 from delcodes.bitseq import (
     Word,
     WordSet,
@@ -21,15 +21,17 @@ from delcodes.bitseq import (
     surface_values,
 )
 from delcodes.constraints import build_model, dominated_words
+from delcodes.coverlp import (
+    _COVER_DENOM,
+    _cover_weight_cache,
+    _cover_weights,
+    _violated_cliques,
+)
 from delcodes.ilp import IlpModel, LinearConstraint, solve_builtin
 from delcodes.sdecc import (
     KNOWN_SIZES,
     SearchOptions,
-    _COVER_DENOM,
-    _cover_weight_cache,
-    _cover_weights,
     _drop_dominated,
-    _violated_cliques,
     _incidence,
     bounds,
     conflict_graph,
@@ -497,14 +499,14 @@ def brute_force_max_packing(model: IlpModel) -> int:
 def test_solver_matches_brute_force_on_random_packing_models(monkeypatch):
     separated = 0
     calls = 0
-    violated_cliques = sdecc._violated_cliques
+    violated_cliques = coverlp._violated_cliques
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return violated_cliques(*args)
 
-    monkeypatch.setattr(sdecc, "_violated_cliques", counted)
+    monkeypatch.setattr(coverlp, "_violated_cliques", counted)
     rng = random.Random(8000)
     for case in range(300):
         model = random_packing_model(rng, 4 + case % 2)
@@ -569,14 +571,14 @@ def test_time_budget_stops_separation_after_the_first_round(monkeypatch):
     masks = [sum(1 << v for v, _ in row.terms) for row in rows[:-1]]
     _cover_weight_cache.pop((256, tuple(masks)), None)
     calls = 0
-    violated_cliques = sdecc._violated_cliques
+    violated_cliques = coverlp._violated_cliques
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return violated_cliques(*args)
 
-    monkeypatch.setattr(sdecc, "_violated_cliques", counted)
+    monkeypatch.setattr(coverlp, "_violated_cliques", counted)
     sol = solve_builtin(model, SearchOptions(time_limit=0.0))
     assert sol.solver_status == "unknown" and calls == 0
     # the cut-short family is resumed, not served as converged
