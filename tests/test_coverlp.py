@@ -68,7 +68,7 @@ def test_warm_resolve_matches_a_cold_solve_on_separated_rounds(n):
     nv = 1 << n
     lp = PackingLP(nv)
     rows: list[int] = []
-    # a generator left at its last round runs to convergence
+    # iterating every round runs the separation to convergence
     for round_rows, _ in _separation_rounds(nv, center_masks(n)):
         assert lp.add_rows(round_rows[len(rows):]), (n, len(round_rows))
         rows = list(round_rows)
