@@ -7,11 +7,15 @@ therefore plain integer order.
 
 The Word/WordSet classes are the public face; the module also exposes the
 raw int helpers (delete_position, surface_values, insertion_values) that
-the graph, search, and constraint generators use in their hot loops.
+the graph, search, and constraint generators use in their hot loops, and
+one whole-set kernel, surface_union_size, which counts the union of a
+code's deletion surfaces with bit operations on a 2^n-bit mask instead of
+a set of |C| n ints; the validity and perfectness checks rest on it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -97,6 +101,11 @@ class WordSet:
         """Member values in ascending order."""
         return self._sorted
 
+    @property
+    def members(self) -> frozenset[int]:
+        """Member values as a frozenset, for set operations."""
+        return self._members
+
     def has_value(self, value: int) -> bool:
         return value in self._members
 
@@ -177,14 +186,85 @@ def surface_values(n: int, value: int) -> set[int]:
 
 def insertion_values(n: int, value: int) -> set[int]:
     """Distinct packed values reachable from an n-bit value by one insertion."""
-    out = set()
-    for j in range(1, n + 2):  # insertion lands at position j of the result
-        k = n - j + 1
-        high = value >> k
-        low = value & ((1 << k) - 1)
-        for b in (0, 1):
-            out.add((((high << 1) | b) << k) | low)
-    return out
+    return {
+        (value >> k << k + 1) | bit | (value & low)
+        for k, low, bit in _insertion_table(n)
+    }
+
+
+@functools.lru_cache(maxsize=MAX_LEN + 1)
+def _insertion_table(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(k, low mask, inserted bit) for every insertion into an n-bit value.
+
+    Inserting b above the k low bits keeps those bits, shifts the rest up
+    by one and puts b at bit k; k runs over 0..n, b over 0 and 1.
+    """
+    return tuple(
+        (k, (1 << k) - 1, b << k) for k in range(n + 1) for b in (0, 1)
+    )
+
+
+def surface_union_size(n: int, values: Iterable[int]) -> int:
+    """Number of distinct packed values reachable by one deletion from any
+    of the given n-bit values: the size of the union of their surfaces.
+
+    Works on the whole set at once. The values become a 2^n-bit mask with
+    bit v set for each value v, so for every bit position k the deletion
+    results are that mask with each index's bit k removed: the half of
+    the mask whose index has bit k = 1 is folded onto the half where it is
+    0, and bit k is squeezed out of the index. Bit i of the mask is bit
+    i & 7 of byte i >> 3, so for k >= 3 bit k names whole blocks of
+    2^(k-3) bytes and the squeeze is byte slicing; for k < 3 it stays
+    inside each byte and goes through a 256-entry translate table. Time
+    and memory grow as n 2^n / 8 bytes, whatever the number of values.
+    """
+    size = max(1, (1 << n) >> 3)  # bytes of the 2^n-bit mask
+    buf = bytearray(size)
+    for v in values:
+        buf[v >> 3] |= 1 << (v & 7)
+    mask = int.from_bytes(buf, "little")
+    union = 0
+    for k in range(n):
+        # afterwards bit i, for i with bit k = 0, covers i and i | 2^k
+        folded = (mask | mask >> (1 << k)).to_bytes(size, "little")
+        union |= _squeeze_bit(folded, k)
+    return union.bit_count()
+
+
+def _squeeze_bit(mask: bytes, k: int) -> int:
+    """The bits of a little-endian bit mask whose index has bit k = 0, in
+    index order."""
+    if k < 3:
+        # each byte keeps a nibble; nibbles of odd bytes move up by four
+        tables = _squeeze_tables()
+        nibbles = mask.translate(tables[k])
+        high = nibbles[1::2].translate(tables[3])
+        return int.from_bytes(nibbles[0::2], "little") | int.from_bytes(
+            high, "little"
+        )
+    block = 1 << (k - 3)  # bytes per run of indices with one value of bit k
+    step = 2 * block
+    if block * block <= len(mask) >> 1:
+        # fewer strides than blocks: byte t of every kept block at once
+        out = bytearray(len(mask) >> 1)
+        for t in range(block):
+            out[t::block] = mask[t::step]
+    else:
+        out = b"".join(mask[i:i + block] for i in range(0, len(mask), step))
+    return int.from_bytes(out, "little")
+
+
+@functools.cache
+def _squeeze_tables() -> tuple[bytes, ...]:
+    """Translate tables: for k < 3, entry b packs the four bits of b whose
+    index has bit k = 0 into a nibble; the last one shifts a nibble up."""
+    def squeeze(b: int, k: int) -> int:
+        kept = [i for i in range(8) if not i >> k & 1]
+        return sum((b >> i & 1) << j for j, i in enumerate(kept))
+
+    tables = [bytes(squeeze(b, k) for b in range(256)) for k in range(3)]
+    tables.append(bytes((b << 4) & 0xFF for b in range(256)))
+    return tuple(tables)
 
 
 def deletion_surface(x: Word, t: int = 1) -> WordSet:

@@ -30,6 +30,7 @@ from .bitseq import (
     Word,
     WordSet,
     insertion_values,
+    surface_union_size,
     surface_values,
 )
 from .coverlp import _COVER_DENOM, _cover_weights
@@ -71,8 +72,10 @@ def is_sdecc(code: WordSet) -> SdeccResult:
     """Check pairwise-disjoint deletion surfaces.
 
     The surfaces are disjoint exactly when their sizes add up to the size
-    of their union; a word's surface has one element per run of the word.
-    Only when they do not is the code scanned in ascending order, each
+    of their union; a word's surface has one element per run of the word,
+    and bitseq.surface_union_size counts the union on a 2^n-bit mask, so
+    the check costs about n 2^n / 8 bytes of work for any code size. Only
+    when the sizes disagree is the code scanned in ascending order, each
     surface in ascending order, so that the result carries the first
     violating pair in that order together with the first shared deleted
     word of the later one.
@@ -81,15 +84,13 @@ def is_sdecc(code: WordSet) -> SdeccResult:
     if n < 2:
         raise ValueError(f"validity needs length >= 2, got {n}")
     values = code.values
-    lows = [(k, (1 << k) - 1) for k in range(n)]  # deleting bit k of v
-    union = {(v >> (k + 1) << k) | (v & low) for v in values for k, low in lows}
     edges = (1 << (n - 1)) - 1
     runs = sum(((v ^ (v >> 1)) & edges).bit_count() + 1 for v in values)
-    if len(union) == runs:
+    if surface_union_size(n, values) == runs:
         return SdeccResult(True, None, None)
     owner: dict[int, int] = {}
     for v in values:
-        for c in sorted({(v >> (k + 1) << k) | (v & low) for k, low in lows}):
+        for c in sorted(surface_values(n, v)):
             prev = owner.get(c)
             if prev is not None:
                 return SdeccResult(
@@ -102,20 +103,18 @@ def is_sdecc(code: WordSet) -> SdeccResult:
 def decode_single(code: WordSet, received: Word) -> Word | None:
     """Recover the codeword that received arose from by one deletion.
 
-    Returns None when no codeword covers received. The caller promises the
-    code is a valid SDECC; two covering codewords mean that promise was
-    broken and raise RuntimeError.
+    The candidates are received's single insertions (bitseq's
+    insertion_values), intersected with the code's members in one set
+    operation. Returns None when no codeword covers received. The caller
+    promises the code is a valid SDECC; two covering codewords mean that
+    promise was broken and raise RuntimeError.
     """
     n = code.n
     if received.n != n - 1:
         raise ValueError(
             f"received word must have length {n - 1}, got {received.n}"
         )
-    hits = [
-        v
-        for v in insertion_values(received.n, received.value)
-        if code.has_value(v)
-    ]
+    hits = insertion_values(received.n, received.value) & code.members
     if not hits:
         return None
     if len(hits) > 1:
@@ -124,7 +123,7 @@ def decode_single(code: WordSet, received: Word) -> Word | None:
             f"code is not a valid SDECC: {Word(n, a)} and {Word(n, b)} "
             f"both cover {received}"
         )
-    return Word(n, hits[0])
+    return Word(n, hits.pop())
 
 
 class ConflictGraph:

@@ -8,7 +8,7 @@ function); no closed form is implemented for other residues.
 
 from __future__ import annotations
 
-from .bitseq import Word, WordSet, _check_length, surface_values
+from .bitseq import Word, WordSet, _check_length, surface_union_size
 
 FORMULA_MAX_N = 62
 
@@ -28,22 +28,26 @@ def vt_syndrome(x: Word) -> int:
 
 
 def vt_code(n: int, a: int) -> WordSet:
-    """All length-n words with syndrome a mod (n + 1)."""
+    """All length-n words with syndrome a mod (n + 1), in ascending order.
+
+    Each value splits into a high half (the top n - n//2 bits) and a low
+    half (the n//2 bits below), and the syndrome is the sum of the two
+    halves' weighted sums. The low halves are bucketed by their sum mod
+    n + 1 once; each high half, in ascending order, then takes the whole
+    bucket that completes residue a. The work is about 2^n / (n + 1)
+    words, the size of the class, rather than 2^n.
+    """
     _check_length(n)
     m = n + 1
     if not 0 <= a < m:
         raise ValueError(f"residue must be in 0..{n}, got {a}")
-    # split each value into low/high halves and precompute the weighted sums
-    # of both halves once; membership is then two table lookups per word
     h = n // 2
-    low_table = _syndrome_table(n, 0, h)
-    high_table = _syndrome_table(n, h, n)
-    mask = (1 << h) - 1
-    members = [
-        v
-        for v in range(1 << n)
-        if (low_table[v & mask] + high_table[v >> h]) % m == a
-    ]
+    buckets: list[list[int]] = [[] for _ in range(m)]
+    for low, s in enumerate(_syndrome_table(n, 0, h)):
+        buckets[s % m].append(low)
+    members: list[int] = []
+    for high, s in enumerate(_syndrome_table(n, h, n)):
+        members.extend(map((high << h).__or__, buckets[(a - s) % m]))
     return WordSet(n, members)
 
 
@@ -126,18 +130,17 @@ def is_perfect(code: WordSet) -> bool:
     """Whether the single-deletion surfaces of the code tile {0,1}^(n-1).
 
     True exactly when the surfaces are pairwise disjoint and their union is
-    all of {0,1}^(n-1): every shorter word then has a unique decoding.
+    all of {0,1}^(n-1): every shorter word then has a unique decoding. A
+    word's surface has one member per run of the word, so that holds when
+    the run sum, the union size and 2^(n-1) all agree.
     """
     n = code.n
     if n < 2:
         raise ValueError(f"perfectness needs length >= 2, got {n}")
-    covered: set[int] = set()
-    for v in code.values:
-        surf = surface_values(n, v)
-        if covered & surf:
-            return False
-        covered |= surf
-    return len(covered) == 1 << (n - 1)
+    values = code.values
+    edges = (1 << (n - 1)) - 1
+    runs = sum(((v ^ (v >> 1)) & edges).bit_count() + 1 for v in values)
+    return runs == 1 << (n - 1) == surface_union_size(n, values)
 
 
 def parse_code(text: str) -> WordSet:

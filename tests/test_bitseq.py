@@ -1,5 +1,6 @@
 """Word arithmetic checked against independent string-based oracles."""
 
+import random
 from itertools import combinations, groupby, product
 
 import pytest
@@ -17,8 +18,10 @@ from delcodes.bitseq import (
     insertion_values,
     levenshtein_id,
     run_count,
+    surface_union_size,
     surface_values,
 )
+from delcodes.vt import vt_code
 
 
 def _all_strings(n):
@@ -238,6 +241,54 @@ def test_surface_values_int_layer_matches_word_layer():
         assert surface_values(6, w.value) == set(
             deletion_surface(w).values
         )
+
+
+def _surface_union_reference(n, values):
+    return len({d for v in values for d in surface_values(n, v)})
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_surface_union_size_matches_the_set_union_on_random_codes(n):
+    # sparse codes reach every position k with a few bits set, dense ones
+    # fill whole bytes; n = 2..16 covers the in-byte table (k < 3), the
+    # strided byte slices and the wide-block slices of the squeeze
+    rng = random.Random(7100 + n)
+    words = range(1 << n)
+    counts = {0, 1, 2, 5, 1 << max(0, n - 6), 1 << (n - 1)}
+    for count in sorted(counts):
+        for _ in range(2):
+            values = rng.sample(words, min(count, 1 << n))
+            assert surface_union_size(n, values) == _surface_union_reference(
+                n, values
+            ), (n, count)
+    assert surface_union_size(n, words) == 1 << (n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_surface_union_size_matches_the_set_union_on_vt_classes(n):
+    for a in range(n + 1):
+        values = vt_code(n, a).values
+        got = surface_union_size(n, values)
+        assert got == _surface_union_reference(n, values), (n, a)
+
+
+def test_surface_union_size_of_single_words():
+    # one word's surface has one member per run of the word
+    for n in (1, 3, 4, 9):
+        for s in _all_strings(n):
+            expected = _runs_oracle(s, 0) + _runs_oracle(s, 1)
+            assert surface_union_size(n, [int(s, 2)]) == expected, s
+
+
+def test_insertion_values_match_the_string_oracle_at_every_length():
+    rng = random.Random(7200)
+    for n in range(1, MAX_LEN):
+        for _ in range(20):
+            s = format(rng.randrange(1 << n), f"0{n}b")
+            expected = {
+                int(s[:i] + b + s[i:], 2) for i in range(n + 1) for b in "01"
+            }
+            assert insertion_values(n, int(s, 2)) == expected, s
 
 
 # ------------------------------------------------------------------- distance

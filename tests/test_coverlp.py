@@ -3,7 +3,8 @@
 A PackingLP that takes rows in several batches must reach the optimum a
 fresh one reaches with all of them at once, and its duals must stay
 feasible. The length-7 separation rounds are pinned, together with the
-pivots the warm start saves on them.
+pivots the warm start saves on them. The cache of rounds per mask family
+keeps a bounded number of families.
 """
 
 import itertools
@@ -11,7 +12,14 @@ import random
 
 import pytest
 
-from delcodes.coverlp import _COVER_DENOM, PackingLP, _separation_rounds
+from delcodes.coverlp import (
+    _COVER_CACHE_ENTRIES,
+    _COVER_DENOM,
+    PackingLP,
+    _cover_weight_cache,
+    _cover_weights,
+    _separation_rounds,
+)
 from delcodes.sdecc import _incidence, conflict_graph
 
 
@@ -101,3 +109,27 @@ def test_warm_rounds_take_fewer_pivots_than_cold_solves(monkeypatch):
         pivots = 0
         assert PackingLP(128).add_rows(after)
         assert 0 < warm_pivots < pivots / 2, (len(after), warm_pivots, pivots)
+
+
+def test_cover_weight_cache_keeps_the_most_recent_families():
+    _cover_weight_cache.clear()
+    nv = 12
+    # distinct families: a chain of pairs, each with one extra row
+    chain = [(1 << v) | (1 << (v + 1)) for v in range(nv - 1)]
+    extras = range(1, 3 * _COVER_CACHE_ENTRIES + 1)
+    families = [chain + [extra] for extra in extras]
+    newest = families.pop()
+    for masks in families:
+        assert _cover_weights(nv, masks, -1) is not None
+        assert len(_cover_weight_cache) <= _COVER_CACHE_ENTRIES
+    kept = [key[1] for key in _cover_weight_cache]
+    assert kept == [tuple(m) for m in families[-_COVER_CACHE_ENTRIES:]]
+    # a resumed family becomes the most recent one and outlives the rest
+    oldest = families[-_COVER_CACHE_ENTRIES]
+    _cover_weights(nv, oldest, -1)
+    _cover_weights(nv, newest, -1)
+    kept = [key[1] for key in _cover_weight_cache]
+    assert len(kept) == _COVER_CACHE_ENTRIES
+    assert kept[-2:] == [tuple(oldest), tuple(newest)]
+    assert tuple(families[1 - _COVER_CACHE_ENTRIES]) not in kept
+    _cover_weight_cache.clear()

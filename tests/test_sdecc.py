@@ -167,6 +167,26 @@ def test_decode_round_trips_every_surface_element(n):
             assert decode_single(code, y) == x
 
 
+@pytest.mark.parametrize("n", (16, 18, 20))
+def test_decode_round_trips_random_deletions_at_long_lengths(n):
+    rng = random.Random(7300 + n)
+    code = vt_code(n, rng.randrange(n + 1))
+    values = code.values
+    for _ in range(300):
+        sent = rng.choice(values)
+        bits = format(sent, f"0{n}b")
+        i = rng.randrange(n)
+        received = Word.parse(bits[:i] + bits[i + 1:])
+        assert decode_single(code, received) == Word(n, sent), (bits, i)
+
+
+def test_decode_names_the_two_lowest_covering_words():
+    # 00000, 00001 and 10000 all cover 0000
+    code = code_of("10000", "00001", "00000", "11111")
+    with pytest.raises(RuntimeError, match="00000 and 00001 both cover 0000"):
+        decode_single(code, Word.parse("0000"))
+
+
 # ------------------------------------------------------------ conflict graph
 
 

@@ -96,6 +96,20 @@ def test_size_table(n):
     assert sum(row) == 2 ** n
 
 
+def _syndrome_reference(n, v):
+    bits = format(v, f"0{n}b")
+    return sum(i for i, ch in enumerate(bits, start=1) if ch == "1") % (n + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_vt_code_matches_a_brute_syndrome_filter(n):
+    # n = 1 has an empty low half: its bucket table holds one pattern
+    syndromes = [_syndrome_reference(n, v) for v in range(1 << n)]
+    for a in range(n + 1):
+        expected = tuple(v for v, s in enumerate(syndromes) if s == a)
+        assert vt_code(n, a).values == expected, (n, a)
+
+
 def test_vt_code_rejects_bad_residue():
     with pytest.raises(ValueError):
         vt_code(5, 6)
@@ -197,6 +211,20 @@ def test_imperfect_cases():
     ))
     with pytest.raises(ValueError):
         is_perfect(WordSet(1, [0, 1]))
+
+
+def test_perfectness_needs_disjoint_surfaces_and_full_cover():
+    # run sum 1 + 3 = 4 = 2^2, but both surfaces hold 00
+    assert not is_perfect(WordSet.from_words(
+        [Word.parse("000"), Word.parse("010")]
+    ))
+    # disjoint surfaces {00} and {11} with a run sum of 2 < 4
+    assert not is_perfect(WordSet.from_words(
+        [Word.parse("000"), Word.parse("111")]
+    ))
+    # every word of length 4: the union is all 8 shorter words, but the
+    # run sum is far larger
+    assert not is_perfect(WordSet(4, range(16)))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
