@@ -205,8 +205,7 @@ def _insertion_table(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def surface_union_size(n: int, values: Iterable[int]) -> int:
-    """Number of distinct packed values reachable by one deletion from any
-    of the given n-bit values: the size of the union of their surfaces.
+    """Size of the union of the single-deletion surfaces of n-bit values.
 
     Works on the whole set at once. The values become a 2^n-bit mask with
     bit v set for each value v, so for every bit position k the deletion
@@ -215,8 +214,9 @@ def surface_union_size(n: int, values: Iterable[int]) -> int:
     0, and bit k is squeezed out of the index. Bit i of the mask is bit
     i & 7 of byte i >> 3, so for k >= 3 bit k names whole blocks of
     2^(k-3) bytes and the squeeze is byte slicing; for k < 3 it stays
-    inside each byte and goes through a 256-entry translate table. Time
-    and memory grow as n 2^n / 8 bytes, whatever the number of values.
+    inside each byte and goes through a 256-entry translate table. The
+    work is about n 2^n / 8 bytes and the memory a few 2^n / 8-byte
+    buffers, whatever the number of values.
     """
     size = max(1, (1 << n) >> 3)  # bytes of the 2^n-bit mask
     buf = bytearray(size)
@@ -258,13 +258,13 @@ def _squeeze_bit(mask: bytes, k: int) -> int:
 def _squeeze_tables() -> tuple[bytes, ...]:
     """Translate tables: for k < 3, entry b packs the four bits of b whose
     index has bit k = 0 into a nibble; the last one shifts a nibble up."""
-    def squeeze(b: int, k: int) -> int:
-        kept = [i for i in range(8) if not i >> k & 1]
-        return sum((b >> i & 1) << j for j, i in enumerate(kept))
-
-    tables = [bytes(squeeze(b, k) for b in range(256)) for k in range(3)]
-    tables.append(bytes((b << 4) & 0xFF for b in range(256)))
-    return tuple(tables)
+    byte = range(256)
+    return (
+        bytes(b & 1 | b >> 1 & 2 | b >> 2 & 4 | b >> 3 & 8 for b in byte),
+        bytes(b & 3 | b >> 2 & 12 for b in byte),
+        bytes(b & 15 for b in byte),
+        bytes(b << 4 & 0xFF for b in byte),
+    )
 
 
 def deletion_surface(x: Word, t: int = 1) -> WordSet:
