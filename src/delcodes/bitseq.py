@@ -70,18 +70,30 @@ class WordSet:
 
     def __init__(self, n: int, values: Iterable[int | Word] = ()):
         _check_length(n)
-        vals = set()
-        for v in values:
-            if isinstance(v, Word):
-                if v.n != n:
-                    raise ValueError(
-                        f"word {v} has length {v.n}, expected {n}"
-                    )
-                vals.add(v.value)
-            else:
-                if not 0 <= v < (1 << n):
-                    raise ValueError(f"value {v} does not fit in {n} bits")
-                vals.add(v)
+        items = values if isinstance(values, (list, tuple)) else list(values)
+        # ints are checked in bulk; Word members, which do not compare with
+        # ints, and out-of-range values take the loop, which names the first
+        # offender in input order
+        try:
+            vals = set(items)
+            fits = not vals or 0 <= min(vals) and max(vals) < (1 << n)
+        except TypeError:
+            fits = False
+        if not fits:
+            vals = set()
+            for v in items:
+                if isinstance(v, Word):
+                    if v.n != n:
+                        raise ValueError(
+                            f"word {v} has length {v.n}, expected {n}"
+                        )
+                    vals.add(v.value)
+                else:
+                    if not 0 <= v < (1 << n):
+                        raise ValueError(
+                            f"value {v} does not fit in {n} bits"
+                        )
+                    vals.add(v)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_sorted", tuple(sorted(vals)))
         object.__setattr__(self, "_members", frozenset(vals))

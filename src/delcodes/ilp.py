@@ -68,8 +68,11 @@ def variable_name(word: Word) -> str:
 
 
 def _variable_names(n: int) -> tuple[str, ...]:
-    """Names of all length-n words, in ascending word order."""
-    return tuple(variable_name(Word(n, v)) for v in range(1 << n))
+    """Names of all length-n words, in ascending word order.
+
+    The same names as variable_name, formatted straight from the values.
+    """
+    return tuple(map(f"x_{{:0{n}b}}".format, range(1 << n)))
 
 
 @dataclass(frozen=True)

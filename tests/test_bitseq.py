@@ -128,6 +128,27 @@ def test_wordset_rejects_mismatched_members():
         WordSet(3, [8])
 
 
+@pytest.mark.parametrize("values, message", [
+    ([1, 9, 2, -1], "value 9 does not fit in 3 bits"),
+    (iter([5, -1, 8]), "value -1 does not fit in 3 bits"),
+    ([1, Word.parse("01"), 8], "word 01 has length 2, expected 3"),
+    ([Word.parse("001"), 8, Word.parse("0001")],
+     "value 8 does not fit in 3 bits"),
+])
+def test_wordset_names_the_first_bad_member(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        WordSet(3, values)
+
+
+def test_wordset_takes_ints_words_and_iterators_alike():
+    expect = WordSet(4, [0, 5, 15])
+    assert WordSet(4, (15, 0, 5, 5)) == expect
+    assert WordSet(4, iter([5, 15, 0])) == expect
+    assert WordSet(4, {0: None, 15: None, 5: None}) == expect
+    assert WordSet(4, [Word(4, 15), 0, Word(4, 5)]) == expect
+    assert WordSet(4, []).values == ()
+
+
 def test_wordset_equality_and_hash():
     a = WordSet(3, [1, 2])
     b = WordSet(3, [2, 1])

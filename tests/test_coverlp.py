@@ -2,14 +2,19 @@
 
 A PackingLP that takes rows in several batches must reach the optimum a
 fresh one reaches with all of them at once, and its duals must stay
-feasible. The length-7 separation rounds are pinned, together with the
-pivots the warm start saves on them. The cache of rounds per mask family
-keeps a bounded number of families.
+feasible. The LP on the quotient by the reversal/complement symmetries
+must have the plain LP's optimum, its lifted weights must cover every
+vertex, and a family without symmetry must run exactly the plain rounds.
+The length-7 separation rounds are pinned, together with the pivots the
+warm start saves on them. The cache of rounds per mask family keeps a
+bounded number of families.
 """
 
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from delcodes.coverlp import (
@@ -18,7 +23,10 @@ from delcodes.coverlp import (
     PackingLP,
     _cover_weight_cache,
     _cover_weights,
+    _image,
+    _orbits,
     _separation_rounds,
+    _symmetries,
 )
 from delcodes.sdecc import _incidence, conflict_graph
 
@@ -31,6 +39,35 @@ def center_masks(n: int) -> list[int]:
 
 def length_seven_rounds() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return list(itertools.islice(_separation_rounds(128, center_masks(7)), 4))
+
+
+def quotient_rows(rows, group) -> list[int]:
+    # one row per row orbit, its first member in row order, as
+    # _separation_rounds gives them to its PackingLP
+    reps: list[int] = []
+    seen: set[int] = set()
+    for row in rows:
+        if row not in seen:
+            reps.append(row)
+            seen.update(_image(row, perm) for perm in group)
+    return reps
+
+
+def unperturbed_objective(lp: PackingLP, rows, orbits) -> float:
+    # the objective of lp's final basis under the unperturbed costs |O|
+    # and right-hand sides 1, checked to be optimal there too
+    coeffs = np.array([
+        [sum(row >> v & 1 for v in orbit) for orbit in orbits]
+        for row in rows
+    ])
+    full = np.hstack((coeffs, np.eye(len(rows))))
+    costs = np.concatenate(([len(o) for o in orbits], np.zeros(len(rows))))
+    basis = full[:, lp._basic]
+    values = np.linalg.solve(basis, np.ones(len(rows)))
+    duals = np.linalg.solve(basis.T, costs[lp._basic])
+    assert values.min() >= -1e-9
+    assert (costs - full.T @ duals).max() <= 1e-9
+    return float(costs[lp._basic] @ values)
 
 
 def check_against_cold(lp: PackingLP, rows, case) -> None:
@@ -85,8 +122,8 @@ def test_warm_resolve_matches_a_cold_solve_on_separated_rounds(n):
 
 def test_length_seven_rounds_are_pinned():
     rounds = length_seven_rounds()
-    assert [len(rows) for rows, _ in rounds] == [64, 94, 130, 141]
-    assert [sum(w) // _COVER_DENOM for _, w in rounds] == [17, 17, 17, 16]
+    assert [len(rows) for rows, _ in rounds] == [64, 102, 114, 124]
+    assert [sum(w) // _COVER_DENOM for _, w in rounds] == [17, 17, 16, 16]
 
 
 def test_warm_rounds_take_fewer_pivots_than_cold_solves(monkeypatch):
@@ -99,16 +136,123 @@ def test_warm_rounds_take_fewer_pivots_than_cold_solves(monkeypatch):
         pivot(self, r, c)
 
     monkeypatch.setattr(PackingLP, "_pivot", counted)
-    rounds = [rows for rows, _ in length_seven_rounds()]
+    # the LP the rounds solve: a column per vertex orbit, a row per row orbit
+    group = _symmetries(128, center_masks(7))
+    orbits = _orbits(group)
+    rounds = [quotient_rows(rows, group) for rows, _ in length_seven_rounds()]
     for before, after in zip(rounds, rounds[1:]):
-        warm = PackingLP(128)
+        warm = PackingLP(128, orbits)
         assert warm.add_rows(before)
         pivots = 0
         assert warm.add_rows(after[len(before):])
         warm_pivots = pivots
         pivots = 0
-        assert PackingLP(128).add_rows(after)
+        assert PackingLP(128, orbits).add_rows(after)
         assert 0 < warm_pivots < pivots / 2, (len(after), warm_pivots, pivots)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_quotient_lp_has_the_plain_lp_optimum(n):
+    nv = 1 << n
+    masks = center_masks(n)
+    group = _symmetries(nv, masks)
+    orbits = _orbits(group)
+    assert len(orbits) < nv
+    rows = quotient_rows(masks, group)
+    quotient = PackingLP(nv, orbits)
+    assert quotient.add_rows(rows)
+    plain = PackingLP(nv)
+    assert plain.add_rows(masks)
+    singletons = [[v] for v in range(nv)]
+    got = unperturbed_objective(quotient, rows, orbits)
+    want = unperturbed_objective(plain, masks, singletons)
+    assert abs(got - want) <= 1e-7, (got, want)
+    # the lifted point is the quotient's point, constant on orbits
+    _, x = quotient.solution()
+    assert all(len({x[v] for v in orbit}) == 1 for orbit in orbits)
+
+
+def reverse(n: int, v: int) -> int:
+    return int(format(v, f"0{n}b")[::-1], 2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_center_cliques_have_the_full_group(n):
+    nv = 1 << n
+    masks = center_masks(n)
+    group = _symmetries(nv, masks)
+    assert group == [
+        list(range(nv)),
+        [reverse(n, v) for v in range(nv)],
+        [v ^ (nv - 1) for v in range(nv)],
+        [reverse(n, v ^ (nv - 1)) for v in range(nv)],
+    ]
+    # without one row, what is left is the row's stabilizer: from n = 4 on
+    # some row has an orbit of four, and dropping it leaves the identity
+    stabilizers = set()
+    for i, m in enumerate(masks):
+        kept = _symmetries(nv, masks[:i] + masks[i + 1:])
+        assert kept == [perm for perm in group if _image(m, perm) == m]
+        stabilizers.add(len(kept))
+    assert min(stabilizers) == (2 if n == 3 else 1)
+
+
+def test_cocktail_party_rows_keep_only_the_complement():
+    # partners v, v ^ 1 are the only non-adjacent pairs: complementing
+    # keeps partners together, reversal moves bit 0 to bit 4
+    nv = 32
+    masks = [
+        1 << u | 1 << v
+        for u in range(nv) for v in range(u + 1, nv) if v != u ^ 1
+    ]
+    assert _symmetries(nv, masks) == [
+        list(range(nv)), [v ^ (nv - 1) for v in range(nv)]
+    ]
+
+
+def test_lifted_weights_cover_every_vertex_on_symmetric_families():
+    rng = random.Random(9300)
+    for case in range(60):
+        n = rng.choice((4, 5, 6))
+        nv = 1 << n
+        full = _symmetries(nv, [])
+        masks: list[int] = []
+        for _ in range(rng.randint(1, 12)):
+            m = sum(1 << v for v in rng.sample(range(nv), rng.randint(1, 6)))
+            orbit = list(dict.fromkeys(_image(m, perm) for perm in full))
+            masks += orbit * rng.choice((1, 1, 2))  # some orbits twice
+        for v in range(nv):  # every vertex lies in some mask
+            if not any(m >> v & 1 for m in masks):
+                masks += dict.fromkeys(_image(1 << v, perm) for perm in full)
+        rng.shuffle(masks)
+        assert len(_symmetries(nv, masks)) == 4, case
+        # the first round's weights price the plain LP optimum, plus at
+        # most the rounding up of each row's share
+        _, weights = next(_separation_rounds(nv, masks))
+        plain = PackingLP(nv)
+        assert plain.add_rows(masks), case
+        excess = sum(weights) / _COVER_DENOM - plain.solution()[1].sum()
+        assert -1e-4 <= excess <= len(masks) / _COVER_DENOM, (case, excess)
+        rows, weights = _cover_weights(nv, masks, -1)
+        assert rows[:len(masks)] == tuple(masks), case
+        assert min(weights) >= 0, case
+        for v in range(nv):
+            got = sum(w for m, w in zip(rows, weights) if m >> v & 1)
+            assert got >= _COVER_DENOM, (case, v, got)
+
+
+def test_a_family_without_symmetry_runs_the_plain_rounds():
+    masks = center_masks(7)
+    del masks[1]  # its orbit has four rows
+    assert len(_symmetries(128, masks)) == 1
+    rounds = list(_separation_rounds(128, masks))
+    # the rounds of the plain LP, before the quotient existed
+    assert [len(rows) for rows, _ in rounds] == [63, 91, 109, 118, 121]
+    assert [sum(w) // _COVER_DENOM for _, w in rounds] == [17] * 5
+    digest = hashlib.sha256(repr(rounds).encode()).hexdigest()
+    assert digest == (
+        "9ec1f4a58d1de75c27cbea4bd9ba22d48656f9be5632ead7bb64bed391fdc1a6"
+    )
 
 
 def test_cover_weight_cache_keeps_the_most_recent_families():

@@ -94,6 +94,12 @@ def test_model_rejects_foreign_word_length():
             IlpModel(2, (row,))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_model_variable_names_are_the_word_names(n):
+    names = IlpModel(n, ()).variable_names
+    assert names == tuple(variable_name(Word(n, v)) for v in range(1 << n))
+
+
 def test_model_variable_names_cover_all_words():
     model = IlpModel(3, ())
     assert len(model.variable_names) == 8
