@@ -24,6 +24,8 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse
+from operator import itemgetter
 from types import MappingProxyType
 from typing import IO, Iterator, Mapping, Sequence
 
@@ -39,7 +41,8 @@ from .sdecc import (
 )
 from .vt import vt_code
 
-_VAR_NAME = re.compile(r"^x_([01]+)$")
+# used with fullmatch only: match would also take "x_01\n"
+_VAR_NAME = re.compile(r"x_([01]+)")
 # int() and float() also take "1_0", non-ASCII digits and "infinity"; the
 # file formats allow only ASCII numerals, so each reader matches its own
 _LP_INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -51,6 +54,58 @@ _SOLUTION_VALUE = re.compile(
 _SENSES = ("<=", ">=", "=")
 # a backslash starts a comment that runs to the next str.splitlines boundary
 _LP_COMMENT = re.compile(r"\\[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+# LP tokens are what str.split() returns; re's \s is the same str.isspace set
+_LP_TOKEN = re.compile(r"\s*(\S+)")
+# The terms of one expression as write_lp lays them out, every part a whole
+# token: a unit sum `name + name ...`, or else a first term `[int] name` or
+# `sign [magnitude] name` followed by `sign [magnitude] name` terms.
+_LP_UNIT_TERMS = r"x_[01]+(?:\s+\+\s+x_[01]+)*"
+_LP_SIGNED_TERMS = (
+    r"(?:(?:[+-]?[0-9]+\s+)?x_[01]+|[+-]\s+(?:[0-9]+\s+)?x_[01]+)"
+    r"(?:\s+[+-]\s+(?:[0-9]+\s+)?x_[01]+)*"
+)
+_LP_EXPRESSION = re.compile(
+    rf"\s+(?:({_LP_UNIT_TERMS})|({_LP_SIGNED_TERMS}))(?!\S)"
+)
+_LP_ROW = re.compile(
+    rf"\s+(\S+):\s+(?:({_LP_UNIT_TERMS})|({_LP_SIGNED_TERMS}))"
+    r"\s+(<=|>=|=)\s+([+-]?[0-9]+)(?!\S)"
+)
+_LP_NAME_SPLIT = re.compile(r"(x_[01]+)")
+_LP_BINARY_TO_END = re.compile(r"((?:\s+x_[01]+)*)\s+[Ee][Nn][Dd]\s*\Z")
+
+
+class _NameTerms(dict):
+    """x_<bits> name -> (word value, 1), made on the name's first lookup.
+
+    The keys are the names met so far, in order of first appearance, and
+    every unit-coefficient term of a name is its one shared pair.
+    """
+
+    def __missing__(self, name: str) -> tuple[int, int]:
+        term = self[name] = (int(name[2:], 2), 1)
+        return term
+
+
+class _Coefficients(dict):
+    """Text before a name _LP_SIGNED_TERMS took -> that term's coefficient.
+
+    The text is empty, a sign token, a sign token and a magnitude, or an
+    integer that may carry its sign, so without its whitespace it reads
+    as one integer once a bare sign or nothing gets a 1 appended.
+    """
+
+    def __missing__(self, prefix: str) -> int:
+        number = "".join(prefix.split())
+        if not number[-1:].isdigit():
+            number += "1"
+        coeff = self[prefix] = int(number)
+        return coeff
+
+
+def _bit_string(selection: int, size: int) -> str:
+    """Character v is "1" when bit v of selection is set, for v < size."""
+    return bin(selection)[:1:-1].ljust(size, "0")
 
 
 class InfeasibleModelError(RuntimeError):
@@ -103,11 +158,18 @@ class LinearConstraint:
                 raise ValueError(f"{self.label}: duplicate variable value {value}")
             seen.add(value)
 
-    def evaluate(self, selection: int) -> int:
-        """Left-hand side when exactly the words whose bits are set are 1."""
-        return sum(c for v, c in self.terms if selection >> v & 1)
+    def evaluate(self, selection: int | str) -> int:
+        """Left-hand side when exactly the words whose bits are set are 1.
 
-    def satisfied(self, selection: int) -> bool:
+        selection is a bitmask, or its _bit_string covering every value of
+        the row, so that one string serves every row of a model.
+        """
+        if isinstance(selection, int):
+            size = max(self.terms, default=(-1, 0))[0] + 1
+            selection = _bit_string(selection, size)
+        return sum(c for v, c in self.terms if selection[v] == "1")
+
+    def satisfied(self, selection: int | str) -> bool:
         return _SENSE_HOLDS[self.sense](self.evaluate(selection), self.rhs)
 
 
@@ -143,7 +205,7 @@ class IlpModel:
         return _variable_names(self.n)
 
     def word_of(self, name: str) -> Word:
-        m = _VAR_NAME.match(name)
+        m = _VAR_NAME.fullmatch(name)
         if not m or len(m.group(1)) != self.n:
             raise ValueError(f"not a variable of this model: {name!r}")
         return Word.parse(m.group(1))
@@ -180,7 +242,7 @@ class Solution:
     @cached_property
     def assignment(self) -> Mapping[str, int]:
         """Read-only map from each variable name, ascending, to its value."""
-        bits = bin(self.selection)[:1:-1].ljust(1 << self.n, "0")
+        bits = _bit_string(self.selection, 1 << self.n)
         names = _variable_names(self.n)
         return MappingProxyType(dict(zip(names, map(int, bits))))
 
@@ -261,13 +323,13 @@ def _parse_expression(
     pos: int,
     stop: tuple[str, ...],
     where: str,
-    values: dict[str, int],
+    names: _NameTerms,
 ) -> tuple[list[tuple[int, int]], int]:
     """Parse `[±] [coef] name` terms from items[pos] until a sense or keyword.
 
     Returns the (value, coefficient) terms and the position of the token
-    that ended them. values maps every x_<bits> name met so far to its
-    word value, so the name pattern and int() run once per distinct name.
+    that ended them. names holds every x_<bits> name met so far, so the
+    name pattern and int() run once per distinct name.
     A coefficient after a separate sign token is an unsigned magnitude;
     only a term without one may carry its sign in the number (`-3 x_0`).
     where, the label of the row being read, prefixes every error.
@@ -290,8 +352,8 @@ def _parse_expression(
         elif tok in _SENSES or tok.lower() in stop:
             return terms, pos
         coeff = sign
-        value = values.get(tok)
-        if value is None and not _VAR_NAME.match(tok):
+        term = names.get(tok)
+        if term is None and not _VAR_NAME.fullmatch(tok):
             if not number.fullmatch(tok):
                 raise ValueError(
                     f"{where} expected coefficient or variable, got {tok!r}"
@@ -303,13 +365,13 @@ def _parse_expression(
                     f"{where} coefficient without a variable at end of file"
                 )
             tok = items[pos]
-            value = values.get(tok)
-        if value is None:
-            if not _VAR_NAME.match(tok):
+            term = names.get(tok)
+        if term is None:
+            if not _VAR_NAME.fullmatch(tok):
                 raise ValueError(f"{where} expected variable name, got {tok!r}")
-            value = values[tok] = int(tok[2:], 2)
+            term = names[tok]
         pos += 1
-        terms.append((value, coeff))
+        terms.append(term if coeff == 1 else (term[0], coeff))
 
 
 def read_lp(source: IO[str]) -> IlpModel:
@@ -319,48 +381,99 @@ def read_lp(source: IO[str]) -> IlpModel:
     the variables the Binary section declares, those must be x_<bits>
     names of one common width covering every word of that length, every
     constraint may reference only declared variables, and labels must be
-    unique. Term order inside rows is preserved. One pass walks the
-    tokens by index and turns each distinct name into its word value
-    once; the checks on names run after the Binary section is read.
+    unique. Term order inside rows is preserved.
+
+    The reader moves a position through the comment-free text and never
+    splits the whole file into tokens. Compiled patterns take each part
+    in the layout write_lp emits, whatever the whitespace: a whole row
+    `label: terms sense rhs`, the objective's terms, and the Binary names
+    through End. A unit row's names map through a per-file table to one
+    shared (value, 1) term per name; a split at the names of any other
+    row leaves the sign and magnitude text before each, which a second
+    table turns into its coefficient. What the patterns do not take,
+    such as adjacent terms without a sign, an empty row or a malformed
+    file, goes token by token through _parse_expression, which words the
+    located errors. Both paths read the same tokens, those str.split()
+    would give, to the same model or the same error. The checks on names
+    run after the Binary section is read.
     """
-    items = _LP_COMMENT.sub("", source.read()).split()
+    text = _LP_COMMENT.sub("", source.read())
     pos = 0
+
+    def peek() -> str | None:
+        m = _LP_TOKEN.match(text, pos)
+        return m and m[1]
 
     def take() -> str:
         nonlocal pos
-        if pos == len(items):
+        m = _LP_TOKEN.match(text, pos)
+        if not m:
             raise ValueError("unexpected end of LP file")
-        pos += 1
-        return items[pos - 1]
+        pos = m.end()
+        return m[1]
 
     # every x_<bits> name read, in order of first appearance
-    values: dict[str, int] = {}
+    names = _NameTerms()
+    coefficients = _Coefficients()
+
+    def matched_terms(unit: str | None, signed: str) -> tuple[tuple[int, int], ...]:
+        if unit:
+            return tuple(map(names.__getitem__, unit.split()[::2]))
+        parts = _LP_NAME_SPLIT.split(signed)
+        values = map(itemgetter(0), map(names.__getitem__, parts[1::2]))
+        return tuple(zip(values, map(coefficients.__getitem__, parts[:-1:2])))
+
+    def expression(stop: tuple[str, ...], where: str) -> Sequence[tuple[int, int]]:
+        nonlocal pos
+        m = _LP_EXPRESSION.match(text, pos)
+        if m:
+            after = _LP_TOKEN.match(text, m.end())
+            if after and (after[1] in _SENSES or after[1].lower() in stop):
+                pos = m.end()
+                return matched_terms(m[1], m[2])
+        # the walk ends at or before the first sense or stop token, so it
+        # needs no token past that one
+        tokens: list[str] = []
+        ends: list[int] = []
+        for m in _LP_TOKEN.finditer(text, pos):
+            tokens.append(m[1])
+            ends.append(m.end())
+            if m[1] in _SENSES or m[1].lower() in stop:
+                break
+        terms, used = _parse_expression(tokens, 0, stop, where, names)
+        if used:
+            pos = ends[used - 1]
+        return terms
+
     if take().lower() != "maximize":
         raise ValueError("LP file must start with Maximize")
     obj_label = take()
     if not obj_label.endswith(":"):
         raise ValueError(f"objective needs a label, got {obj_label!r}")
-    objective, pos = _parse_expression(
-        items, pos, ("subject",), obj_label, values
-    )
+    objective = expression(("subject",), obj_label)
     if any(coeff != 1 for _, coeff in objective):
         raise ValueError("objective must have unit coefficients")
-    objective_names = set(values)
+    objective_names = set(names)
     if take().lower() != "subject" or take().lower() != "to":
         raise ValueError("expected Subject To after the objective")
 
-    raw_rows: list[tuple[str, list[tuple[int, int]], str, int]] = []
+    raw_rows: list[tuple[str, Sequence[tuple[int, int]], str, int]] = []
     while True:
-        if pos == len(items):
+        m = _LP_ROW.match(text, pos)
+        if m:
+            label, unit, signed, sense, rhs = m.groups()
+            raw_rows.append((label, matched_terms(unit, signed), sense, int(rhs)))
+            pos = m.end()
+            continue
+        tok = peek()
+        if tok is None:
             raise ValueError("LP file ended inside Subject To")
-        if items[pos].lower() in ("binary", "end"):
+        if tok.lower() in ("binary", "end"):
             break
         label = take()
         if not label.endswith(":") or len(label) == 1:
             raise ValueError(f"expected a constraint label, got {label!r}")
-        terms, pos = _parse_expression(
-            items, pos, ("binary", "end"), label, values
-        )
+        terms = expression(("binary", "end"), label)
         sense = take()
         if sense not in _SENSES:
             raise ValueError(f"{label} expected a sense, got {sense!r}")
@@ -371,23 +484,27 @@ def read_lp(source: IO[str]) -> IlpModel:
 
     if take().lower() != "binary":
         raise ValueError("expected a Binary section")
-    binary: list[str] = []
-    while True:
-        tok = take()
-        if tok.lower() == "end":
-            break
-        binary.append(tok)
-    if pos < len(items):
-        raise ValueError(f"unexpected content after End: {items[pos]!r}")
+    m = _LP_BINARY_TO_END.match(text, pos)
+    if m:
+        binary = m[1].split()
+        pos = m.end()
+    else:
+        binary = []
+        while True:
+            tok = take()
+            if tok.lower() == "end":
+                break
+            binary.append(tok)
+    extra = peek()
+    if extra is not None:
+        raise ValueError(f"unexpected content after End: {extra!r}")
 
     if not binary:
         raise ValueError("Binary section declares no variables")
-    widths = set()
-    for name in binary:
-        m = _VAR_NAME.match(name)
-        if not m:
-            raise ValueError(f"not a variable name: {name!r}")
-        widths.add(len(m.group(1)))
+    bad = next(filterfalse(_VAR_NAME.fullmatch, binary), None)
+    if bad is not None:
+        raise ValueError(f"not a variable name: {bad!r}")
+    widths = {size - 2 for size in set(map(len, binary))}
     if len(widths) != 1:
         raise ValueError(f"mixed variable widths {sorted(widths)}")
     n = widths.pop()
@@ -402,9 +519,10 @@ def read_lp(source: IO[str]) -> IlpModel:
         raise ValueError("objective does not cover exactly the declared variables")
     # names of other widths can share a value, so the check is by name; the
     # first undeclared name in file order is the first one a row references
-    for name in values:
-        if name not in declared:
-            raise ValueError(f"constraint references undeclared {name!r}")
+    undeclared = names.keys() - declared
+    if undeclared:
+        first = next(name for name in names if name in undeclared)
+        raise ValueError(f"constraint references undeclared {first!r}")
 
     rows = tuple(
         LinearConstraint(terms=tuple(terms), sense=sense, rhs=rhs, label=label)
@@ -438,7 +556,7 @@ def read_solution(
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'name value', got {raw!r}")
         name, value_text = parts
-        if len(name) != model.n + 2 or not _VAR_NAME.match(name):
+        if len(name) != model.n + 2 or not _VAR_NAME.fullmatch(name):
             raise ValueError(f"line {lineno}: unknown variable {name!r}")
         if name in values:
             raise ValueError(f"line {lineno}: duplicate assignment for {name}")
@@ -532,10 +650,13 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
             name for name, value in solution.assignment.items() if value
         )
         selection = 0
+    # one bit string serves every row, instead of a shift of the whole
+    # selection per term
+    bits = _bit_string(selection, 1 << model.n)
     violated = tuple(
         row.label
         for row in model.constraints
-        if not row.satisfied(selection)
+        if not row.satisfied(bits)
     )
     words = WordSet(model.n, _ones(selection))
     if model.n >= 2:

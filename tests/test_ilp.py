@@ -1,5 +1,6 @@
 """LP exchange, solution import, verification, and the built-in solver."""
 
+import functools
 import hashlib
 import io
 import itertools
@@ -10,6 +11,7 @@ import time
 import pytest
 
 from delcodes.bitseq import Word, WordSet
+from delcodes import ilp as ilp_module
 from delcodes.constraints import FAMILY_IDS, build_model, dominated_words
 from delcodes.ilp import (
     IlpModel,
@@ -98,6 +100,13 @@ def test_model_rejects_foreign_word_length():
 def test_model_variable_names_are_the_word_names(n):
     names = IlpModel(n, ()).variable_names
     assert names == tuple(variable_name(Word(n, v)) for v in range(1 << n))
+
+
+def test_word_of_refuses_a_name_with_a_trailing_line_break():
+    # a name pattern anchored with $ also matches before a final newline
+    model = IlpModel(3, ())
+    with pytest.raises(ValueError, match="not a variable"):
+        model.word_of("x_011\n")
 
 
 def test_model_variable_names_cover_all_words():
@@ -197,6 +206,161 @@ def test_write_lp_renders_negative_coefficients():
 
 # ------------------------------------------------------------------- read_lp
 
+# The token-walk reader read_lp replaced, kept as the reference its results
+# and error messages are compared with. Tokens hold no line break, so the
+# $ of _REF_VAR_NAME cannot match early here.
+_REF_VAR_NAME = re.compile(r"^x_([01]+)$")
+_REF_INTEGER = re.compile(r"[+-]?[0-9]+")
+_REF_MAGNITUDE = re.compile(r"[0-9]+")
+_REF_SENSES = ("<=", ">=", "=")
+_REF_COMMENT = re.compile(r"\\[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
+
+def _reference_parse_expression(items, pos, stop, where, values):
+    terms = []
+    end = len(items)
+    while True:
+        if pos == end:
+            raise ValueError(f"{where} expression ran past end of file")
+        tok = items[pos]
+        sign = 1
+        number = _REF_INTEGER
+        if tok == "+" or tok == "-":
+            sign = -1 if tok == "-" else 1
+            number = _REF_MAGNITUDE
+            pos += 1
+            if pos == end:
+                raise ValueError(f"{where} dangling sign at end of file")
+            tok = items[pos]
+        elif tok in _REF_SENSES or tok.lower() in stop:
+            return terms, pos
+        coeff = sign
+        value = values.get(tok)
+        if value is None and not _REF_VAR_NAME.match(tok):
+            if not number.fullmatch(tok):
+                raise ValueError(
+                    f"{where} expected coefficient or variable, got {tok!r}"
+                )
+            coeff = sign * int(tok)
+            pos += 1
+            if pos == end:
+                raise ValueError(
+                    f"{where} coefficient without a variable at end of file"
+                )
+            tok = items[pos]
+            value = values.get(tok)
+        if value is None:
+            if not _REF_VAR_NAME.match(tok):
+                raise ValueError(f"{where} expected variable name, got {tok!r}")
+            value = values[tok] = int(tok[2:], 2)
+        pos += 1
+        terms.append((value, coeff))
+
+
+def reference_read_lp(source) -> IlpModel:
+    items = _REF_COMMENT.sub("", source.read()).split()
+    pos = 0
+
+    def take() -> str:
+        nonlocal pos
+        if pos == len(items):
+            raise ValueError("unexpected end of LP file")
+        pos += 1
+        return items[pos - 1]
+
+    values = {}
+    if take().lower() != "maximize":
+        raise ValueError("LP file must start with Maximize")
+    obj_label = take()
+    if not obj_label.endswith(":"):
+        raise ValueError(f"objective needs a label, got {obj_label!r}")
+    objective, pos = _reference_parse_expression(
+        items, pos, ("subject",), obj_label, values
+    )
+    if any(coeff != 1 for _, coeff in objective):
+        raise ValueError("objective must have unit coefficients")
+    objective_names = set(values)
+    if take().lower() != "subject" or take().lower() != "to":
+        raise ValueError("expected Subject To after the objective")
+
+    raw_rows = []
+    while True:
+        if pos == len(items):
+            raise ValueError("LP file ended inside Subject To")
+        if items[pos].lower() in ("binary", "end"):
+            break
+        label = take()
+        if not label.endswith(":") or len(label) == 1:
+            raise ValueError(f"expected a constraint label, got {label!r}")
+        terms, pos = _reference_parse_expression(
+            items, pos, ("binary", "end"), label, values
+        )
+        sense = take()
+        if sense not in _REF_SENSES:
+            raise ValueError(f"{label} expected a sense, got {sense!r}")
+        rhs_token = take()
+        if not _REF_INTEGER.fullmatch(rhs_token):
+            raise ValueError(f"{label} right-hand side {rhs_token!r} is not an integer")
+        raw_rows.append((label[:-1], terms, sense, int(rhs_token)))
+
+    if take().lower() != "binary":
+        raise ValueError("expected a Binary section")
+    binary = []
+    while True:
+        tok = take()
+        if tok.lower() == "end":
+            break
+        binary.append(tok)
+    if pos < len(items):
+        raise ValueError(f"unexpected content after End: {items[pos]!r}")
+
+    if not binary:
+        raise ValueError("Binary section declares no variables")
+    widths = set()
+    for name in binary:
+        m = _REF_VAR_NAME.match(name)
+        if not m:
+            raise ValueError(f"not a variable name: {name!r}")
+        widths.add(len(m.group(1)))
+    if len(widths) != 1:
+        raise ValueError(f"mixed variable widths {sorted(widths)}")
+    n = widths.pop()
+    declared = set(binary)
+    if len(declared) != len(binary):
+        raise ValueError("duplicate names in the Binary section")
+    if len(declared) != 1 << n:
+        raise ValueError(
+            f"expected all {1 << n} variables of length {n}, got {len(declared)}"
+        )
+    if objective_names != declared:
+        raise ValueError("objective does not cover exactly the declared variables")
+    for name in values:
+        if name not in declared:
+            raise ValueError(f"constraint references undeclared {name!r}")
+
+    rows = tuple(
+        LinearConstraint(terms=tuple(terms), sense=sense, rhs=rhs, label=label)
+        for label, terms, sense, rhs in raw_rows
+    )
+    return IlpModel(
+        n=n, constraints=rows, metadata={"generator": "lp-import", "n": n}
+    )
+
+
+def read_outcome(read, text: str):
+    """The model a reader makes of text, or the message of its ValueError."""
+    try:
+        model = read(io.StringIO(text))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return (model.n, model.constraints, dict(model.metadata))
+
+
+def assert_reads_like_the_reference(text: str):
+    outcome = read_outcome(read_lp, text)
+    assert outcome == read_outcome(reference_read_lp, text), text
+    return outcome
+
 
 def rows_key(model: IlpModel):
     return [
@@ -234,9 +398,11 @@ def test_lp_round_trip_random_int_models():
     rng = random.Random(7100)
     for case in range(300):
         model = random_model(rng)
-        back = read_lp(io.StringIO(lp_text(model)))
+        text = lp_text(model)
+        back = read_lp(io.StringIO(text))
         assert back.n == model.n, case
         assert rows_key(back) == rows_key(model), case
+        assert_reads_like_the_reference(text)
 
 
 def mutate_lp(rng: random.Random, text: str) -> str:
@@ -255,6 +421,7 @@ def mutate_lp(rng: random.Random, text: str) -> str:
 
 
 def test_read_lp_mutations_raise_only_value_error():
+    # each mutation reads to the reference reader's model or error message
     rng = random.Random(7200)
     sources = [lp_text(build_model(n, FAMILY_IDS)) for n in (2, 3)]
     sources += [lp_text(random_model(rng)) for _ in range(8)]
@@ -262,12 +429,128 @@ def test_read_lp_mutations_raise_only_value_error():
     for case in range(3000):
         text = mutate_lp(rng, rng.choice(sources))
         try:
-            read_lp(io.StringIO(text))
-        except ValueError:
-            rejected += 1
+            outcome = assert_reads_like_the_reference(text)
         except Exception as exc:  # any other type is a parser bug
             pytest.fail(f"case {case}: {type(exc).__name__}: {exc}\n{text}")
+        rejected += outcome[0] == "ValueError"
     assert 0 < rejected < 3000
+
+
+@functools.lru_cache(maxsize=None)
+def full_model_text(n: int) -> str:
+    return lp_text(build_model(n, FAMILY_IDS))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_read_lp_matches_the_reference_reader_on_full_models(n):
+    n_read, rows, _ = assert_reads_like_the_reference(full_model_text(n))
+    assert n_read == n and rows == build_model(n, FAMILY_IDS).constraints
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_read_lp_reads_write_lp_output_without_the_token_walk(
+    n, monkeypatch
+):
+    # write_lp's own layout must stay on the compiled patterns; the token
+    # walk is for what they do not take
+    def refuse(*args):
+        raise AssertionError("_parse_expression ran on write_lp output")
+
+    monkeypatch.setattr(ilp_module, "_parse_expression", refuse)
+    model = read_lp(io.StringIO(full_model_text(n)))
+    assert model.constraints == build_model(n, FAMILY_IDS).constraints
+
+
+SMALL_LP = (
+    "Maximize\n"
+    " obj: x_00 + x_01\n"
+    "  + x_10 + x_11\n"
+    "Subject To\n"
+    " r1: 2 x_00 - 3 x_01\n"
+    "  + x_10 <= 4\n"
+    " r2: x_00 + x_11 >= 1\n"
+    " r3: - x_01 = 0\n"
+    "Binary\n"
+    " x_00 x_01\n"
+    " x_10 x_11\n"
+    "End\n"
+)
+# whitespace str.split() splits on besides the space and the newline
+OTHER_WHITESPACE = ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"]
+LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                   "\x85", "\u2028", "\u2029"]
+
+
+def without_header(text: str) -> str:
+    """The LP text from Maximize on, without write_lp's comment lines."""
+    return text[text.index("Maximize"):]
+
+
+def layout_cases():
+    """(id, text) pairs in layouts other than write_lp's, good and bad."""
+    sources = {"small": SMALL_LP, "n4": without_header(full_model_text(4))}
+    for name, text in sources.items():
+        yield f"{name}-crlf", text.replace("\n", "\r\n")
+        for ws in OTHER_WHITESPACE:
+            yield f"{name}-space-{ws!r}", text.replace(" ", ws)
+            yield f"{name}-newline-{ws!r}", text.replace("\n", ws)
+        for boundary in LINE_BOUNDARIES:
+            # a comment that ran past its boundary would swallow a token
+            yield (f"{name}-comment-{boundary!r}",
+                   text.replace("\n", f" \\ x_00 <= 1{boundary}"))
+        yield f"{name}-upper-keywords", text.upper().replace("X_", "x_")
+        yield f"{name}-lower-keywords", text.lower()
+    edits = {
+        "adjacent-signless-terms": ("2 x_00 - 3 x_01", "3 x_00 4 x_01"),
+        "adjacent-names": ("x_00 + x_11", "x_00 x_11"),
+        "signed-integer": ("2 x_00", "-3 x_00"),
+        "plus-integer": ("2 x_00", "+3 x_00"),
+        "leading-zeros": ("2 x_00", "007 x_00"),
+        "zero-coefficient": ("2 x_00", "- 0 x_00"),
+        "signed-after-sign": ("- 3 x_01", "- -3 x_01"),
+        "empty-row": ("r2: x_00 + x_11 >= 1", "r2: >= 1"),
+        "empty-row-at-end": ("r3: - x_01 = 0", "r3: = 0"),
+        "glued-sense": ("x_11 >= 1", "x_11>=1"),
+        "sense-after-sign": ("- x_01 = 0", "- = 0"),
+        "coefficient-before-sense": ("x_11 >= 1", "x_11 + 2 >= 1"),
+        "missing-rhs": ("= 0\nBinary", "=\nBinary"),
+        "missing-sense": (" >= 1", " 1"),
+        "wider-name-in-row": ("x_00 + x_11 >=", "x_00 + x_110 >="),
+        "wider-name-in-objective": ("obj: x_00", "obj: x_000"),
+        "wider-name-in-binary": ("x_10 x_11", "x_10 x_11 x_000"),
+        "narrower-name-in-row": ("- x_01 =", "- x_0 ="),
+        "duplicate-name-in-row": ("x_00 + x_11 >=", "x_00 + x_00 >="),
+        "duplicate-label": ("r3:", "r1:"),
+        "label-colon-only": ("r2:", ":"),
+        "label-double-colon": ("r2:", "r2::"),
+        "label-keyword": ("r2:", "Binary:"),
+        "objective-coefficient": ("obj: x_00", "obj: 2 x_00"),
+        "objective-sign-first": ("obj: x_00", "obj: + x_00"),
+        "objective-empty": ("obj: x_00 + x_01\n  + x_10 + x_11", "obj:"),
+        "objective-with-sense": ("+ x_11\nSubject", "+ x_11 <= 1\nSubject"),
+        "subject-only": ("Subject To", "Subject"),
+        "no-rows": (" r1: 2 x_00 - 3 x_01\n  + x_10 <= 4\n r2: x_00 + x_11 >= 1\n"
+                    " r3: - x_01 = 0\n", ""),
+        "no-binary": ("Binary\n x_00 x_01\n x_10 x_11\n", ""),
+        "empty-binary": (" x_00 x_01\n x_10 x_11\n", ""),
+        "bad-binary-name": ("x_10 x_11", "x_10 y_11"),
+        "duplicate-binary-name": ("x_10 x_11", "x_10 x_10 x_11"),
+        "content-after-end": ("End\n", "End\nEnd\n"),
+        "end-glued": ("End\n", "Endx\n"),
+        "no-end": ("End\n", ""),
+        "huge-rhs": (">= 1", ">= " + "9" * 400),
+        "huge-coefficient": ("2 x_00", "9" * 400 + " x_00"),
+        "overlong-coefficient": ("2 x_00", "9" * 5000 + " x_00"),
+    }
+    for name, (old, new) in edits.items():
+        assert old in SMALL_LP, name
+        yield name, SMALL_LP.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("text", [t for _, t in layout_cases()],
+                         ids=[i for i, _ in layout_cases()])
+def test_read_lp_matches_the_reference_reader_on_other_layouts(text):
+    assert_reads_like_the_reference(text)
 
 
 def test_read_lp_accepts_explicit_coefficients_and_wraps():
@@ -592,6 +875,22 @@ def test_verify_flags_foreign_variables():
     assert not report.ok
     assert report.foreign_names == ("x_000",)
     assert len(report.words) == 0
+
+
+def test_verify_flags_the_rows_a_bitwise_replay_flags():
+    # every row reads one bit string of the selection; row_holds shifts
+    # the selection once per term
+    model = build_model(6, FAMILY_IDS)
+    rng = random.Random(7300)
+    for _ in range(40):
+        selection = rng.getrandbits(64) & rng.getrandbits(64)
+        report = verify_solution(
+            model, Solution(6, selection, "imported", "unknown")
+        )
+        assert report.violated == tuple(
+            row.label for row in model.constraints
+            if not row_holds(row, selection)
+        )
 
 
 def test_verify_empty_selection_passes_packing_only_model():
