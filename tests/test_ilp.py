@@ -547,8 +547,9 @@ def layout_cases():
         yield name, SMALL_LP.replace(old, new, 1)
 
 
-@pytest.mark.parametrize("text", [t for _, t in layout_cases()],
-                         ids=[i for i, _ in layout_cases()])
+@pytest.mark.parametrize(
+    "text", [pytest.param(text, id=name) for name, text in layout_cases()]
+)
 def test_read_lp_matches_the_reference_reader_on_other_layouts(text):
     assert_reads_like_the_reference(text)
 
