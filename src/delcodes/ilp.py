@@ -64,15 +64,12 @@ _LP_SIGNED_TERMS = (
     r"(?:(?:[+-]?[0-9]+\s+)?x_[01]+|[+-]\s+(?:[0-9]+\s+)?x_[01]+)"
     r"(?:\s+[+-]\s+(?:[0-9]+\s+)?x_[01]+)*"
 )
-_LP_EXPRESSION = re.compile(
-    rf"\s+(?:({_LP_UNIT_TERMS})|({_LP_SIGNED_TERMS}))(?!\S)"
-)
+_LP_OBJECTIVE = re.compile(rf"\s+({_LP_UNIT_TERMS})(?!\S)")
 _LP_ROW = re.compile(
     rf"\s+(\S+):\s+(?:({_LP_UNIT_TERMS})|({_LP_SIGNED_TERMS}))"
     r"\s+(<=|>=|=)\s+([+-]?[0-9]+)(?!\S)"
 )
 _LP_NAME_SPLIT = re.compile(r"(x_[01]+)")
-_LP_BINARY_TO_END = re.compile(r"((?:\s+x_[01]+)*)\s+[Ee][Nn][Dd]\s*\Z")
 
 
 class _NameTerms(dict):
@@ -384,18 +381,19 @@ def read_lp(source: IO[str]) -> IlpModel:
     unique. Term order inside rows is preserved.
 
     The reader moves a position through the comment-free text and never
-    splits the whole file into tokens. Compiled patterns take each part
-    in the layout write_lp emits, whatever the whitespace: a whole row
-    `label: terms sense rhs`, the objective's terms, and the Binary names
-    through End. A unit row's names map through a per-file table to one
-    shared (value, 1) term per name; a split at the names of any other
-    row leaves the sign and magnitude text before each, which a second
-    table turns into its coefficient. What the patterns do not take,
-    such as adjacent terms without a sign, an empty row or a malformed
-    file, goes token by token through _parse_expression, which words the
-    located errors. Both paths read the same tokens, those str.split()
-    would give, to the same model or the same error. The checks on names
-    run after the Binary section is read.
+    splits the whole file into tokens. Compiled patterns take, whatever
+    the whitespace, the objective's unit sum and each whole row `label:
+    terms sense rhs` in the layout write_lp emits. A unit row's names map
+    through a per-file table to one shared (value, 1) term per name; a
+    split at the names of any other row leaves the sign and magnitude
+    text before each, which a second table turns into its coefficient.
+    An objective or row the patterns do not take, such as adjacent terms
+    without a sign, an empty row or a malformed file, goes token by token
+    through _parse_expression, which words the located errors. Both paths
+    read the same tokens, those str.split() would give, to the same model
+    or the same error. The text after Binary is split once into the
+    declared names and End. The checks on names run after the Binary
+    section is read.
     """
     text = _LP_COMMENT.sub("", source.read())
     pos = 0
@@ -416,21 +414,11 @@ def read_lp(source: IO[str]) -> IlpModel:
     names = _NameTerms()
     coefficients = _Coefficients()
 
-    def matched_terms(unit: str | None, signed: str) -> tuple[tuple[int, int], ...]:
-        if unit:
-            return tuple(map(names.__getitem__, unit.split()[::2]))
-        parts = _LP_NAME_SPLIT.split(signed)
-        values = map(itemgetter(0), map(names.__getitem__, parts[1::2]))
-        return tuple(zip(values, map(coefficients.__getitem__, parts[:-1:2])))
+    def unit_terms(unit: str) -> tuple[tuple[int, int], ...]:
+        return tuple(map(names.__getitem__, unit.split()[::2]))
 
-    def expression(stop: tuple[str, ...], where: str) -> Sequence[tuple[int, int]]:
+    def walk(stop: tuple[str, ...], where: str) -> list[tuple[int, int]]:
         nonlocal pos
-        m = _LP_EXPRESSION.match(text, pos)
-        if m:
-            after = _LP_TOKEN.match(text, m.end())
-            if after and (after[1] in _SENSES or after[1].lower() in stop):
-                pos = m.end()
-                return matched_terms(m[1], m[2])
         # the walk ends at or before the first sense or stop token, so it
         # needs no token past that one
         tokens: list[str] = []
@@ -450,7 +438,13 @@ def read_lp(source: IO[str]) -> IlpModel:
     obj_label = take()
     if not obj_label.endswith(":"):
         raise ValueError(f"objective needs a label, got {obj_label!r}")
-    objective = expression(("subject",), obj_label)
+    m = _LP_OBJECTIVE.match(text, pos)
+    after = m and _LP_TOKEN.match(text, m.end())
+    if after and after[1].lower() == "subject":
+        objective: Sequence[tuple[int, int]] = unit_terms(m[1])
+        pos = m.end()
+    else:
+        objective = walk(("subject",), obj_label)
     if any(coeff != 1 for _, coeff in objective):
         raise ValueError("objective must have unit coefficients")
     objective_names = set(names)
@@ -462,7 +456,15 @@ def read_lp(source: IO[str]) -> IlpModel:
         m = _LP_ROW.match(text, pos)
         if m:
             label, unit, signed, sense, rhs = m.groups()
-            raw_rows.append((label, matched_terms(unit, signed), sense, int(rhs)))
+            if unit:
+                terms: Sequence[tuple[int, int]] = unit_terms(unit)
+            else:
+                parts = _LP_NAME_SPLIT.split(signed)
+                values = map(itemgetter(0), map(names.__getitem__, parts[1::2]))
+                terms = tuple(
+                    zip(values, map(coefficients.__getitem__, parts[:-1:2]))
+                )
+            raw_rows.append((label, terms, sense, int(rhs)))
             pos = m.end()
             continue
         tok = peek()
@@ -473,7 +475,7 @@ def read_lp(source: IO[str]) -> IlpModel:
         label = take()
         if not label.endswith(":") or len(label) == 1:
             raise ValueError(f"expected a constraint label, got {label!r}")
-        terms = expression(("binary", "end"), label)
+        terms = walk(("binary", "end"), label)
         sense = take()
         if sense not in _SENSES:
             raise ValueError(f"{label} expected a sense, got {sense!r}")
@@ -484,20 +486,14 @@ def read_lp(source: IO[str]) -> IlpModel:
 
     if take().lower() != "binary":
         raise ValueError("expected a Binary section")
-    m = _LP_BINARY_TO_END.match(text, pos)
-    if m:
-        binary = m[1].split()
-        pos = m.end()
-    else:
-        binary = []
-        while True:
-            tok = take()
-            if tok.lower() == "end":
-                break
-            binary.append(tok)
-    extra = peek()
-    if extra is not None:
-        raise ValueError(f"unexpected content after End: {extra!r}")
+    tail = text[pos:].split()
+    lowered = list(map(str.lower, tail))
+    if "end" not in lowered:
+        raise ValueError("unexpected end of LP file")
+    end = lowered.index("end")
+    if end + 1 < len(tail):
+        raise ValueError(f"unexpected content after End: {tail[end + 1]!r}")
+    binary = tail[:end]
 
     if not binary:
         raise ValueError("Binary section declares no variables")

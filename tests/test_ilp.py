@@ -535,7 +535,12 @@ def layout_cases():
         "empty-binary": (" x_00 x_01\n x_10 x_11\n", ""),
         "bad-binary-name": ("x_10 x_11", "x_10 y_11"),
         "duplicate-binary-name": ("x_10 x_11", "x_10 x_10 x_11"),
+        "objective-minus": ("+ x_10", "- x_10"),
+        "objective-adjacent-names": ("x_00 + x_01", "x_00 x_01"),
         "content-after-end": ("End\n", "End\nEnd\n"),
+        "name-after-end": ("End\n", "End\n x_00\n"),
+        "end-inside-binary": ("x_10 x_11", "x_10 end x_11"),
+        "lowercase-end": ("End\n", "end\n"),
         "end-glued": ("End\n", "Endx\n"),
         "no-end": ("End\n", ""),
         "huge-rhs": (">= 1", ">= " + "9" * 400),
