@@ -26,10 +26,10 @@ from typing import Callable, Iterable, Sequence
 
 from .bitseq import Word, WordSet, insertion_values, runs_of, surface_values
 from .ilp import IlpModel, LinearConstraint
-from .sdecc import KNOWN_SIZES
+from .sdecc import GRAPH_MAX_N, KNOWN_SIZES
 from .vt import vt0_size
 
-GEN_MAX_N = 14  # same memory guard as the conflict graph
+GEN_MAX_N = GRAPH_MAX_N  # the conflict graph's memory guard
 
 FAMILY_IDS = ("C0", "C1", "C2", "C3", "C4", "C5", "C6")
 

@@ -5,16 +5,18 @@ are selected, subject to linear rows of (word value, coefficient) terms that
 are evaluated on a bitmask of the selected values. A Solution holds such a
 selection bitmask. x_<bits> names appear only at the file boundary and in
 the read-only Solution.assignment view: write_lp and read_lp move models
-through the common text LP format so external solvers can be used;
-write_solution and read_solution move selections through `name value`
-files; verify_solution replays every row on the selection and independently
-re-checks the selected words as a code. solve_builtin is a self-contained
-exact 0-1 solver: it classifies the rows, propagates fixes and picks its
-warm-start seeds here, then runs the branch-and-bound kernel it shares with
-the conflict-graph search (sdecc._branch_and_bound), which completes those
-seeds and searches from the best of them. Because the two searches
-share that kernel, the tests check both against a brute-force enumeration
-of independent sets rather than only against each other.
+through the common text LP format so external solvers can be used, and
+read_lp picks one reader per file, compiled patterns for write_lp's own
+layout and a token walk for any other; write_solution and read_solution move
+selections through `name value` files; verify_solution replays every row on
+the selection and independently re-checks the selected words as a code.
+solve_builtin is a self-contained exact 0-1 solver: it classifies the rows,
+propagates fixes and picks its warm-start seeds here, then runs the
+branch-and-bound kernel it shares with the conflict-graph search
+(sdecc._branch_and_bound), which completes those seeds and searches from the
+best of them. Because the two searches share that kernel, the tests check
+both against a brute-force enumeration of independent sets rather than only
+against each other.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import filterfalse
+from itertools import filterfalse, starmap
 from operator import itemgetter
 from types import MappingProxyType
 from typing import IO, Iterator, Mapping, Sequence
@@ -54,17 +56,20 @@ _SOLUTION_VALUE = re.compile(
 _SENSES = ("<=", ">=", "=")
 # a backslash starts a comment that runs to the next str.splitlines boundary
 _LP_COMMENT = re.compile(r"\\[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
-# LP tokens are what str.split() returns; re's \s is the same str.isspace set
-_LP_TOKEN = re.compile(r"\s*(\S+)")
 # The terms of one expression as write_lp lays them out, every part a whole
 # token: a unit sum `name + name ...`, or else a first term `[int] name` or
-# `sign [magnitude] name` followed by `sign [magnitude] name` terms.
+# `sign [magnitude] name` followed by `sign [magnitude] name` terms. LP
+# tokens are what str.split() returns; re's \s is the same str.isspace set.
 _LP_UNIT_TERMS = r"x_[01]+(?:\s+\+\s+x_[01]+)*"
 _LP_SIGNED_TERMS = (
     r"(?:(?:[+-]?[0-9]+\s+)?x_[01]+|[+-]\s+(?:[0-9]+\s+)?x_[01]+)"
     r"(?:\s+[+-]\s+(?:[0-9]+\s+)?x_[01]+)*"
 )
-_LP_OBJECTIVE = re.compile(rf"\s+({_LP_UNIT_TERMS})(?!\S)")
+# Maximize, a label, the objective's unit sum, Subject To. The keywords are
+# compared after .lower(): IGNORECASE would also take "ſubject" (U+017F).
+_LP_HEAD = re.compile(
+    rf"\s*(\S+)\s+\S*:\s+({_LP_UNIT_TERMS})\s+(\S+)\s+(\S+)(?!\S)"
+)
 _LP_ROW = re.compile(
     rf"\s+(\S+):\s+(?:({_LP_UNIT_TERMS})|({_LP_SIGNED_TERMS}))"
     r"\s+(<=|>=|=)\s+([+-]?[0-9]+)(?!\S)"
@@ -315,6 +320,52 @@ def write_lp(model: IlpModel, sink: IO[str]) -> int:
     return len(text.encode("utf-8"))
 
 
+def _read_layout(text: str) -> tuple[set[str], list, list[str], _NameTerms] | None:
+    """The parts of comment-free text in write_lp's layout, else None.
+
+    The parts are the objective's names, the rows as LinearConstraint
+    arguments, the Binary names and the table of names met before Binary.
+    Compiled patterns take, whatever the whitespace, the head up to
+    Subject To and each whole row, and one split takes Binary, its names
+    and End. Nothing here raises: at the first thing it does not take, a
+    numeral too long for int() included, it returns None.
+    """
+    head = _LP_HEAD.match(text)
+    keywords = ("maximize", "subject", "to")
+    if not head or tuple(map(str.lower, head.group(1, 3, 4))) != keywords:
+        return None
+    names = _NameTerms()
+    coefficients = _Coefficients()
+
+    def unit_terms(unit: str) -> tuple[tuple[int, int], ...]:
+        return tuple(map(names.__getitem__, unit.split()[::2]))
+
+    unit_terms(head[2])
+    objective = set(names)
+    rows = []
+    pos = head.end()
+    try:
+        while m := _LP_ROW.match(text, pos):
+            label, unit, signed, sense, rhs = m.groups()
+            if unit:
+                terms = unit_terms(unit)
+            else:
+                parts = _LP_NAME_SPLIT.split(signed)
+                values = map(itemgetter(0), map(names.__getitem__, parts[1::2]))
+                terms = tuple(
+                    zip(values, map(coefficients.__getitem__, parts[:-1:2]))
+                )
+            rows.append((terms, sense, int(rhs), label))
+            pos = m.end()
+    except ValueError:  # int() refuses a numeral past its digit limit
+        return None
+    tail = text[pos:].split()
+    lowered = list(map(str.lower, tail))
+    if lowered[:1] + lowered[-1:] != ["binary", "end"] or "end" in lowered[1:-1]:
+        return None
+    return objective, rows, tail[1:-1], names
+
+
 def _parse_expression(
     items: list[str],
     pos: int,
@@ -371,6 +422,64 @@ def _parse_expression(
         terms.append(term if coeff == 1 else (term[0], coeff))
 
 
+def _read_tokens(items: list[str]) -> tuple[set[str], list, list[str], _NameTerms]:
+    """The parts of an LP file, as _read_layout gives them, from its tokens.
+
+    One index walks the str.split() tokens, the objective and every row
+    through _parse_expression. This reader defines the language read_lp
+    accepts, and its ValueError words the first fault in file order.
+    """
+    pos = 0
+
+    def take() -> str:
+        nonlocal pos
+        if pos == len(items):
+            raise ValueError("unexpected end of LP file")
+        pos += 1
+        return items[pos - 1]
+
+    # every x_<bits> name read, in order of first appearance
+    names = _NameTerms()
+    if take().lower() != "maximize":
+        raise ValueError("LP file must start with Maximize")
+    obj_label = take()
+    if not obj_label.endswith(":"):
+        raise ValueError(f"objective needs a label, got {obj_label!r}")
+    objective, pos = _parse_expression(items, pos, ("subject",), obj_label, names)
+    if any(coeff != 1 for _, coeff in objective):
+        raise ValueError("objective must have unit coefficients")
+    objective_names = set(names)
+    if take().lower() != "subject" or take().lower() != "to":
+        raise ValueError("expected Subject To after the objective")
+
+    rows = []
+    while True:
+        if pos == len(items):
+            raise ValueError("LP file ended inside Subject To")
+        if items[pos].lower() in ("binary", "end"):
+            break
+        label = take()
+        if not label.endswith(":") or len(label) == 1:
+            raise ValueError(f"expected a constraint label, got {label!r}")
+        terms, pos = _parse_expression(items, pos, ("binary", "end"), label, names)
+        sense = take()
+        if sense not in _SENSES:
+            raise ValueError(f"{label} expected a sense, got {sense!r}")
+        rhs_token = take()
+        if not _LP_INTEGER.fullmatch(rhs_token):
+            raise ValueError(f"{label} right-hand side {rhs_token!r} is not an integer")
+        rows.append((tuple(terms), sense, int(rhs_token), label[:-1]))
+
+    if take().lower() != "binary":
+        raise ValueError("expected a Binary section")
+    binary = []
+    while (name := take()).lower() != "end":
+        binary.append(name)
+    if pos < len(items):
+        raise ValueError(f"unexpected content after End: {items[pos]!r}")
+    return objective_names, rows, binary, names
+
+
 def read_lp(source: IO[str]) -> IlpModel:
     """Read a model in the dialect write_lp emits.
 
@@ -378,122 +487,17 @@ def read_lp(source: IO[str]) -> IlpModel:
     the variables the Binary section declares, those must be x_<bits>
     names of one common width covering every word of that length, every
     constraint may reference only declared variables, and labels must be
-    unique. Term order inside rows is preserved.
-
-    The reader moves a position through the comment-free text and never
-    splits the whole file into tokens. Compiled patterns take, whatever
-    the whitespace, the objective's unit sum and each whole row `label:
-    terms sense rhs` in the layout write_lp emits. A unit row's names map
-    through a per-file table to one shared (value, 1) term per name; a
-    split at the names of any other row leaves the sign and magnitude
-    text before each, which a second table turns into its coefficient.
-    An objective or row the patterns do not take, such as adjacent terms
-    without a sign, an empty row or a malformed file, goes token by token
-    through _parse_expression, which words the located errors. Both paths
-    read the same tokens, those str.split() would give, to the same model
-    or the same error. The text after Binary is split once into the
-    declared names and End. The checks on names run after the Binary
-    section is read.
+    unique. Term order inside rows is preserved. The reader is chosen
+    once per file: write_lp's layout goes to _read_layout, which never
+    splits the whole file into tokens, and any other file to _read_tokens,
+    which alone defines the language and words every error. Both give
+    the same parts where both read a file, and the checks on names and
+    the model construction then run once.
     """
     text = _LP_COMMENT.sub("", source.read())
-    pos = 0
-
-    def peek() -> str | None:
-        m = _LP_TOKEN.match(text, pos)
-        return m and m[1]
-
-    def take() -> str:
-        nonlocal pos
-        m = _LP_TOKEN.match(text, pos)
-        if not m:
-            raise ValueError("unexpected end of LP file")
-        pos = m.end()
-        return m[1]
-
-    # every x_<bits> name read, in order of first appearance
-    names = _NameTerms()
-    coefficients = _Coefficients()
-
-    def unit_terms(unit: str) -> tuple[tuple[int, int], ...]:
-        return tuple(map(names.__getitem__, unit.split()[::2]))
-
-    def walk(stop: tuple[str, ...], where: str) -> list[tuple[int, int]]:
-        nonlocal pos
-        # the walk ends at or before the first sense or stop token, so it
-        # needs no token past that one
-        tokens: list[str] = []
-        ends: list[int] = []
-        for m in _LP_TOKEN.finditer(text, pos):
-            tokens.append(m[1])
-            ends.append(m.end())
-            if m[1] in _SENSES or m[1].lower() in stop:
-                break
-        terms, used = _parse_expression(tokens, 0, stop, where, names)
-        if used:
-            pos = ends[used - 1]
-        return terms
-
-    if take().lower() != "maximize":
-        raise ValueError("LP file must start with Maximize")
-    obj_label = take()
-    if not obj_label.endswith(":"):
-        raise ValueError(f"objective needs a label, got {obj_label!r}")
-    m = _LP_OBJECTIVE.match(text, pos)
-    after = m and _LP_TOKEN.match(text, m.end())
-    if after and after[1].lower() == "subject":
-        objective: Sequence[tuple[int, int]] = unit_terms(m[1])
-        pos = m.end()
-    else:
-        objective = walk(("subject",), obj_label)
-    if any(coeff != 1 for _, coeff in objective):
-        raise ValueError("objective must have unit coefficients")
-    objective_names = set(names)
-    if take().lower() != "subject" or take().lower() != "to":
-        raise ValueError("expected Subject To after the objective")
-
-    raw_rows: list[tuple[str, Sequence[tuple[int, int]], str, int]] = []
-    while True:
-        m = _LP_ROW.match(text, pos)
-        if m:
-            label, unit, signed, sense, rhs = m.groups()
-            if unit:
-                terms: Sequence[tuple[int, int]] = unit_terms(unit)
-            else:
-                parts = _LP_NAME_SPLIT.split(signed)
-                values = map(itemgetter(0), map(names.__getitem__, parts[1::2]))
-                terms = tuple(
-                    zip(values, map(coefficients.__getitem__, parts[:-1:2]))
-                )
-            raw_rows.append((label, terms, sense, int(rhs)))
-            pos = m.end()
-            continue
-        tok = peek()
-        if tok is None:
-            raise ValueError("LP file ended inside Subject To")
-        if tok.lower() in ("binary", "end"):
-            break
-        label = take()
-        if not label.endswith(":") or len(label) == 1:
-            raise ValueError(f"expected a constraint label, got {label!r}")
-        terms = walk(("binary", "end"), label)
-        sense = take()
-        if sense not in _SENSES:
-            raise ValueError(f"{label} expected a sense, got {sense!r}")
-        rhs_token = take()
-        if not _LP_INTEGER.fullmatch(rhs_token):
-            raise ValueError(f"{label} right-hand side {rhs_token!r} is not an integer")
-        raw_rows.append((label[:-1], terms, sense, int(rhs_token)))
-
-    if take().lower() != "binary":
-        raise ValueError("expected a Binary section")
-    tail = text[pos:].split()
-    lowered = list(map(str.lower, tail))
-    if "end" not in lowered:
-        raise ValueError("unexpected end of LP file")
-    end = lowered.index("end")
-    if end + 1 < len(tail):
-        raise ValueError(f"unexpected content after End: {tail[end + 1]!r}")
-    binary = tail[:end]
+    objective, raw_rows, binary, names = (
+        _read_layout(text) or _read_tokens(text.split())
+    )
 
     if not binary:
         raise ValueError("Binary section declares no variables")
@@ -511,7 +515,7 @@ def read_lp(source: IO[str]) -> IlpModel:
         raise ValueError(
             f"expected all {1 << n} variables of length {n}, got {len(declared)}"
         )
-    if objective_names != declared:
+    if objective != declared:
         raise ValueError("objective does not cover exactly the declared variables")
     # names of other widths can share a value, so the check is by name; the
     # first undeclared name in file order is the first one a row references
@@ -520,13 +524,8 @@ def read_lp(source: IO[str]) -> IlpModel:
         first = next(name for name in names if name in undeclared)
         raise ValueError(f"constraint references undeclared {first!r}")
 
-    rows = tuple(
-        LinearConstraint(terms=tuple(terms), sense=sense, rhs=rhs, label=label)
-        for label, terms, sense, rhs in raw_rows
-    )
-    return IlpModel(
-        n=n, constraints=rows, metadata={"generator": "lp-import", "n": n}
-    )
+    rows = tuple(starmap(LinearConstraint, raw_rows))
+    return IlpModel(n, rows, {"generator": "lp-import", "n": n})
 
 
 # ------------------------------------------------------------ solution files

@@ -12,7 +12,14 @@ import pytest
 
 from delcodes.cli import main
 from delcodes.constraints import build_model
-from delcodes.ilp import read_lp, solve_builtin, verify_solution, write_lp
+from delcodes.ilp import (
+    IlpModel,
+    LinearConstraint,
+    read_lp,
+    solve_builtin,
+    verify_solution,
+    write_lp,
+)
 from delcodes.sdecc import max_sdecc_exact
 from delcodes.vt import format_code, vt_code
 
@@ -58,6 +65,12 @@ def test_vt_formula_rejects_general_residues(capsys):
 def test_vt_rejects_out_of_range_residue(capsys):
     status, _, err = run(capsys, "vt", "--n", "5", "--a", "9")
     assert status == 1 and "residue" in err
+
+
+def test_vt_formula_covers_residue_one(capsys):
+    status, out, _ = run(capsys, "vt", "--n", "11", "--a", "1", "--formula")
+    assert status == 0
+    assert out.splitlines() == ["|VT_1(11)| = 170", "formula size = 170"]
 
 
 # --------------------------------------------------------------------- check
@@ -168,6 +181,27 @@ def test_gen_rejects_malformed_c6_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_rejects_an_empty_family_list(tmp_path, capsys):
+    status, _, err = run(
+        capsys,
+        "gen", "--n", "5", "--families", ",", "--out", str(tmp_path / "x.lp"),
+    )
+    assert status == 1 and "at least one family" in err
+
+
+@pytest.mark.parametrize("value", ["a,b", "-1,0"])
+def test_gen_rejects_c6_values_that_are_not_section_lengths(
+    tmp_path, capsys, value
+):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "gen", "--n", "8", "--families", "c0,c6",
+            f"--c6={value}", "--out", str(tmp_path / "x.lp"),
+        ])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+
+
 def test_gen_honours_explicit_c6_shapes(tmp_path, capsys):
     path = tmp_path / "m.lp"
     status, data, _ = run_json(
@@ -189,6 +223,21 @@ def test_solve_reports_objective_and_status(tmp_path, capsys):
     status, out, _ = run(capsys, "solve", "--model", str(path))
     assert status == 0
     assert out.splitlines()[0] == "objective 10 (optimal)"
+
+
+def test_solve_exits_one_when_the_budget_finds_nothing(tmp_path, capsys):
+    # M(5) = 6, so no code meets the >= 7 row, and one node proves nothing
+    rows = build_model(5, {"C0"}).constraints + (
+        LinearConstraint(tuple((v, 1) for v in range(32)), ">=", 7, "big"),
+    )
+    path = tmp_path / "m.lp"
+    with open(path, "w", encoding="utf-8") as sink:
+        write_lp(IlpModel(5, rows), sink)
+    status, out, err = run(
+        capsys, "solve", "--model", str(path), "--node-limit", "1"
+    )
+    assert status == 1 and out == ""
+    assert "no feasible solution found within the search budget" in err
 
 
 @pytest.mark.parametrize("command", ["max", "solve"])

@@ -17,6 +17,7 @@ import random
 import numpy as np
 import pytest
 
+from delcodes import coverlp
 from delcodes.coverlp import (
     _COVER_CACHE_ENTRIES,
     _COVER_DENOM,
@@ -28,7 +29,7 @@ from delcodes.coverlp import (
     _separation_rounds,
     _symmetries,
 )
-from delcodes.sdecc import _incidence, conflict_graph
+from delcodes.sdecc import _incidence, conflict_graph, max_sdecc_exact
 
 
 def center_masks(n: int) -> list[int]:
@@ -277,3 +278,37 @@ def test_cover_weight_cache_keeps_the_most_recent_families():
     assert kept[-2:] == [tuple(oldest), tuple(newest)]
     assert tuple(families[1 - _COVER_CACHE_ENTRIES]) not in kept
     _cover_weight_cache.clear()
+
+
+def test_halved_duals_are_repaired_to_a_sound_cover(monkeypatch):
+    # duals that price each vertex at half its due make every vertex short,
+    # so the exact integer repair has to supply the rest
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    solution = PackingLP.solution
+
+    def halved(self):
+        duals, x = solution(self)
+        return duals / 2, x
+
+    monkeypatch.setattr(PackingLP, "solution", halved)
+    rows, weights = _cover_weights(64, center_masks(6), -1)
+    for v in range(64):
+        got = sum(w for m, w in zip(rows, weights) if m >> v & 1)
+        assert got >= _COVER_DENOM, (v, got)
+    assert sum(weights) // _COVER_DENOM >= 10  # M(6) = 10
+    result = max_sdecc_exact(6)
+    assert (result.size, result.proof_status) == (10, "optimal")
+
+
+def test_a_simplex_that_gives_up_leaves_greedy_covers(monkeypatch):
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    monkeypatch.setattr(coverlp, "_MAX_PIVOTS", 0)
+    assert _cover_weights(64, center_masks(6), -1) is None
+    result = max_sdecc_exact(6)
+    assert (result.size, result.proof_status) == (10, "optimal")
+    assert result.nodes > 1  # the LP closes n = 6 at the root
+
+
+def test_a_vertex_in_no_mask_has_no_cover_weights(monkeypatch):
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    assert _cover_weights(4, [0b0011], -1) is None

@@ -452,11 +452,11 @@ def test_read_lp_reads_write_lp_output_without_the_token_walk(
     n, monkeypatch
 ):
     # write_lp's own layout must stay on the compiled patterns; the token
-    # walk is for what they do not take
+    # reader is for what they do not take
     def refuse(*args):
-        raise AssertionError("_parse_expression ran on write_lp output")
+        raise AssertionError("_read_tokens ran on write_lp output")
 
-    monkeypatch.setattr(ilp_module, "_parse_expression", refuse)
+    monkeypatch.setattr(ilp_module, "_read_tokens", refuse)
     model = read_lp(io.StringIO(full_model_text(n)))
     assert model.constraints == build_model(n, FAMILY_IDS).constraints
 
@@ -546,6 +546,10 @@ def layout_cases():
         "huge-rhs": (">= 1", ">= " + "9" * 400),
         "huge-coefficient": ("2 x_00", "9" * 400 + " x_00"),
         "overlong-coefficient": ("2 x_00", "9" * 5000 + " x_00"),
+        # re.IGNORECASE would take these keywords; str.lower() does not
+        "long-s-subject": ("Subject To", "\u017fubject To"),
+        "dotted-capital-i-binary": ("Binary", "B\u0130nary"),
+        "dotless-i-maximize": ("Maximize", "Max\u0131mize"),
     }
     for name, (old, new) in edits.items():
         assert old in SMALL_LP, name
@@ -557,6 +561,52 @@ def layout_cases():
 )
 def test_read_lp_matches_the_reference_reader_on_other_layouts(text):
     assert_reads_like_the_reference(text)
+
+
+def layout_reader_agrees(text: str) -> bool:
+    """Whether the layout reader takes text.
+
+    Where it does, the token reader must give equal parts, with the names
+    in the same order.
+    """
+    clean = ilp_module._LP_COMMENT.sub("", text)
+    parts = ilp_module._read_layout(clean)
+    if parts is None:
+        return False
+    objective, rows, binary, names = ilp_module._read_tokens(clean.split())
+    assert parts[:3] == (objective, rows, binary), text
+    assert list(parts[3]) == list(names), text
+    return True
+
+
+@pytest.mark.parametrize(
+    "text", [pytest.param(text, id=name) for name, text in layout_cases()]
+)
+def test_the_readers_agree_on_other_layouts(text):
+    layout_reader_agrees(text)
+
+
+def test_the_readers_agree_on_mutations():
+    # the corpus of test_read_lp_mutations_raise_only_value_error
+    rng = random.Random(7200)
+    sources = [lp_text(build_model(n, FAMILY_IDS)) for n in (2, 3)]
+    sources += [lp_text(random_model(rng)) for _ in range(8)]
+    taken = sum(
+        layout_reader_agrees(mutate_lp(rng, rng.choice(sources)))
+        for _ in range(3000)
+    )
+    assert 0 < taken < 3000
+
+
+def test_the_layout_reader_takes_random_models_as_the_token_reader_does():
+    rng = random.Random(7100)
+    for case in range(300):
+        assert layout_reader_agrees(lp_text(random_model(rng))), case
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_the_layout_reader_takes_full_models_as_the_token_reader_does(n):
+    assert layout_reader_agrees(full_model_text(n))
 
 
 def test_read_lp_accepts_explicit_coefficients_and_wraps():
@@ -1001,6 +1051,13 @@ def test_solve_raises_on_conflicting_fixed_words():
 def test_solve_requires_packing_rows():
     with pytest.raises(ValueError):
         solve_builtin(IlpModel(3, ()))
+
+
+def test_solve_requires_every_variable_in_a_packing_row():
+    # words 10 and 11 are in no packing row
+    pair = LinearConstraint(((0b00, 1), (0b01, 1)), "<=", 1, "pair")
+    with pytest.raises(ValueError, match="every variable must appear"):
+        solve_builtin(IlpModel(2, (pair,)))
 
 
 def test_solve_rejects_wrong_length_incumbent():
