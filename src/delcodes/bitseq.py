@@ -8,9 +8,10 @@ therefore plain integer order.
 The Word/WordSet classes are the public face; the module also exposes the
 raw int helpers (delete_position, surface_values, insertion_values) that
 the graph, search, and constraint generators use in their hot loops, and
-one whole-set kernel, surface_union_size, which counts the union of a
-code's deletion surfaces with bit operations on a 2^n-bit mask instead of
-a set of |C| n ints; the validity and perfectness checks rest on it.
+two whole-set counts the validity and perfectness checks rest on:
+surface_size_sum adds up a code's surface sizes from its run counts, and
+surface_union_size counts the union of its deletion surfaces with bit
+operations on a 2^n-bit mask instead of a set of |C| n ints.
 """
 
 from __future__ import annotations
@@ -214,6 +215,16 @@ def _insertion_table(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(
         (k, (1 << k) - 1, b << k) for k in range(n + 1) for b in (0, 1)
     )
+
+
+def surface_size_sum(n: int, values: Iterable[int]) -> int:
+    """Sum of the single-deletion surface sizes of n-bit values.
+
+    A word's surface has one member per run of the word, and each run
+    after the first starts where two adjacent bits differ.
+    """
+    edges = (1 << (n - 1)) - 1
+    return sum(((v ^ (v >> 1)) & edges).bit_count() + 1 for v in values)
 
 
 def surface_union_size(n: int, values: Iterable[int]) -> int:

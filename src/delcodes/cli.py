@@ -30,7 +30,13 @@ from .ilp import (
     write_lp,
     write_solution,
 )
-from .sdecc import SearchOptions, bounds, is_sdecc, max_sdecc_exact
+from .sdecc import (
+    SdeccResult,
+    SearchOptions,
+    bounds,
+    is_sdecc,
+    max_sdecc_exact,
+)
 from .vt import is_perfect, parse_code, vt0_size, vt1_size, vt_code
 
 _Handled = tuple[int, dict, list[str]]
@@ -79,7 +85,7 @@ def _cmd_check(args: argparse.Namespace) -> _Handled:
         "n": code.n,
         "size": len(code),
         "ok": result.ok,
-        "witness": None,
+        "witness": _witness(result),
     }
     if result.ok:
         lines = [
@@ -87,13 +93,18 @@ def _cmd_check(args: argparse.Namespace) -> _Handled:
         ]
         return 0, data, lines
     x, y = result.first_pair
-    data["witness"] = {
-        "first": str(x),
-        "second": str(y),
-        "shared": str(result.shared),
-    }
     lines = [f"INVALID: {x} and {y} share deleted word {result.shared}"]
     return 1, data, lines
+
+
+def _witness(result: SdeccResult) -> dict | None:
+    """The first conflicting pair and their shared deleted word, if any."""
+    if result.ok:
+        return None
+    x, y = result.first_pair
+    # the empty word, shared by two length-1 words, has no Word
+    shared = "" if result.shared is None else str(result.shared)
+    return {"first": str(x), "second": str(y), "shared": shared}
 
 
 def _search_options(args: argparse.Namespace) -> SearchOptions:
@@ -168,10 +179,7 @@ def _cmd_gen(args: argparse.Namespace) -> _Handled:
 def _cmd_solve(args: argparse.Namespace) -> _Handled:
     with open(args.model, encoding="utf-8") as source:
         model = read_lp(source)
-    options = SearchOptions(
-        node_limit=args.node_limit, time_limit=args.time_limit
-    )
-    solution = solve_builtin(model, options)
+    solution = solve_builtin(model, _search_options(args))
     if solution.solver_status == "unknown":
         raise ValueError(
             "no feasible solution found within the search budget"
@@ -209,15 +217,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Handled:
         "violated": list(report.violated),
         "foreign": list(report.foreign_names),
         "code_ok": report.code_result.ok,
-        "witness": None,
+        "witness": _witness(report.code_result),
     }
-    if not report.code_result.ok:
-        x, y = report.code_result.first_pair
-        data["witness"] = {
-            "first": str(x),
-            "second": str(y),
-            "shared": str(report.code_result.shared),
-        }
     lines = report.render().splitlines()
     return (0 if report.ok else 1), data, lines
 
@@ -266,6 +267,10 @@ def _build_parser() -> argparse.ArgumentParser:
             help="machine-readable output",
         )
 
+    def flag_budgets(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--time-limit", type=float, default=None, metavar="S")
+        p.add_argument("--node-limit", type=int, default=None, metavar="K")
+
     p = sub.add_parser("vt", help="inspect one VT residue class")
     p.add_argument("--n", type=int, required=True, help="word length")
     p.add_argument("--a", type=int, required=True, help="syndrome residue")
@@ -286,8 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("max", help="exact maximum code size with witness")
     p.add_argument("--n", type=int, required=True, help="word length")
-    p.add_argument("--time-limit", type=float, default=None, metavar="S")
-    p.add_argument("--node-limit", type=int, default=None, metavar="K")
+    flag_budgets(p)
     p.add_argument(
         "--incumbent", default=None, metavar="PATH", help="warm-start code file"
     )
@@ -314,8 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an LP model with the built-in solver")
     p.add_argument("--model", required=True, help="LP file this tool wrote")
-    p.add_argument("--time-limit", type=float, default=None, metavar="S")
-    p.add_argument("--node-limit", type=int, default=None, metavar="K")
+    flag_budgets(p)
     p.add_argument(
         "--out", default=None, metavar="PATH", help="write the solution file"
     )

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .bitseq import Word, WordSet, insertion_values, runs_of, surface_values
+from .bitseq import Word, WordSet, runs_of
 from .ilp import IlpModel, LinearConstraint
-from .sdecc import GRAPH_MAX_N, KNOWN_SIZES
+from .sdecc import GRAPH_MAX_N, KNOWN_SIZES, conflict_graph
 from .vt import vt0_size
 
 GEN_MAX_N = GRAPH_MAX_N  # the conflict graph's memory guard
@@ -95,21 +95,21 @@ def run_class_members(rc: RunClass) -> WordSet:
 def gen_c0(n: int) -> ConstraintFamily:
     """Packing rows: each length-(n-1) center is covered at most once.
 
-    One row per center y, over the n+1 words whose surface contains y.
-    These rows alone characterize validity; every other family assumes
-    they are present.
+    One row per center y, over the n+1 words whose surface contains y:
+    y's clique in the conflict graph. These rows alone characterize
+    validity; every other family assumes they are present.
     """
     _check_n(n)
-    rows = []
-    for center in range(1 << (n - 1)):
-        coverers = sorted(insertion_values(n - 1, center))
-        rows.append(LinearConstraint(
-            terms=tuple((v, 1) for v in coverers),
+    rows = tuple(
+        LinearConstraint(
+            terms=tuple((v, 1) for v in members),
             sense="<=",
             rhs=1,
             label=f"c0_y{_bits(center, n - 1)}",
-        ))
-    return ConstraintFamily("C0", (), tuple(rows))
+        )
+        for center, members in conflict_graph(n).cliques_by_center.items()
+    )
+    return ConstraintFamily("C0", (), rows)
 
 
 def gen_c1(n: int) -> ConstraintFamily:
@@ -128,32 +128,35 @@ def dominated_words(n: int) -> set[Word]:
     """Words x for which some y has dS(y) a proper subset of dS(x).
 
     Such an x can be swapped for its smaller-surfaced rival in any code,
-    so some maximum code avoids x entirely. For each word y, the words
-    whose surface contains dS(y) are exactly those lying in the coverer
-    set of every center of dS(y); of these, the ones with a strictly
-    larger surface are dominated. Equal surfaces do not dominate.
+    so some maximum code avoids x entirely. There are 4n-6 of them: the
+    words of weight 1 or n-1, and 0^k 1 0 1^(n-2-k) and its complement
+    for 1 <= k <= n-3. The reason: two distinct words of one length share
+    at most two single-deletion results (Levenshtein, "Efficient
+    reconstruction of sequences", IEEE Trans. Inf. Theory 2001). So when
+    dS(y) lies strictly inside dS(x), it lies in dS(x) & dS(y), which has
+    at most two elements, and y has at most two runs. For y = 0^n the
+    rivals are the weight-1 words. For y = 0^a 1^b the only word other
+    than y that both of y's deletions reach by one insertion is
+    0^(a-1) 1 0 1^(b-1). The 1-led cases follow by complement.
     """
     _check_n(n)
-    surfaces = [surface_values(n, v) for v in range(1 << n)]
-    coverers: list[set[int]] = [set() for _ in range(1 << (n - 1))]
-    for v, surf in enumerate(surfaces):
-        for c in surf:
-            coverers[c].add(v)
-    dominated: set[int] = set()
-    for sy in surfaces:
-        size = len(sy)
-        for x in set.intersection(*(coverers[c] for c in sy)):
-            if len(surfaces[x]) > size:
-                dominated.add(x)
-    return {Word(n, x) for x in dominated}
+    top = (1 << n) - 1
+    # weight 1, then 0^k 1 0 1^m for k, m >= 1 with k + m = n - 2
+    half = [1 << i for i in range(n)]
+    half += [(2 << m) | ((1 << m) - 1) for m in range(1, n - 2)]
+    return {Word(n, v) for x in half for v in (x, top ^ x)}
 
 
 def gen_c2(n: int) -> ConstraintFamily:
     """Exclusion rows: every dominated word is fixed to 0.
 
-    The built-in searches apply the same rule by themselves at the root
-    of their shared kernel (sdecc._drop_dominated), wherever the model's
-    other rows allow the swap; these rows state it for external solvers.
+    The dominated words are the 4n-6 words of weight 1 or n-1 and
+    0^k 1 0 1^(n-2-k) with its complement for 1 <= k <= n-3; that two
+    words share at most two deletions (Levenshtein 2001) leaves no others
+    (see dominated_words). The built-in searches apply the same rule by
+    themselves at the root of their shared kernel (sdecc._drop_dominated),
+    wherever the model's other rows allow the swap; these rows state it
+    for external solvers.
     """
     _check_n(n)
     rows = tuple(
@@ -247,22 +250,17 @@ def gen_c5(n: int, strengthened: bool = False) -> ConstraintFamily:
 
 def _known_m(r: int) -> int | None:
     entry = KNOWN_SIZES.get(r)
-    return entry[1] if entry else None
+    return entry[0] if entry else None
 
 
-def gen_c6(
-    n: int,
-    p: int,
-    q: int,
-    m_lookup: Callable[[int], int | None] | None = None,
-) -> ConstraintFamily:
+def gen_c6(n: int, p: int, q: int) -> ConstraintFamily:
     """Section rows: each fixed prefix/suffix holds a short code.
 
     For every prefix u of length p and suffix v of length q, the middle
     sections of selected words of the form u x v form a valid code of
     length r = n - p - q, so their count is at most the exact maximum
-    M(r). m_lookup supplies M; the default reads the embedded known-value
-    table and rejects lengths whose maximum is unestablished.
+    M(r), read from the embedded known-value table; lengths whose maximum
+    is unestablished are rejected.
     """
     _check_n(n)
     if p < 0 or q < 0:
@@ -272,8 +270,7 @@ def gen_c6(
     r = n - p - q
     if r < 2:
         raise ValueError(f"middle section must keep length >= 2, got r={r}")
-    m_of = m_lookup or _known_m
-    m_r = m_of(r)
+    m_r = _known_m(r)
     if m_r is None:
         raise ValueError(f"exact maximum for length {r} is not known")
     rows = []

@@ -31,7 +31,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import IO, Iterator, Mapping, Sequence
 
-from .bitseq import Word, WordSet
+from .bitseq import MAX_LEN, Word, WordSet
 from .sdecc import (
     SdeccResult,
     SearchOptions,
@@ -53,7 +53,7 @@ _SOLUTION_VALUE = re.compile(
     r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|nan)",
     re.IGNORECASE,
 )
-_SENSES = ("<=", ">=", "=")
+_SENSES = tuple(_SENSE_HOLDS)
 # a backslash starts a comment that runs to the next str.splitlines boundary
 _LP_COMMENT = re.compile(r"\\[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 # The terms of one expression as write_lp lays them out, every part a whole
@@ -189,8 +189,10 @@ class IlpModel:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 24:
-            raise ValueError(f"model length must lie in 1..24, got {self.n}")
+        if not 1 <= self.n <= MAX_LEN:
+            raise ValueError(
+                f"model length must lie in 1..{MAX_LEN}, got {self.n}"
+            )
         labels: set[str] = set()
         for row in self.constraints:
             if row.label in labels:
@@ -228,8 +230,10 @@ class Solution:
     solver_status: str  # "optimal", "feasible", or "unknown"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 24:
-            raise ValueError(f"solution length {self.n} is not in 1..24")
+        if not 1 <= self.n <= MAX_LEN:
+            raise ValueError(
+                f"solution length {self.n} is not in 1..{MAX_LEN}"
+            )
         if self.selection < 0 or self.selection.bit_length() > 1 << self.n:
             raise ValueError(f"selection is not in 0..2^(2^{self.n})-1")
         if self.source not in ("built-in", "imported"):
@@ -623,9 +627,10 @@ class VerifyReport:
             lines.append("code check: valid single-deletion code")
         else:
             x, y = self.code_result.first_pair
+            shared = self.code_result.shared
             lines.append(
                 f"code check: INVALID, {x} and {y} share deleted word "
-                f"{self.code_result.shared}"
+                f"{'(the empty word)' if shared is None else shared}"
             )
         return "\n".join(lines)
 
@@ -656,8 +661,10 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
     words = WordSet(model.n, _ones(selection))
     if model.n >= 2:
         code_result = is_sdecc(words)
-    else:
-        code_result = SdeccResult(len(words) <= 1, None, None)
+    elif len(words) <= 1:
+        code_result = SdeccResult(True, None, None)
+    else:  # both length-1 words delete to the empty word
+        code_result = SdeccResult(False, (Word(1, 0), Word(1, 1)), None)
     return VerifyReport(
         ok=not violated and code_result.ok and solution.n == model.n,
         objective=solution.objective,

@@ -30,6 +30,7 @@ from .bitseq import (
     Word,
     WordSet,
     insertion_values,
+    surface_size_sum,
     surface_union_size,
     surface_values,
 )
@@ -38,27 +39,30 @@ from .vt import vt0_size, vt_code
 
 GRAPH_MAX_N = 14
 
-# n -> (|VT_0(n)|, exact maximum when known, best published upper bound)
-KNOWN_SIZES: dict[int, tuple[int, int | None, int]] = {
-    2: (2, 2, 2),
-    3: (2, 2, 2),
-    4: (4, 4, 4),
-    5: (6, 6, 6),
-    6: (10, 10, 10),
-    7: (16, 16, 16),
-    8: (30, 30, 30),
-    9: (52, 52, 52),
-    10: (94, 94, 94),
-    11: (172, 172, 172),
-    12: (316, None, 320),
-    13: (586, None, 593),
-    14: (1096, None, 1104),
-    15: (2048, None, 2184),
+# n -> (exact maximum when known, best published upper bound)
+KNOWN_SIZES: dict[int, tuple[int | None, int]] = {
+    2: (2, 2),
+    3: (2, 2),
+    4: (4, 4),
+    5: (6, 6),
+    6: (10, 10),
+    7: (16, 16),
+    8: (30, 30),
+    9: (52, 52),
+    10: (94, 94),
+    11: (172, 172),
+    12: (None, 320),
+    13: (None, 593),
+    14: (None, 1104),
+    15: (None, 2184),
 }
 
 
 class SdeccResult(NamedTuple):
-    """Validity verdict; truthy exactly when the code is a valid SDECC."""
+    """Validity verdict; truthy exactly when the code is a valid SDECC.
+
+    Two length-1 words share the empty word, which shared holds as None.
+    """
 
     ok: bool
     first_pair: tuple[Word, Word] | None
@@ -71,10 +75,10 @@ class SdeccResult(NamedTuple):
 def is_sdecc(code: WordSet) -> SdeccResult:
     """Check pairwise-disjoint deletion surfaces.
 
-    The surfaces are disjoint exactly when their sizes add up to the size
-    of their union; a word's surface has one element per run of the word,
-    and bitseq.surface_union_size counts the union on a 2^n-bit mask, so
-    the check costs about n 2^n / 8 bytes of work for any code size. Only
+    The surfaces are disjoint exactly when their sizes, summed by
+    bitseq.surface_size_sum, add up to the size of their union, which
+    bitseq.surface_union_size counts on a 2^n-bit mask; so the check
+    costs about n 2^n / 8 bytes of work for any code size. Only
     when the sizes disagree is the code scanned in ascending order, each
     surface in ascending order, so that the result carries the first
     violating pair in that order together with the first shared deleted
@@ -84,9 +88,7 @@ def is_sdecc(code: WordSet) -> SdeccResult:
     if n < 2:
         raise ValueError(f"validity needs length >= 2, got {n}")
     values = code.values
-    edges = (1 << (n - 1)) - 1
-    runs = sum(((v ^ (v >> 1)) & edges).bit_count() + 1 for v in values)
-    if surface_union_size(n, values) == runs:
+    if surface_union_size(n, values) == surface_size_sum(n, values):
         return SdeccResult(True, None, None)
     owner: dict[int, int] = {}
     for v in values:
@@ -130,8 +132,8 @@ class ConflictGraph:
     """Conflict structure over all words of one length.
 
     cliques_by_center maps every length-(n-1) word to the sorted tuple of
-    the n+1 words whose surface contains it. Adjacency is derived from the
-    cliques on first use and cached.
+    its n+1 single insertions, the words whose surface contains it.
+    Adjacency is derived from the cliques on first use and cached.
     """
 
     def __init__(self, n: int, cliques_by_center: dict[int, tuple[int, ...]]):
@@ -170,13 +172,10 @@ def conflict_graph(n: int) -> ConflictGraph:
         raise ValueError(
             f"conflict graph supports 2 <= n <= {GRAPH_MAX_N}, got {n!r}"
         )
-    cliques: dict[int, list[int]] = {}
-    for v in range(1 << n):
-        for c in surface_values(n, v):
-            cliques.setdefault(c, []).append(v)
-    return ConflictGraph(
-        n, {c: tuple(vs) for c, vs in sorted(cliques.items())}
-    )
+    return ConflictGraph(n, {
+        c: tuple(sorted(insertion_values(n - 1, c)))
+        for c in range(1 << (n - 1))
+    })
 
 
 @dataclass(frozen=True)
@@ -208,8 +207,8 @@ def bounds(n: int) -> BoundsRecord:
         lower_vt=vt0_size(n),
         lower_ratio=-(-(1 << n) // (n + 1)),
         upper_kk=((1 << n) - 2) // (n - 2),
-        known_M=known[1] if known else None,
-        known_upper=known[2] if known else None,
+        known_M=known[0] if known else None,
+        known_upper=known[1] if known else None,
     )
 
 
@@ -291,7 +290,10 @@ def _drop_dominated(
     by the row's sense (an absent term counts as 0). y is itself still a
     candidate when x goes, so of two variables with equal row sets only
     one is dropped. On the conflict graph with no generic rows this drops
-    exactly the words C2 excludes (constraints.dominated_words).
+    exactly the words C2 excludes: those of weight 1 or n-1 and
+    0^k 1 0 1^(n-2-k) with its complement for 1 <= k <= n-3, since two
+    words share at most two deletions (Levenshtein 2001; see
+    constraints.dominated_words).
     """
     # a set and a bit string, not mask arithmetic, track membership: every
     # operation on the 2^n-bit cand costs time linear in its width

@@ -8,7 +8,13 @@ function); no closed form is implemented for other residues.
 
 from __future__ import annotations
 
-from .bitseq import Word, WordSet, _check_length, surface_union_size
+from .bitseq import (
+    Word,
+    WordSet,
+    _check_length,
+    surface_size_sum,
+    surface_union_size,
+)
 
 FORMULA_MAX_N = 62
 
@@ -138,9 +144,10 @@ def is_perfect(code: WordSet) -> bool:
     if n < 2:
         raise ValueError(f"perfectness needs length >= 2, got {n}")
     values = code.values
-    edges = (1 << (n - 1)) - 1
-    runs = sum(((v ^ (v >> 1)) & edges).bit_count() + 1 for v in values)
-    return runs == 1 << (n - 1) == surface_union_size(n, values)
+    return (
+        surface_size_sum(n, values) == 1 << (n - 1)
+        == surface_union_size(n, values)
+    )
 
 
 def parse_code(text: str) -> WordSet:

@@ -18,6 +18,7 @@ from delcodes.bitseq import (
     insertion_values,
     levenshtein_id,
     run_count,
+    surface_size_sum,
     surface_union_size,
     surface_values,
 )
@@ -299,6 +300,14 @@ def test_surface_union_size_of_single_words():
         for s in _all_strings(n):
             expected = _runs_oracle(s, 0) + _runs_oracle(s, 1)
             assert surface_union_size(n, [int(s, 2)]) == expected, s
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_surface_size_sum_adds_the_surface_sizes(n):
+    words = range(1 << n)
+    expected = sum(len(surface_values(n, v)) for v in words)
+    assert surface_size_sum(n, words) == expected
+    assert surface_size_sum(n, []) == 0
 
 
 def test_insertion_values_match_the_string_oracle_at_every_length():

@@ -313,6 +313,41 @@ def test_verify_json_parity(tmp_path, capsys):
     assert data["violated"] == [] and data["code_ok"] is True
 
 
+def _length_one_model_selecting_both_words(tmp_path):
+    model_path = tmp_path / "m1.lp"
+    sol_path = tmp_path / "s1.txt"
+    with open(model_path, "w", encoding="utf-8") as sink:
+        write_lp(IlpModel(1, ()), sink)
+    sol_path.write_text("x_0 1\nx_1 1\n")
+    return "verify", "--model", str(model_path), "--solution", str(sol_path)
+
+
+def test_verify_length_one_words_sharing_the_empty_word_fail(
+    tmp_path, capsys
+):
+    status, out, err = run(
+        capsys, *_length_one_model_selecting_both_words(tmp_path)
+    )
+    assert status == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "verification: FAIL"
+    assert lines[-1] == (
+        "code check: INVALID, 0 and 1 share deleted word (the empty word)"
+    )
+
+
+def test_verify_length_one_words_sharing_the_empty_word_fail_json(
+    tmp_path, capsys
+):
+    status, data, err = run_json(
+        capsys, *_length_one_model_selecting_both_words(tmp_path)
+    )
+    assert status == 1 and err == ""
+    assert data["ok"] is False and data["code_ok"] is False
+    assert data["violated"] == [] and data["selected"] == 2
+    assert data["witness"] == {"first": "0", "second": "1", "shared": ""}
+
+
 def test_solve_strict_verify_accepts_written_file(tmp_path, capsys):
     model_path = tmp_path / "m.lp"
     sol_path = tmp_path / "s.txt"

@@ -31,7 +31,7 @@ from delcodes.constraints import (
     gen_c6,
     run_class_members,
 )
-from delcodes.sdecc import KNOWN_SIZES, is_sdecc
+from delcodes.sdecc import KNOWN_SIZES, conflict_graph, is_sdecc
 from delcodes.vt import vt_code, vt0_size
 
 
@@ -95,6 +95,18 @@ def test_c0_labels_sorted_and_unique():
     assert labels[0] == "c0_y0000" and labels[-1] == "c0_y1111"
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_c0_rows_list_the_conflict_graph_cliques_in_order(n):
+    rows = gen_c0(n).constraints
+    cliques = conflict_graph(n).cliques_by_center
+    assert [tuple(v for v, _ in row.terms) for row in rows] == list(
+        cliques.values()
+    )
+    assert [row.label for row in rows] == [
+        f"c0_y{Word(n - 1, c)}" for c in cliques
+    ]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_every_vt_class_satisfies_c0(n):
     fam = gen_c0(n)
@@ -147,7 +159,7 @@ def dominated_by_rival_sets(n):
     return out
 
 
-@pytest.mark.parametrize("n", range(2, 14))
+@pytest.mark.parametrize("n", range(2, 15))
 def test_dominated_words_brute_force(n):
     surfaces = {w.value: surface_set(w) for w in enumerate_words(n)}
     if n <= 8:
@@ -404,7 +416,7 @@ def test_c6_pinned_prefix_example():
     assert labels == ["c6_p1q0_u0_v-", "c6_p1q0_u1_v-"]
     for row in fam.constraints:
         assert len(row.terms) == 512
-        assert row.sense == "<=" and row.rhs == KNOWN_SIZES[9][1] == 52
+        assert row.sense == "<=" and row.rhs == KNOWN_SIZES[9][0] == 52
 
 
 def test_c6_pinned_two_sided_example():
@@ -440,7 +452,7 @@ def test_c6_rows_enumerate_fixed_affix_words(n, p, q):
                 assert text[n - q:] == v
             else:
                 assert v == "-"
-        assert row.rhs == KNOWN_SIZES[r][1]
+        assert row.rhs == KNOWN_SIZES[r][0]
     assert len(seen) == 1 << n  # the rows partition the variables
 
 
@@ -455,11 +467,6 @@ def test_every_vt_class_satisfies_c6_preset(n):
         assignment = assignment_for(n, vt_code(n, a).values)
         for row in rows:
             assert row.satisfied(assignment), (a, row.label)
-
-
-def test_c6_m_lookup_override():
-    fam = gen_c6(6, 1, 0, m_lookup=lambda r: 7)
-    assert all(row.rhs == 7 for row in fam.constraints)
 
 
 def test_c6_rejects_unknown_remainder_and_bad_shape():

@@ -212,6 +212,16 @@ def test_every_center_has_exactly_n_plus_one_coverers(n):
     assert all(len(c) == n + 1 for c in g.cliques_by_center.values())
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cliques_match_a_scan_of_every_surface(n):
+    scanned: dict[int, list[int]] = {}
+    for v in range(1 << n):
+        for c in surface_values(n, v):
+            scanned.setdefault(c, []).append(v)
+    expected = [(c, tuple(vs)) for c, vs in sorted(scanned.items())]
+    assert list(conflict_graph(n).cliques_by_center.items()) == expected
+
+
 def test_vertex_count_and_repr():
     g = conflict_graph(3)
     assert g.vertex_count == 8
@@ -340,7 +350,7 @@ def test_trivial_length_one_maximum():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_search_matches_known_maxima_small(n):
     r = max_sdecc_exact(n)
-    assert r.size == KNOWN_SIZES[n][1]
+    assert r.size == KNOWN_SIZES[n][0]
     assert r.proof_status == "optimal"
     assert is_sdecc(r.witness)
     assert len(r.witness) == r.size
