@@ -484,10 +484,8 @@ def _cover_weights(
     entry = _cover_weight_cache.pop(key, None)
     rounds, more = entry or ([], _separation_rounds(nv, masks))
     denom = _COVER_DENOM
-    for rows, weights in rounds:
-        if sum(weights) // denom <= target:
-            return rows, weights
-    while more is not None:
+    met = next((r for r in rounds if sum(r[1]) // denom <= target), None)
+    while met is None and more is not None:
         if rounds and deadline is not None and time.monotonic() > deadline:
             break
         step = next(more, None)
@@ -496,8 +494,9 @@ def _cover_weights(
             break
         rounds.append(step)
         if sum(step[1]) // denom <= target:
-            break
+            met = step
+    # put back as the most recent family, whichever round serves the call
     while len(_cover_weight_cache) >= _COVER_CACHE_ENTRIES:
         del _cover_weight_cache[next(iter(_cover_weight_cache))]
     _cover_weight_cache[key] = rounds, more
-    return rounds[-1] if rounds else None
+    return met or (rounds[-1] if rounds else None)

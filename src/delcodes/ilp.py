@@ -268,17 +268,20 @@ def _term_tokens(
         yield f"{sign} {body}" if sign else body
 
 
-def _wrapped(head: str, parts: Sequence[str], limit: int = 72) -> Iterator[str]:
+_LP_WIDTH = 72
+
+
+def _wrapped(head: str, parts: Sequence[str]) -> Iterator[str]:
+    # every head and part is non-empty, so no line is ever blank
     line = head
     for part in parts:
-        grown = f"{line} {part}" if line else part
-        if len(grown) > limit and line.strip():
+        grown = f"{line} {part}"
+        if len(grown) > _LP_WIDTH:
             yield line
             line = f"  {part}"
         else:
             line = grown
-    if line:
-        yield line
+    yield line
 
 
 def write_lp(model: IlpModel, sink: IO[str]) -> int:
@@ -691,9 +694,9 @@ def _classify_rows(model: IlpModel):
     generic: list[tuple[str, int]] = []
     var_rows: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for row in model.constraints:
-        coeffs = [c for _, c in row.terms]
-        if row.sense == "=" and len(row.terms) == 1:
-            v, coeff = row.terms[0]
+        terms = row.terms
+        if row.sense == "=" and len(terms) == 1:
+            (v, coeff), = terms
             if row.rhs % coeff:
                 raise InfeasibleModelError(
                     f"{row.label}: forces a fractional value"
@@ -709,14 +712,13 @@ def _classify_rows(model: IlpModel):
                     f"{row.label}: conflicts with an earlier fix of "
                     f"{Word(model.n, v)}"
                 )
-            continue
-        if row.sense == "<=" and row.rhs == 1 and all(c == 1 for c in coeffs):
-            if len(row.terms) > 1:
-                packing.append(tuple(v for v, _ in row.terms))
-            continue  # a single-variable x <= 1 row is vacuous
-        for v, c in row.terms:
-            var_rows[v].append((len(generic), c))
-        generic.append((row.sense, row.rhs))
+        elif row.sense == "<=" and row.rhs == 1 and all(c == 1 for _, c in terms):
+            if len(terms) > 1:  # a single-variable x <= 1 row is vacuous
+                packing.append(tuple(v for v, _ in terms))
+        else:
+            for v, c in terms:
+                var_rows[v].append((len(generic), c))
+            generic.append((row.sense, row.rhs))
     return nv, packing, fixes, generic, var_rows
 
 
@@ -753,26 +755,19 @@ def solve_builtin(
     if any(not rows for rows in rows_of):
         raise ValueError("every variable must appear in some packing row")
 
-    # propagate fixes: a selected word saturates its packing rows
+    # propagate fixes: a selected word saturates its packing rows, so every
+    # word sharing one with it is fixed to 0
     ones = [v for v, value in fixes.items() if value == 1]
+    ones_mask = sum(1 << v for v in ones)
+    fixed_mask = sum(1 << v for v in fixes)
     for v in reversed(ones):
-        others = closed[v] & ~(1 << v)
-        while others:
-            low = others & -others
-            u = low.bit_length() - 1
-            others ^= low
-            if fixes.get(u) == 1:
-                raise InfeasibleModelError(
-                    f"fixed selections {Word(n, v)} and {Word(n, u)} conflict"
-                )
-            fixes.setdefault(u, 0)
-
-    ones_mask = 0
-    for v in ones:
-        ones_mask |= 1 << v
-    fixed_mask = 0
-    for v in fixes:
-        fixed_mask |= 1 << v
+        clash = closed[v] & ones_mask ^ 1 << v
+        if clash:
+            u = (clash & -clash).bit_length() - 1
+            raise InfeasibleModelError(
+                f"fixed selections {Word(n, v)} and {Word(n, u)} conflict"
+            )
+        fixed_mask |= closed[v]
 
     # of all VT classes and their complements, only these ever won on the
     # generated models

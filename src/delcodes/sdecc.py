@@ -35,7 +35,7 @@ from .bitseq import (
     surface_values,
 )
 from .coverlp import _COVER_DENOM, _cover_weights
-from .vt import vt0_size, vt_code
+from .vt import FORMULA_MAX_N, vt0_size, vt_code
 
 GRAPH_MAX_N = 14
 
@@ -199,8 +199,8 @@ class BoundsRecord:
 
 def bounds(n: int) -> BoundsRecord:
     """Lower and upper bounds on the maximum code size for length n."""
-    if not 3 <= n <= 62:
-        raise ValueError(f"bounds supports 3 <= n <= 62, got {n}")
+    if not 3 <= n <= FORMULA_MAX_N:
+        raise ValueError(f"bounds supports 3 <= n <= {FORMULA_MAX_N}, got {n}")
     known = KNOWN_SIZES.get(n)
     return BoundsRecord(
         n=n,
@@ -401,12 +401,6 @@ def _branch_and_bound(
                 return False
         return True
 
-    def settled(cur) -> bool:
-        for ri, (sense, rhs) in enumerate(generic):
-            if not _SENSE_HOLDS[sense](cur[ri], rhs):
-                return False
-        return True
-
     root_cur = [0] * len(generic)
     for v in _ones(included):
         for ri, c in var_rows[v]:
@@ -414,7 +408,9 @@ def _branch_and_bound(
 
     # the warm start fills over every candidate: the reduced set would
     # change which completion wins
-    zeros = [0] * len(generic)  # the fill counts on no negative term
+    # nothing undecided: the fill counts on no negative term, and
+    # reachable(cur, zeros, zeros) holds exactly when cur meets every row
+    zeros = [0] * len(generic)
     best = -1
     best_selection: int | None = None
     for seed in seeds:
@@ -438,7 +434,7 @@ def _branch_and_bound(
                 free &= ~closed[v]
                 for ri, c in var_rows[v]:
                     cur[ri] += c
-        if selection.bit_count() > best and settled(cur):
+        if selection.bit_count() > best and reachable(cur, zeros, zeros):
             best = selection.bit_count()
             best_selection = selection
 
@@ -463,7 +459,7 @@ def _branch_and_bound(
                 break
             if generic and not reachable(cur, pos, neg):
                 break
-            if count > best and (not generic or settled(cur)):
+            if count > best and (not generic or reachable(cur, zeros, zeros)):
                 best = count
                 best_selection = selection
             if cand == 0:

@@ -328,6 +328,9 @@ def test_run_class_rejects_out_of_range():
         run_class_members(RunClass(4, 5, 1, 1))
     with pytest.raises(ValueError):
         run_class_members(RunClass(4, 2, -1, 1))
+    for n in (0, GEN_MAX_N + 1):
+        with pytest.raises(ValueError, match="run classes support 1 <= n"):
+            run_class_members(RunClass(n, 0, 0, 0))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -478,6 +481,9 @@ def test_c6_rejects_unknown_remainder_and_bad_shape():
         gen_c6(6, 5, 0)  # r = 1 below the valid code lengths
     with pytest.raises(ValueError):
         gen_c6(14, 1, 0)  # r = 13 has no known maximum
+    for p, q in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="section widths must be nonneg"):
+            gen_c6(8, p, q)
 
 
 def test_c6_preset_drops_unusable_shapes():

@@ -7,7 +7,8 @@ must have the plain LP's optimum, its lifted weights must cover every
 vertex, and a family without symmetry must run exactly the plain rounds.
 The length-7 separation rounds are pinned, together with the pivots the
 warm start saves on them. The cache of rounds per mask family keeps a
-bounded number of families.
+bounded number of families, a family whose cached round serves a call
+among them.
 """
 
 import hashlib
@@ -312,3 +313,28 @@ def test_a_simplex_that_gives_up_leaves_greedy_covers(monkeypatch):
 def test_a_vertex_in_no_mask_has_no_cover_weights(monkeypatch):
     monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
     assert _cover_weights(4, [0b0011], -1) is None
+
+
+def test_a_packing_lp_with_a_vertex_in_no_row_gives_up():
+    # vertex 2 lies in no row, so its column is unbounded
+    assert PackingLP(3).add_rows([0b011]) is False
+
+
+def test_a_cached_round_that_serves_a_call_stays_cached(monkeypatch):
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    runs = []
+    separation_rounds = coverlp._separation_rounds
+
+    def counted(nv, masks):
+        runs.append(nv)
+        return separation_rounds(nv, masks)
+
+    monkeypatch.setattr(coverlp, "_separation_rounds", counted)
+    masks = center_masks(7)
+    # M(7) = 16: a separated round meets the target, and later calls are
+    # served by that cached round
+    served = [_cover_weights(128, masks, 16) for _ in range(3)]
+    assert runs == [128]
+    assert served[0] == served[1] == served[2]
+    assert sum(served[0][1]) // _COVER_DENOM <= 16
+    assert list(coverlp._cover_weight_cache) == [(128, tuple(masks))]

@@ -96,6 +96,12 @@ def test_model_rejects_foreign_word_length():
             IlpModel(2, (row,))
 
 
+@pytest.mark.parametrize("n", [0, 25])
+def test_model_rejects_a_length_outside_the_word_range(n):
+    with pytest.raises(ValueError, match=r"model length must lie in 1\.\.24"):
+        IlpModel(n, ())
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_model_variable_names_are_the_word_names(n):
     names = IlpModel(n, ()).variable_names
@@ -145,6 +151,12 @@ def test_selected_words_reads_ones():
     words = model.selected_words(sol)
     assert isinstance(words, WordSet)
     assert words.values == vt_code(3, 0).values
+
+
+def test_selected_words_refuses_a_solution_of_another_length():
+    model = build_model(3, {"C0"})
+    with pytest.raises(ValueError, match="solution has length 4, not 3"):
+        model.selected_words(Solution(4, 1, "imported", "unknown"))
 
 
 # ------------------------------------------------------------------ write_lp
@@ -931,6 +943,7 @@ def test_verify_flags_foreign_variables():
     assert not report.ok
     assert report.foreign_names == ("x_000",)
     assert len(report.words) == 0
+    assert "foreign variables: x_000" in report.render().splitlines()
 
 
 def test_verify_flags_the_rows_a_bitwise_replay_flags():
@@ -947,6 +960,15 @@ def test_verify_flags_the_rows_a_bitwise_replay_flags():
             row.label for row in model.constraints
             if not row_holds(row, selection)
         )
+
+
+def test_verify_passes_one_selected_word_of_length_one():
+    # is_sdecc needs length >= 2; a single word is a code of any length
+    model = IlpModel(1, ())
+    report = verify_solution(model, Solution(1, 0b10, "imported", "unknown"))
+    assert report.ok
+    assert report.code_result.ok
+    assert [str(w) for w in report.words] == ["1"]
 
 
 def test_verify_empty_selection_passes_packing_only_model():
@@ -1045,6 +1067,18 @@ def test_solve_raises_on_conflicting_fixed_words():
     rows.append(LinearConstraint(((0b00000, 1),), "=", 1, "f0"))
     rows.append(LinearConstraint(((0b10000, 1),), "=", 1, "f1"))
     with pytest.raises(InfeasibleModelError):
+        solve_builtin(IlpModel(5, tuple(rows)))
+
+
+def test_conflicting_fixes_are_named_from_the_last_fix_in_row_order():
+    # 10000, 00000 and 00001 pairwise share a deleted word; the walk starts
+    # at the last fix, 00001, and names its lowest fixed neighbour
+    rows = list(build_model(5, {"C0"}).constraints)
+    for i, word in enumerate(("10000", "00000", "00001")):
+        rows.append(LinearConstraint(((int(word, 2), 1),), "=", 1, f"f{i}"))
+    with pytest.raises(
+        InfeasibleModelError, match="fixed selections 00001 and 00000 conflict"
+    ):
         solve_builtin(IlpModel(5, tuple(rows)))
 
 

@@ -30,6 +30,7 @@ from delcodes.coverlp import (
 from delcodes.ilp import IlpModel, LinearConstraint, solve_builtin
 from delcodes.sdecc import (
     KNOWN_SIZES,
+    BoundsRecord,
     SearchOptions,
     _drop_dominated,
     _incidence,
@@ -329,6 +330,12 @@ def test_bounds_supports_the_full_formula_range():
     rec = bounds(62)
     assert rec.lower_ratio == -(-(1 << 62) // 63)
     assert rec.upper_kk == ((1 << 62) - 2) // 60
+
+
+def test_bounds_record_refuses_a_chain_out_of_order():
+    with pytest.raises(RuntimeError, match="bounds chain out of order"):
+        BoundsRecord(n=8, lower_vt=30, lower_ratio=29, upper_kk=42,
+                     known_M=31, known_upper=30)
 
 
 @pytest.mark.parametrize("bad", [2, 63, 0])
