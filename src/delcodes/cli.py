@@ -195,7 +195,7 @@ def _cmd_solve(args: argparse.Namespace) -> _Handled:
     }
     lines = [f"objective {solution.objective} ({solution.solver_status})"]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as sink:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
             write_solution(solution, sink)
         data["solution_path"] = args.out
         lines.append(f"wrote {args.out}")

@@ -15,7 +15,12 @@ C0 alone carves out exactly the valid codes; C1 and C3-C6 narrow or cut the
 search space without lowering the best objective, and C2 removes words that
 some maximum code avoids. Rows hold (word value, coefficient) int terms;
 the ilp module names variables x_<bits> only in files. build_model
-assembles any selection into a model for the ilp module.
+assembles any selection into a model for the ilp module. Each generator
+fixes the shape of its rows itself (a valid sense, a label of its own
+without whitespace, distinct values below 2^n, no zero coefficient), so
+the rows and the model are built without the checks of LinearConstraint
+and IlpModel; build_model still rejects the labels that repeated
+c6_params repeat.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .bitseq import Word, WordSet, runs_of
-from .ilp import IlpModel, LinearConstraint
+from .ilp import IlpModel, LinearConstraint, _unchecked_model, _unchecked_row
 from .sdecc import GRAPH_MAX_N, KNOWN_SIZES, conflict_graph
 from .vt import vt0_size
 
@@ -101,7 +106,7 @@ def gen_c0(n: int) -> ConstraintFamily:
     """
     _check_n(n)
     rows = tuple(
-        LinearConstraint(
+        _unchecked_row(
             terms=tuple((v, 1) for v in members),
             sense="<=",
             rhs=1,
@@ -115,7 +120,7 @@ def gen_c0(n: int) -> ConstraintFamily:
 def gen_c1(n: int) -> ConstraintFamily:
     """One row: the selection is at least as large as VT_0(n)."""
     _check_n(n)
-    row = LinearConstraint(
+    row = _unchecked_row(
         terms=tuple((v, 1) for v in range(1 << n)),
         sense=">=",
         rhs=vt0_size(n),
@@ -160,7 +165,7 @@ def gen_c2(n: int) -> ConstraintFamily:
     """
     _check_n(n)
     rows = tuple(
-        LinearConstraint(
+        _unchecked_row(
             terms=((w.value, 1),),
             sense="=",
             rhs=0,
@@ -179,10 +184,10 @@ def gen_c3(n: int) -> ConstraintFamily:
     single-element surface.
     """
     _check_n(n)
-    zero = LinearConstraint(
+    zero = _unchecked_row(
         terms=((0, 1),), sense="=", rhs=1, label="c3_zero"
     )
-    one = LinearConstraint(
+    one = _unchecked_row(
         terms=(((1 << n) - 1, 1),), sense="=", rhs=1, label="c3_one"
     )
     return ConstraintFamily("C3", (), (zero, one))
@@ -204,7 +209,7 @@ def gen_c4(n: int) -> ConstraintFamily:
             terms.append((v, 1))
         elif doubled > n:
             terms.append((v, -1))
-    row = LinearConstraint(
+    row = _unchecked_row(
         terms=tuple(terms), sense=">=", rhs=0, label="c4"
     )
     return ConstraintFamily("C4", (), (row,))
@@ -238,7 +243,7 @@ def gen_c5(n: int, strengthened: bool = False) -> ConstraintFamily:
         if strengthened and w == 1:
             terms = [(v, c) for v, c in terms if v.bit_count() == 2]
         terms.sort()
-        rows.append(LinearConstraint(
+        rows.append(_unchecked_row(
             terms=tuple(terms),
             sense="<=",
             rhs=comb(n - 1, w),
@@ -279,7 +284,7 @@ def gen_c6(n: int, p: int, q: int) -> ConstraintFamily:
             head = u << (r + q)
             tail = v
             terms = tuple((head | (x << q) | tail, 1) for x in range(1 << r))
-            rows.append(LinearConstraint(
+            rows.append(_unchecked_row(
                 terms=terms,
                 sense="<=",
                 rhs=m_r,
@@ -354,4 +359,7 @@ def build_model(
         "families": tuple(sorted(ids)),
         "c6_params": pairs,
     }
-    return IlpModel(n=n, constraints=constraints, metadata=metadata)
+    # repeated c6_params repeat labels, which IlpModel words as its error
+    if len({row.label for row in constraints}) != len(constraints):
+        return IlpModel(n=n, constraints=constraints, metadata=metadata)
+    return _unchecked_model(n, constraints, metadata)

@@ -220,6 +220,35 @@ class IlpModel:
         return WordSet(self.n, _ones(solution.selection))
 
 
+# Rows and models whose caller has made every __post_init__ check itself:
+# the generators, which fix each row's shape, and read_lp for write_lp's
+# layout. The fields are set in declaration order, as __init__ sets them,
+# so that each instance dict keeps the class's shared key layout.
+
+
+def _unchecked_row(
+    terms: tuple[tuple[int, int], ...], sense: str, rhs: int, label: str
+) -> LinearConstraint:
+    row = object.__new__(LinearConstraint)
+    object.__setattr__(row, "terms", terms)
+    object.__setattr__(row, "sense", sense)
+    object.__setattr__(row, "rhs", rhs)
+    object.__setattr__(row, "label", label)
+    return row
+
+
+def _unchecked_model(
+    n: int,
+    constraints: tuple[LinearConstraint, ...],
+    metadata: Mapping[str, object],
+) -> IlpModel:
+    model = object.__new__(IlpModel)
+    object.__setattr__(model, "n", n)
+    object.__setattr__(model, "constraints", constraints)
+    object.__setattr__(model, "metadata", metadata)
+    return model
+
+
 @dataclass(frozen=True)
 class Solution:
     """A 0-1 value per length-n word: bit v of selection is word v's value."""
@@ -335,7 +364,13 @@ def _read_layout(text: str) -> tuple[set[str], list, list[str], _NameTerms] | No
     Compiled patterns take, whatever the whitespace, the head up to
     Subject To and each whole row, and one split takes Binary, its names
     and End. Nothing here raises: at the first thing it does not take, a
-    numeral too long for int() included, it returns None.
+    numeral too long for int() included, it returns None. It also declines
+    rows that no model holds, those with a zero coefficient, a name twice
+    in one row or a label twice, so that _read_tokens words their error.
+    The rows it does take need no other check once read_lp has found every
+    name declared (one width, so a name repeats exactly when its value
+    does, as in x_01 - 2 x_01): _LP_ROW gives each a sense and a label of
+    non-space characters, and the comments went with every backslash.
     """
     head = _LP_HEAD.match(text)
     keywords = ("maximize", "subject", "to")
@@ -343,11 +378,8 @@ def _read_layout(text: str) -> tuple[set[str], list, list[str], _NameTerms] | No
         return None
     names = _NameTerms()
     coefficients = _Coefficients()
-
-    def unit_terms(unit: str) -> tuple[tuple[int, int], ...]:
-        return tuple(map(names.__getitem__, unit.split()[::2]))
-
-    unit_terms(head[2])
+    # the objective's names are the first the table meets
+    tuple(map(names.__getitem__, head[2].split()[::2]))
     objective = set(names)
     rows = []
     pos = head.end()
@@ -355,16 +387,23 @@ def _read_layout(text: str) -> tuple[set[str], list, list[str], _NameTerms] | No
         while m := _LP_ROW.match(text, pos):
             label, unit, signed, sense, rhs = m.groups()
             if unit:
-                terms = unit_terms(unit)
+                row_names = unit.split()[::2]
+                terms = tuple(map(names.__getitem__, row_names))
             else:
                 parts = _LP_NAME_SPLIT.split(signed)
-                values = map(itemgetter(0), map(names.__getitem__, parts[1::2]))
+                row_names = parts[1::2]
+                values = map(itemgetter(0), map(names.__getitem__, row_names))
                 terms = tuple(
                     zip(values, map(coefficients.__getitem__, parts[:-1:2]))
                 )
+            if len(set(row_names)) != len(row_names):
+                return None
             rows.append((terms, sense, int(rhs), label))
             pos = m.end()
     except ValueError:  # int() refuses a numeral past its digit limit
+        return None
+    labels = set(map(itemgetter(3), rows))
+    if 0 in coefficients.values() or len(labels) != len(rows):
         return None
     tail = text[pos:].split()
     lowered = list(map(str.lower, tail))
@@ -499,12 +538,14 @@ def read_lp(source: IO[str]) -> IlpModel:
     splits the whole file into tokens, and any other file to _read_tokens,
     which alone defines the language and words every error. Both give
     the same parts where both read a file, and the checks on names and
-    the model construction then run once.
+    the model construction then run once. The rows of a file the layout
+    reader took need no check past those on names (see _read_layout), so
+    they and the model are built unchecked; any other file's go through
+    LinearConstraint and IlpModel, which word its first fault.
     """
     text = _LP_COMMENT.sub("", source.read())
-    objective, raw_rows, binary, names = (
-        _read_layout(text) or _read_tokens(text.split())
-    )
+    layout = _read_layout(text)
+    objective, raw_rows, binary, names = layout or _read_tokens(text.split())
 
     if not binary:
         raise ValueError("Binary section declares no variables")
@@ -531,8 +572,12 @@ def read_lp(source: IO[str]) -> IlpModel:
         first = next(name for name in names if name in undeclared)
         raise ValueError(f"constraint references undeclared {first!r}")
 
-    rows = tuple(starmap(LinearConstraint, raw_rows))
-    return IlpModel(n, rows, {"generator": "lp-import", "n": n})
+    metadata = {"generator": "lp-import", "n": n}
+    if layout is None or n > MAX_LEN:
+        rows = tuple(starmap(LinearConstraint, raw_rows))
+        return IlpModel(n, rows, metadata)
+    rows = tuple(starmap(_unchecked_row, raw_rows))
+    return _unchecked_model(n, rows, metadata)
 
 
 # ------------------------------------------------------------ solution files

@@ -352,21 +352,29 @@ def _branch_and_bound(
 
     Depth-first, taking a variable before excluding it; a node is cut when
     the LP-weighted cover or a greedy most-covering-row cover shows it
-    cannot beat the incumbent. The LP-weighted cover is built once, after
-    the warm start: coverlp._cover_weights adds clique rows separated from
-    the packing rows, re-solving one packing LP by dual simplex from its
-    last optimum after each batch, until its root bound is at most the
-    incumbent's size, no violated clique is left, the row cap is reached
-    or the deadline has passed, and gives every row an exact integer
-    weight. A row family solved in an earlier call resumes from its
-    cached rounds and LP. A cut drops only subtrees holding nothing
-    strictly better than the incumbent, so the incumbents the tree finds
-    do not depend on the separated rows. The branch variable is the
-    lowest candidate in the first packing row holding the most
-    candidates, so every variable must lie in some packing row. After
-    the warm start, candidates dominated by another candidate are dropped
-    once (see _drop_dominated); nodes below the root do not repeat the
-    sweep.
+    cannot beat the incumbent. The greedy cover cuts when at most
+    need = best - count packing rows cover the candidates. Each pick is
+    the row through the lowest uncovered candidate that covers most of
+    the others, and a pick removes at most max_row_size candidates. So
+    the cover stops as soon as more candidates are left than
+    max_row_size times (need + 1 - picks made): it could no longer end
+    within need picks, the node would not be cut, and stopping there
+    changes no outcome.
+
+    The LP-weighted cover is built once, after the warm start:
+    coverlp._cover_weights adds clique rows separated from the packing
+    rows, re-solving one packing LP by dual simplex from its last optimum
+    after each batch, until its root bound is at most the incumbent's
+    size, no violated clique is left, the row cap is reached or the
+    deadline has passed, and gives every row an exact integer weight. A
+    row family solved in an earlier call resumes from its cached rounds
+    and LP. A cut drops only subtrees holding nothing strictly better than
+    the incumbent, so the incumbents the tree finds do not depend on the
+    separated rows. The branch variable is the lowest candidate in the
+    first packing row holding the most candidates, so every variable must
+    lie in some packing row. After the warm start, candidates dominated by
+    another candidate are dropped once (see _drop_dominated); nodes below
+    the root do not repeat the sweep.
 
     Budgets are checked on every node and between separation rounds, the
     deadline being started + opts.time_limit. Returns (selection, nodes,
@@ -473,9 +481,13 @@ def _branch_and_bound(
                             total += w
                     if total // denom <= need:
                         break
-                k = 0
+                # room is (need + 1 - picks) * max_row_size: a pick removes
+                # at most max_row_size of the left candidates, so once they
+                # exceed room the cover cannot end within need picks
                 rest = cand
-                while rest and k <= need:
+                left = cand.bit_count()
+                room = (need + 1) * max_row_size
+                while rest and left <= room:
                     r = (rest & -rest).bit_length() - 1
                     pick_mask = 0
                     pick_size = 0
@@ -485,8 +497,9 @@ def _branch_and_bound(
                             pick_size = c
                             pick_mask = m
                     rest &= ~pick_mask
-                    k += 1
-                if not rest and k <= need:
+                    left -= pick_size
+                    room -= max_row_size
+                if not rest and room > 0:
                     break  # even this cover cannot beat the incumbent
 
             # branch on the packing row with the most undecided members
@@ -541,6 +554,9 @@ def _branch_and_bound(
             else:
                 neg[ri] -= c
     visit(cand, included, included.bit_count(), root_cur, pos, neg)
+    # visit's closure holds visit itself: the cycle would keep every
+    # structure above (16 MB at n = 13) until the cyclic collector ran
+    del visit
     return best_selection, nodes, exhausted
 
 

@@ -274,6 +274,17 @@ def test_solve_writes_solution_file_verify_accepts_it(tmp_path, capsys):
     assert out.splitlines()[0] == "verification: PASS"
 
 
+def test_gen_and_solve_write_lf_line_endings(tmp_path, capsys):
+    # text mode writes os.linesep for each "\n", so this can fail only on a
+    # platform whose line separator is CRLF
+    model_path = tmp_path / "m.lp"
+    sol_path = tmp_path / "s.txt"
+    run(capsys, "gen", "--n", "4", "--families", "c0", "--out", str(model_path))
+    run(capsys, "solve", "--model", str(model_path), "--out", str(sol_path))
+    for path in (model_path, sol_path):
+        assert b"\r" not in path.read_bytes(), path.name
+
+
 def test_verify_rejects_tampered_solution(tmp_path, capsys):
     model_path = tmp_path / "m.lp"
     sol_path = tmp_path / "s.txt"

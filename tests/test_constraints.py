@@ -31,6 +31,7 @@ from delcodes.constraints import (
     gen_c6,
     run_class_members,
 )
+from delcodes.ilp import IlpModel, LinearConstraint
 from delcodes.sdecc import KNOWN_SIZES, conflict_graph, is_sdecc
 from delcodes.vt import vt_code, vt0_size
 
@@ -569,6 +570,34 @@ def test_full_models_build_without_error(n):
     model = build_model(n, set(FAMILY_IDS))
     assert len(model.variable_names) == 1 << n
     assert len({row.label for row in model.constraints}) == len(model.constraints)
+
+
+def _usable_c6_params(n):
+    return tuple(
+        (p, q)
+        for p in range(4)
+        for q in range(4)
+        if p + q and n - p - q >= 2 and KNOWN_SIZES[n - p - q][0] is not None
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_generated_rows_pass_the_public_checks(n):
+    # the generators build rows and models without the checks of
+    # LinearConstraint and IlpModel, so rebuilding through them must
+    # raise nothing and give equal rows and models
+    models = [
+        build_model(n, FAMILY_IDS),
+        build_model(n, set(FAMILY_IDS) - {"C3"}),  # C5 not strengthened
+        build_model(n, FAMILY_IDS, c6_params=_usable_c6_params(n)),
+    ]
+    for model in models:
+        rows = tuple(
+            LinearConstraint(row.terms, row.sense, row.rhs, row.label)
+            for row in model.constraints
+        )
+        assert rows == model.constraints
+        assert IlpModel(model.n, rows, model.metadata) == model
 
 
 def test_generators_reject_out_of_range_lengths():

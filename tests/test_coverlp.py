@@ -310,6 +310,17 @@ def test_a_simplex_that_gives_up_leaves_greedy_covers(monkeypatch):
     assert result.nodes > 1  # the LP closes n = 6 at the root
 
 
+@pytest.mark.parametrize("n, size, nodes", [(6, 10, 61), (7, 16, 26511)])
+def test_greedy_covers_alone_cut_the_same_nodes(monkeypatch, n, size, nodes):
+    # with no LP-weighted cover every cut is a greedy cover's, so a cover
+    # that stopped one row too early would leave nodes uncut
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    monkeypatch.setattr(coverlp, "_MAX_PIVOTS", 0)
+    result = max_sdecc_exact(n)
+    assert (result.size, result.proof_status) == (size, "optimal")
+    assert result.nodes == nodes
+
+
 def test_a_vertex_in_no_mask_has_no_cover_weights(monkeypatch):
     monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
     assert _cover_weights(4, [0b0011], -1) is None

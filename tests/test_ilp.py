@@ -575,6 +575,35 @@ def test_read_lp_matches_the_reference_reader_on_other_layouts(text):
     assert_reads_like_the_reference(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param("2 x_00", "0 x_00", "r1: zero coefficient on value 0",
+                     id="zero-magnitude"),
+        pytest.param("- 3 x_01", "- 0 x_01", "r1: zero coefficient on value 1",
+                     id="zero-magnitude-after-sign"),
+        # equal values with different coefficients: unequal terms
+        pytest.param("r3: - x_01", "r3: x_01 - 2 x_01",
+                     "r3: duplicate variable value 1",
+                     id="value-twice-in-signed-row"),
+        pytest.param("x_00 + x_11 >=", "x_11 + x_11 >=",
+                     "r2: duplicate variable value 3",
+                     id="value-twice-in-unit-row"),
+        pytest.param("r3:", "r2:", "duplicate constraint label 'r2'",
+                     id="label-twice"),
+    ],
+)
+def test_the_layout_reader_leaves_rows_no_model_holds_to_the_tokens(
+    old, new, message
+):
+    # read_lp builds the layout reader's rows unchecked, so that reader
+    # must decline these and let the token reader's path word the error
+    assert ilp_module._read_layout(SMALL_LP) is not None
+    text = SMALL_LP.replace(old, new, 1)
+    assert ilp_module._read_layout(text) is None
+    assert assert_reads_like_the_reference(text) == ("ValueError", message)
+
+
 def layout_reader_agrees(text: str) -> bool:
     """Whether the layout reader takes text.
 

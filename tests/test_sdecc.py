@@ -6,6 +6,7 @@ cross-checked against direct surface computations, and validity verdicts
 against independent-set membership for small lengths.
 """
 
+import gc
 import itertools
 import random
 import time
@@ -694,3 +695,19 @@ def test_search_is_deterministic():
     a = max_sdecc_exact(6)
     b = max_sdecc_exact(6)
     assert a == b
+
+
+def test_the_searches_leave_no_reference_cycle():
+    # what the kernel sets up (16 MB at n = 13) must go when it returns,
+    # not wait for the cyclic collector
+    model = build_model(5, {"C0", "C1", "C3"})
+    max_sdecc_exact(5)  # a first search imports numpy, which leaves cycles
+    gc.collect()
+    gc.disable()
+    try:
+        max_sdecc_exact(6)
+        solve_builtin(model)
+        leftover = gc.collect()
+    finally:
+        gc.enable()
+    assert leftover == 0
