@@ -17,7 +17,6 @@ operations on a 2^n-bit mask instead of a set of |C| n ints.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 MAX_LEN = 24
@@ -30,26 +29,100 @@ def _check_length(n: int) -> None:
         raise ValueError(f"word length must be in 1..{MAX_LEN}, got {n}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Word:
-    """One binary word; position 1 is the leftmost symbol."""
+class _Frozen:
+    """Base of the package's value types: fields fixed after __init__.
 
-    n: int
-    value: int
+    A subclass names its fields, in signature order, in _fields; they give
+    equality (within one type), the hash, the repr and pickling. __init__
+    sets them past the refusing __setattr__, with _set or, where
+    construction is hot, through each slot's member descriptor.
+    """
 
-    def __post_init__(self) -> None:
-        _check_length(self.n)
-        if not 0 <= self.value < (1 << self.n):
-            raise ValueError(
-                f"value {self.value} does not fit in {self.n} bits"
-            )
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        # in _fields order, so that instance dicts share the class's key
+        # layout
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields
+        )
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(_Frozen):
+    """One binary word; position 1 is the leftmost symbol.
+
+    Words compare, order and hash by (n, value), among Words only.
+    """
+
+    __slots__ = _fields = ("n", "value")
+
+    def __init__(self, n: int, value: int) -> None:
+        _check_length(n)
+        if not 0 <= value < (1 << n):
+            raise ValueError(f"value {value} does not fit in {n} bits")
+        _set_word_n(self, n)
+        _set_word_value(self, value)
 
     @classmethod
     def parse(cls, text: str) -> "Word":
         """Build a word from a string of '0' and '1' characters."""
-        if not text or any(ch not in "01" for ch in text):
+        if not text or text.strip("01"):
             raise ValueError(f"not a binary word: {text!r}")
         return cls(len(text), int(text, 2))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.value == other.value
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.value) < (other.n, other.value)
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.value) <= (other.n, other.value)
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.value) > (other.n, other.value)
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.value) >= (other.n, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.value))
 
     def bit(self, i: int) -> int:
         """Symbol at 1-based position i, counted from the left."""
@@ -62,6 +135,10 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word.parse({str(self)!r})"
+
+
+_set_word_n = Word.n.__set__
+_set_word_value = Word.value.__set__
 
 
 class WordSet:
@@ -198,23 +275,32 @@ def surface_values(n: int, value: int) -> set[int]:
 
 
 def insertion_values(n: int, value: int) -> set[int]:
-    """Distinct packed values reachable from an n-bit value by one insertion."""
-    return {
-        (value >> k << k + 1) | bit | (value & low)
-        for k, low, bit in _insertion_table(n)
+    """Distinct packed values reachable from an n-bit value by one insertion.
+
+    Inserting b above the k low bits keeps those bits, shifts the rest up
+    by one and puts b at bit k. For k >= 1, inserting bit k-1 itself gives
+    the same word as inserting it at k-1, so only its complement is
+    inserted there; at k = 0 both bits are. That makes exactly the n+2
+    distinct insertions, each built once.
+    """
+    shifted = value << 1  # 0 inserted at k = 0
+    values = {
+        (shifted & high ^ bit) | value & low
+        for high, low, bit in _insertion_table(n)
     }
+    values.add(shifted)
+    return values
 
 
 @functools.lru_cache(maxsize=MAX_LEN + 1)
 def _insertion_table(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(k, low mask, inserted bit) for every insertion into an n-bit value.
+    """(high mask, low mask, bit k) for k = 0..n.
 
-    Inserting b above the k low bits keeps those bits, shifts the rest up
-    by one and puts b at bit k; k runs over 0..n, b over 0 and 1.
+    shifted & high holds the bits of value at k-1 and up, moved up by one,
+    so bit k holds value's bit k-1 (0 for k = 0); xor with bit k makes it
+    the complement.
     """
-    return tuple(
-        (k, (1 << k) - 1, b << k) for k in range(n + 1) for b in (0, 1)
-    )
+    return tuple((-1 << k, (1 << k) - 1, 1 << k) for k in range(n + 1))
 
 
 def surface_size_sum(n: int, values: Iterable[int]) -> int:

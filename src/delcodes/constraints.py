@@ -25,11 +25,10 @@ c6_params repeat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .bitseq import Word, WordSet, runs_of
+from .bitseq import Word, WordSet, _Frozen, runs_of
 from .ilp import IlpModel, LinearConstraint, _unchecked_model, _unchecked_row
 from .sdecc import GRAPH_MAX_N, KNOWN_SIZES, conflict_graph
 from .vt import vt0_size
@@ -53,20 +52,27 @@ def _bits(value: int, width: int) -> str:
     return format(value, f"0{width}b") if width else "-"
 
 
-@dataclass(frozen=True)
-class ConstraintFamily:
-    """One generated family: its id, parameters, and rows."""
+class ConstraintFamily(_Frozen):
+    """One generated family: its id, parameters, and rows.
 
-    id: str
-    parameters: tuple[tuple[str, int], ...]
-    constraints: tuple[LinearConstraint, ...]
+    Its length is its number of rows.
+    """
+
+    __slots__ = _fields = ("id", "parameters", "constraints")
+
+    def __init__(
+        self,
+        id: str,
+        parameters: tuple[tuple[str, int], ...],
+        constraints: tuple[LinearConstraint, ...],
+    ) -> None:
+        self._set(id, parameters, constraints)
 
     def __len__(self) -> int:
         return len(self.constraints)
 
 
-@dataclass(frozen=True)
-class RunClass:
+class RunClass(NamedTuple):
     """Words of one length grouped by weight and run counts."""
 
     n: int

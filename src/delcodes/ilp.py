@@ -24,14 +24,13 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import filterfalse, starmap
 from operator import itemgetter
 from types import MappingProxyType
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Iterator, Mapping, NamedTuple, Sequence
 
-from .bitseq import MAX_LEN, Word, WordSet
+from .bitseq import MAX_LEN, Word, WordSet, _Frozen
 from .sdecc import (
     SdeccResult,
     SearchOptions,
@@ -132,33 +131,36 @@ def _variable_names(n: int) -> tuple[str, ...]:
     return tuple(map(f"x_{{:0{n}b}}".format, range(1 << n)))
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(_Frozen):
     """One linear row: (value, coeff) terms, sense, int rhs, unique label."""
 
-    terms: tuple[tuple[int, int], ...]
-    sense: str
-    rhs: int
-    label: str
+    __slots__ = _fields = ("terms", "sense", "rhs", "label")
 
-    def __post_init__(self) -> None:
-        if self.sense not in _SENSES:
-            raise ValueError(f"sense must be one of {_SENSES}, got {self.sense!r}")
-        if not self.label:
+    def __init__(
+        self,
+        terms: tuple[tuple[int, int], ...],
+        sense: str,
+        rhs: int,
+        label: str,
+    ) -> None:
+        if sense not in _SENSES:
+            raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
+        if not label:
             raise ValueError("constraint label must be nonempty")
         # LP tokens split on whitespace (str.isspace, as split() tests it)
         # and a backslash starts a comment
-        if self.label.split() != [self.label] or "\\" in self.label:
+        if label.split() != [label] or "\\" in label:
             raise ValueError(
-                f"constraint label {self.label!r} holds whitespace or a backslash"
+                f"constraint label {label!r} holds whitespace or a backslash"
             )
         seen: set[int] = set()
-        for value, coeff in self.terms:
+        for value, coeff in terms:
             if coeff == 0:
-                raise ValueError(f"{self.label}: zero coefficient on value {value}")
+                raise ValueError(f"{label}: zero coefficient on value {value}")
             if value in seen:
-                raise ValueError(f"{self.label}: duplicate variable value {value}")
+                raise ValueError(f"{label}: duplicate variable value {value}")
             seen.add(value)
+        self._set(terms, sense, rhs, label)
 
     def evaluate(self, selection: int | str) -> int:
         """Left-hand side when exactly the words whose bits are set are 1.
@@ -175,34 +177,35 @@ class LinearConstraint:
         return _SENSE_HOLDS[self.sense](self.evaluate(selection), self.rhs)
 
 
-@dataclass(frozen=True)
-class IlpModel:
+class IlpModel(_Frozen):
     """Maximize-cardinality 0-1 model over all words of one length.
 
     The objective is fixed by construction: every variable has coefficient
     one and the sense is maximize, so only n, the rows, and provenance
-    metadata vary.
+    metadata (a fresh empty dict when not given) vary.
     """
 
-    n: int
-    constraints: tuple[LinearConstraint, ...]
-    metadata: Mapping[str, object] = field(default_factory=dict)
+    _fields = ("n", "constraints", "metadata")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_LEN:
-            raise ValueError(
-                f"model length must lie in 1..{MAX_LEN}, got {self.n}"
-            )
+    def __init__(
+        self,
+        n: int,
+        constraints: tuple[LinearConstraint, ...],
+        metadata: Mapping[str, object] | None = None,
+    ) -> None:
+        if not 1 <= n <= MAX_LEN:
+            raise ValueError(f"model length must lie in 1..{MAX_LEN}, got {n}")
         labels: set[str] = set()
-        for row in self.constraints:
+        for row in constraints:
             if row.label in labels:
                 raise ValueError(f"duplicate constraint label {row.label!r}")
             labels.add(row.label)
             for value, _ in row.terms:
-                if not 0 <= value < 1 << self.n:
+                if not 0 <= value < 1 << n:
                     raise ValueError(
-                        f"{row.label}: value {value} is not in 0..2^{self.n}-1"
+                        f"{row.label}: value {value} is not in 0..2^{n}-1"
                     )
+        self._set(n, constraints, {} if metadata is None else metadata)
 
     @cached_property
     def variable_names(self) -> tuple[str, ...]:
@@ -220,20 +223,24 @@ class IlpModel:
         return WordSet(self.n, _ones(solution.selection))
 
 
-# Rows and models whose caller has made every __post_init__ check itself:
-# the generators, which fix each row's shape, and read_lp for write_lp's
-# layout. The fields are set in declaration order, as __init__ sets them,
-# so that each instance dict keeps the class's shared key layout.
+# Rows and models whose caller has made every __init__ check itself: the
+# generators, which fix each row's shape, and read_lp for write_lp's
+# layout. Rows are many, so theirs are set through the slot descriptors.
+
+_set_terms = LinearConstraint.terms.__set__
+_set_sense = LinearConstraint.sense.__set__
+_set_rhs = LinearConstraint.rhs.__set__
+_set_label = LinearConstraint.label.__set__
 
 
 def _unchecked_row(
     terms: tuple[tuple[int, int], ...], sense: str, rhs: int, label: str
 ) -> LinearConstraint:
     row = object.__new__(LinearConstraint)
-    object.__setattr__(row, "terms", terms)
-    object.__setattr__(row, "sense", sense)
-    object.__setattr__(row, "rhs", rhs)
-    object.__setattr__(row, "label", label)
+    _set_terms(row, terms)
+    _set_sense(row, sense)
+    _set_rhs(row, rhs)
+    _set_label(row, label)
     return row
 
 
@@ -243,32 +250,31 @@ def _unchecked_model(
     metadata: Mapping[str, object],
 ) -> IlpModel:
     model = object.__new__(IlpModel)
-    object.__setattr__(model, "n", n)
-    object.__setattr__(model, "constraints", constraints)
-    object.__setattr__(model, "metadata", metadata)
+    model._set(n, constraints, metadata)
     return model
 
 
-@dataclass(frozen=True)
-class Solution:
-    """A 0-1 value per length-n word: bit v of selection is word v's value."""
+class Solution(_Frozen):
+    """A 0-1 value per length-n word: bit v of selection is word v's value.
 
-    n: int
-    selection: int
-    source: str  # "built-in" or "imported"
-    solver_status: str  # "optimal", "feasible", or "unknown"
+    source is "built-in" or "imported"; solver_status is "optimal",
+    "feasible" or "unknown".
+    """
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_LEN:
-            raise ValueError(
-                f"solution length {self.n} is not in 1..{MAX_LEN}"
-            )
-        if self.selection < 0 or self.selection.bit_length() > 1 << self.n:
-            raise ValueError(f"selection is not in 0..2^(2^{self.n})-1")
-        if self.source not in ("built-in", "imported"):
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.solver_status not in ("optimal", "feasible", "unknown"):
-            raise ValueError(f"unknown status {self.solver_status!r}")
+    _fields = ("n", "selection", "source", "solver_status")
+
+    def __init__(
+        self, n: int, selection: int, source: str, solver_status: str
+    ) -> None:
+        if not 1 <= n <= MAX_LEN:
+            raise ValueError(f"solution length {n} is not in 1..{MAX_LEN}")
+        if selection < 0 or selection.bit_length() > 1 << n:
+            raise ValueError(f"selection is not in 0..2^(2^{n})-1")
+        if source not in ("built-in", "imported"):
+            raise ValueError(f"unknown source {source!r}")
+        if solver_status not in ("optimal", "feasible", "unknown"):
+            raise ValueError(f"unknown status {solver_status!r}")
+        self._set(n, selection, source, solver_status)
 
     @property
     def objective(self) -> int:
@@ -642,8 +648,7 @@ def write_solution(solution: Solution, sink: IO[str]) -> None:
 # --------------------------------------------------------------- verification
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of replaying a solution against a model and the code rules."""
 
     ok: bool

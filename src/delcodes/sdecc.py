@@ -22,13 +22,13 @@ from __future__ import annotations
 import functools
 import operator
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .bitseq import (
     Word,
     WordSet,
+    _Frozen,
     insertion_values,
     surface_size_sum,
     surface_union_size,
@@ -105,11 +105,12 @@ def is_sdecc(code: WordSet) -> SdeccResult:
 def decode_single(code: WordSet, received: Word) -> Word | None:
     """Recover the codeword that received arose from by one deletion.
 
-    The candidates are received's single insertions (bitseq's
-    insertion_values), intersected with the code's members in one set
-    operation. Returns None when no codeword covers received. The caller
-    promises the code is a valid SDECC; two covering codewords mean that
-    promise was broken and raise RuntimeError.
+    The candidates are received's n+1 distinct single insertions, which
+    bitseq's insertion_values builds once each, intersected with the
+    code's members in one set operation. Returns None when no codeword
+    covers received. The caller promises the code is a valid SDECC; two
+    covering codewords mean that promise was broken and raise
+    RuntimeError.
     """
     n = code.n
     if received.n != n - 1:
@@ -178,23 +179,34 @@ def conflict_graph(n: int) -> ConflictGraph:
     })
 
 
-@dataclass(frozen=True)
-class BoundsRecord:
-    """Sandwich of lower and upper bounds on the maximum code size."""
+class BoundsRecord(_Frozen):
+    """Sandwich of lower and upper bounds on the maximum code size.
 
-    n: int
-    lower_vt: int  # |VT_0(n)|, constructive bound
-    lower_ratio: int  # ceil(2^n / (n+1)), averaging bound
-    upper_kk: int  # floor((2^n - 2) / (n - 2))
-    known_M: int | None  # exact maximum when established
-    known_upper: int | None  # best tabulated upper bound
+    lower_vt is |VT_0(n)|, the constructive bound; lower_ratio is
+    ceil(2^n / (n+1)), the averaging bound; upper_kk is
+    floor((2^n - 2) / (n - 2)); known_M is the exact maximum when
+    established and known_upper the best tabulated upper bound, each None
+    when unknown.
+    """
 
-    def __post_init__(self) -> None:
-        chain = [self.lower_ratio, self.lower_vt, self.known_M,
-                 self.known_upper, self.upper_kk]
+    __slots__ = _fields = (
+        "n", "lower_vt", "lower_ratio", "upper_kk", "known_M", "known_upper",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        lower_vt: int,
+        lower_ratio: int,
+        upper_kk: int,
+        known_M: int | None,
+        known_upper: int | None,
+    ) -> None:
+        chain = [lower_ratio, lower_vt, known_M, known_upper, upper_kk]
         present = [b for b in chain if b is not None]
         if any(a > b for a, b in zip(present, present[1:])):
             raise RuntimeError(f"bounds chain out of order: {chain}")
+        self._set(n, lower_vt, lower_ratio, upper_kk, known_M, known_upper)
 
 
 def bounds(n: int) -> BoundsRecord:
@@ -218,24 +230,26 @@ def bounds(n: int) -> BoundsRecord:
 _SENSE_HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
 
 
-@dataclass(frozen=True)
-class SearchOptions:
+class SearchOptions(_Frozen):
     """Budgets and warm start for the exact searches."""
 
-    node_limit: int | None = None
-    time_limit: float | None = None
-    incumbent: WordSet | None = None
+    __slots__ = _fields = ("node_limit", "time_limit", "incumbent")
 
-    def __post_init__(self) -> None:
-        for name in ("node_limit", "time_limit"):
-            limit = getattr(self, name)
+    def __init__(
+        self,
+        node_limit: int | None = None,
+        time_limit: float | None = None,
+        incumbent: WordSet | None = None,
+    ) -> None:
+        limits = (("node_limit", node_limit), ("time_limit", time_limit))
+        for name, limit in limits:
             # NaN fails every comparison, so it would never trip the deadline
             if limit is not None and not limit >= 0:
                 raise ValueError(f"{name} must be a number >= 0, got {limit!r}")
+        self._set(node_limit, time_limit, incumbent)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     n: int
     size: int
     witness: WordSet

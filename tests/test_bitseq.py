@@ -238,7 +238,8 @@ def test_deletion_surface_rejects_bad_t():
 
 
 def test_insertion_values_match_string_oracle():
-    for n in (1, 2, 4, 6):
+    # every value up to n = 12: all 2(n+1) insertions, n+2 of them distinct
+    for n in range(1, 13):
         for s in _all_strings(n):
             expected = {
                 s[:i] + b + s[i:] for i in range(n + 1) for b in "01"
