@@ -179,6 +179,11 @@ class WordSet:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("WordSet is immutable")
 
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through __init__: restoring the slots
+        # would go through the refusing __setattr__
+        return type(self), (self.n, self._sorted)
+
     @classmethod
     def from_words(cls, words: Iterable[Word]) -> "WordSet":
         ws = list(words)

@@ -13,7 +13,8 @@ codes as linear rows over the variables V_x, one per length-n word:
 
 C0 alone carves out exactly the valid codes; C1 and C3-C6 narrow or cut the
 search space without lowering the best objective, and C2 removes words that
-some maximum code avoids. Rows hold (word value, coefficient) int terms;
+some maximum code avoids. Rows hold (word value, coefficient) int terms,
+each coefficient-1 term being its word's one pair from ilp._unit_terms;
 the ilp module names variables x_<bits> only in files. build_model
 assembles any selection into a model for the ilp module. Each generator
 fixes the shape of its rows itself (a valid sense, a label of its own
@@ -29,7 +30,13 @@ from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from .bitseq import Word, WordSet, _Frozen, runs_of
-from .ilp import IlpModel, LinearConstraint, _unchecked_model, _unchecked_row
+from .ilp import (
+    IlpModel,
+    LinearConstraint,
+    _unchecked_model,
+    _unchecked_row,
+    _unit_terms,
+)
 from .sdecc import GRAPH_MAX_N, KNOWN_SIZES, conflict_graph
 from .vt import vt0_size
 
@@ -111,9 +118,10 @@ def gen_c0(n: int) -> ConstraintFamily:
     validity; every other family assumes they are present.
     """
     _check_n(n)
+    unit = _unit_terms(n)
     rows = tuple(
         _unchecked_row(
-            terms=tuple((v, 1) for v in members),
+            terms=tuple(map(unit.__getitem__, members)),
             sense="<=",
             rhs=1,
             label=f"c0_y{_bits(center, n - 1)}",
@@ -127,7 +135,7 @@ def gen_c1(n: int) -> ConstraintFamily:
     """One row: the selection is at least as large as VT_0(n)."""
     _check_n(n)
     row = _unchecked_row(
-        terms=tuple((v, 1) for v in range(1 << n)),
+        terms=tuple(_unit_terms(n)),
         sense=">=",
         rhs=vt0_size(n),
         label="c1",
@@ -170,9 +178,10 @@ def gen_c2(n: int) -> ConstraintFamily:
     for external solvers.
     """
     _check_n(n)
+    unit = _unit_terms(n)
     rows = tuple(
         _unchecked_row(
-            terms=((w.value, 1),),
+            terms=(unit[w.value],),
             sense="=",
             rhs=0,
             label=f"c2_x{w}",
@@ -190,11 +199,12 @@ def gen_c3(n: int) -> ConstraintFamily:
     single-element surface.
     """
     _check_n(n)
+    unit = _unit_terms(n)
     zero = _unchecked_row(
-        terms=((0, 1),), sense="=", rhs=1, label="c3_zero"
+        terms=(unit[0],), sense="=", rhs=1, label="c3_zero"
     )
     one = _unchecked_row(
-        terms=(((1 << n) - 1, 1),), sense="=", rhs=1, label="c3_one"
+        terms=(unit[-1],), sense="=", rhs=1, label="c3_one"
     )
     return ConstraintFamily("C3", (), (zero, one))
 
@@ -208,11 +218,12 @@ def gen_c4(n: int) -> ConstraintFamily:
     than listed with coefficient 0.
     """
     _check_n(n)
+    unit = _unit_terms(n)
     terms = []
     for v in range(1 << n):
         doubled = 2 * v.bit_count()
         if doubled < n:
-            terms.append((v, 1))
+            terms.append(unit[v])
         elif doubled > n:
             terms.append((v, -1))
     row = _unchecked_row(
@@ -236,18 +247,23 @@ def gen_c5(n: int, strengthened: bool = False) -> ConstraintFamily:
     selected. The right-hand side C(n-1, 1) = n-1 is unchanged.
     """
     _check_n(n)
+    unit = _unit_terms(n)
+
+    def term(v: int, coeff: int) -> tuple[int, int]:
+        return unit[v] if coeff == 1 else (v, coeff)
+
     by_weight: dict[int, list[tuple[int, int]]] = {w: [] for w in range(n)}
     for v in range(1 << n):
         weight = v.bit_count()
         if weight <= n - 1:
-            by_weight[weight].append((v, runs_of(v, n, 0)))
+            by_weight[weight].append(term(v, runs_of(v, n, 0)))
         if weight >= 1:
-            by_weight[weight - 1].append((v, runs_of(v, n, 1)))
+            by_weight[weight - 1].append(term(v, runs_of(v, n, 1)))
     rows = []
     for w in range(n):
         terms = by_weight[w]
         if strengthened and w == 1:
-            terms = [(v, c) for v, c in terms if v.bit_count() == 2]
+            terms = [term for term in terms if term[0].bit_count() == 2]
         terms.sort()
         rows.append(_unchecked_row(
             terms=tuple(terms),
@@ -284,12 +300,13 @@ def gen_c6(n: int, p: int, q: int) -> ConstraintFamily:
     m_r = _known_m(r)
     if m_r is None:
         raise ValueError(f"exact maximum for length {r} is not known")
+    unit = _unit_terms(n)
     rows = []
     for u in range(1 << p):
         for v in range(1 << q):
             head = u << (r + q)
             tail = v
-            terms = tuple((head | (x << q) | tail, 1) for x in range(1 << r))
+            terms = tuple(unit[head | (x << q) | tail] for x in range(1 << r))
             rows.append(_unchecked_row(
                 terms=terms,
                 sense="<=",
@@ -336,6 +353,8 @@ def build_model(
     if c6_params is not None and "C6" not in ids:
         raise ValueError("c6_params given but C6 not selected")
 
+    # held while the families are built, so that they share its pairs
+    unit = _unit_terms(n)
     families: list[ConstraintFamily] = [gen_c0(n)]
     if "C1" in ids:
         families.append(gen_c1(n))

@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 import re
 import time
+import weakref
 from functools import cached_property
 from itertools import filterfalse, starmap
 from operator import itemgetter
 from types import MappingProxyType
-from typing import IO, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bitseq import MAX_LEN, Word, WordSet, _Frozen
 from .sdecc import (
@@ -102,6 +103,30 @@ class _Coefficients(dict):
             number += "1"
         coeff = self[prefix] = int(number)
         return coeff
+
+
+class _UnitTerms(list):
+    """The (value, 1) term of every length-n word, indexed by value.
+
+    The generators take their unit terms from it, so a model shares one
+    pair per word across its rows. _unit_terms holds the tables weakly
+    (a list, unlike a tuple, can be), so a table lives only while some
+    caller holds it, as build_model does while its families are built.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+_unit_tables: weakref.WeakValueDictionary[int, _UnitTerms] = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _unit_terms(n: int) -> _UnitTerms:
+    table = _unit_tables.get(n)
+    if table is None:
+        table = _unit_tables[n] = _UnitTerms((v, 1) for v in range(1 << n))
+    return table
 
 
 def _bit_string(selection: int, size: int) -> str:
@@ -319,6 +344,23 @@ def _wrapped(head: str, parts: Sequence[str]) -> Iterator[str]:
     yield line
 
 
+def _lp_sections(
+    model: IlpModel, header: str, shape: str
+) -> Iterator[Iterable[str]]:
+    """write_lp's lines: the head to Subject To, each row's, Binary to End."""
+    names = model.variable_names
+    head = [header, shape, "Maximize"]
+    objective_terms = [(v, 1) for v in range(1 << model.n)]
+    head.extend(_wrapped(" obj:", list(_term_tokens(objective_terms, names))))
+    head.append("Subject To")
+    yield head
+    for row in model.constraints:
+        parts = list(_term_tokens(row.terms, names))
+        parts.append(f"{row.sense} {row.rhs}")
+        yield _wrapped(f" {row.label}:", parts)
+    yield ["Binary", *_wrapped(f" {names[0]}", names[1:]), "End"]
+
+
 def write_lp(model: IlpModel, sink: IO[str]) -> int:
     """Write the model in text LP format; returns the byte count written.
 
@@ -327,7 +369,10 @@ def write_lp(model: IlpModel, sink: IO[str]) -> int:
     wrapped at 72 columns with two-space continuations, LF endings.
     The generator, family names and C6 parameters go into the comment
     header; a line break in any of them would end its comment early, so
-    it raises ValueError before anything is written.
+    it raises ValueError before anything is written. The text goes to the
+    sink as it is formatted: the head through Subject To, then one write
+    per row, then Binary through End, so the whole file is never held;
+    each chunk's UTF-8 length is added to the count.
     """
     meta = model.metadata
     generator = str(meta.get("generator", "delcodes"))
@@ -344,22 +389,12 @@ def write_lp(model: IlpModel, sink: IO[str]) -> int:
     if c6:
         shape += " c6=" + c6
 
-    names = model.variable_names
-    lines: list[str] = [header, shape, "Maximize"]
-    objective_terms = [(v, 1) for v in range(1 << model.n)]
-    lines.extend(_wrapped(" obj:", list(_term_tokens(objective_terms, names))))
-    lines.append("Subject To")
-    for row in model.constraints:
-        parts = list(_term_tokens(row.terms, names))
-        parts.append(f"{row.sense} {row.rhs}")
-        lines.extend(_wrapped(f" {row.label}:", parts))
-    lines.append("Binary")
-    lines.extend(_wrapped(f" {names[0]}", names[1:]))
-    lines.append("End")
-
-    text = "\n".join(lines) + "\n"
-    sink.write(text)
-    return len(text.encode("utf-8"))
+    written = 0
+    for lines in _lp_sections(model, header, shape):
+        chunk = "\n".join(lines) + "\n"
+        sink.write(chunk)
+        written += len(chunk if chunk.isascii() else chunk.encode("utf-8"))
+    return written
 
 
 def _read_layout(text: str) -> tuple[set[str], list, list[str], _NameTerms] | None:
@@ -641,7 +676,8 @@ def write_solution(solution: Solution, sink: IO[str]) -> None:
         f"# delcodes solution objective={solution.objective} "
         f"status={solution.solver_status}"
     ]
-    lines.extend(f"{name} {one}" for name, one in solution.assignment.items())
+    bits = _bit_string(solution.selection, 1 << solution.n)
+    lines.extend(map("{} {}".format, _variable_names(solution.n), bits))
     sink.write("\n".join(lines) + "\n")
 
 

@@ -31,7 +31,7 @@ from delcodes.constraints import (
     gen_c6,
     run_class_members,
 )
-from delcodes.ilp import IlpModel, LinearConstraint
+from delcodes.ilp import IlpModel, LinearConstraint, _unit_tables
 from delcodes.sdecc import KNOWN_SIZES, conflict_graph, is_sdecc
 from delcodes.vt import vt_code, vt0_size
 
@@ -570,6 +570,21 @@ def test_full_models_build_without_error(n):
     model = build_model(n, set(FAMILY_IDS))
     assert len(model.variable_names) == 1 << n
     assert len({row.label for row in model.constraints}) == len(model.constraints)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_full_models_share_one_unit_pair_per_word(n):
+    unit: dict[int, tuple[int, int]] = {}
+    count = 0
+    for row in build_model(n, FAMILY_IDS).constraints:
+        for term in row.terms:
+            if term[1] == 1:
+                assert unit.setdefault(term[0], term) is term, (row.label, term)
+                count += 1
+    # C1 alone names every word once with coefficient 1
+    assert sorted(unit) == list(range(1 << n)) and count > 1 << n
+    # the table of pairs is dropped once the model is built
+    assert n not in _unit_tables
 
 
 def _usable_c6_params(n):

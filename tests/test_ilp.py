@@ -169,6 +169,34 @@ def test_write_lp_returns_exact_byte_count():
     assert nbytes == len(buf.getvalue().encode("utf-8"))
 
 
+def test_write_lp_counts_the_utf8_bytes_of_non_ascii_text():
+    rows = (LinearConstraint(((0, 1), (1, 1)), "<=", 1, "ряд_π"),)
+    model = IlpModel(2, rows, metadata={"generator": "délcodes ✓"})
+    buf = io.StringIO()
+    nbytes = write_lp(model, buf)
+    text = buf.getvalue()
+    assert nbytes == len(text.encode("utf-8")) > len(text)
+    assert read_lp(io.StringIO(text)).constraints == rows
+
+
+class RecordingSink:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_write_lp_streams_the_file_in_small_writes():
+    model = build_model(10, FAMILY_IDS)
+    sink = RecordingSink()
+    nbytes = write_lp(model, sink)
+    text = "".join(sink.writes)
+    assert text == lp_text(model) and nbytes == len(text.encode("utf-8"))
+    assert len(sink.writes) > 1
+    assert max(map(len, sink.writes)) <= len(text) / 10
+
+
 def test_write_lp_is_byte_deterministic():
     a = lp_text(build_model(6, {"C0", "C1", "C4", "C5"}))
     b = lp_text(build_model(6, {"C0", "C1", "C4", "C5"}))

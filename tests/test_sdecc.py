@@ -14,6 +14,7 @@ import time
 import pytest
 
 from delcodes import coverlp
+from delcodes import ilp as ilp_module
 from delcodes.bitseq import (
     Word,
     WordSet,
@@ -432,6 +433,67 @@ def test_root_reduction_keeps_one_of_two_twins():
     # dominator must still be a candidate, so exactly one of them goes
     _, rows_of, _ = _incidence(2, [(0, 1)])
     assert _drop_dominated(0b11, rows_of, [()] * 2, ()) == 0b01
+
+
+def _closed_by_scan(nv, rows):
+    # v with every variable it shares a row with, read off the member lists
+    closed = [0] * nv
+    for members in rows:
+        mask = sum(1 << v for v in members)
+        for v in members:
+            closed[v] |= mask
+    return closed
+
+
+def _or(masks):
+    total = 0
+    for m in masks:
+        total |= m
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_neighbourhoods_of_the_conflict_graph(n):
+    graph = conflict_graph(n)
+    nv = 1 << n
+    cliques = graph.cliques_by_center.values()
+    _, rows_of, closed = _incidence(nv, cliques)
+    assert len(closed) == 0  # nothing is built before it is read
+    expected = _closed_by_scan(nv, cliques)
+    for v in range(nv):
+        assert closed[v] == expected[v] == _or(rows_of[v])
+        assert closed[v] == sum(1 << u for u in graph.adjacency[v]) | 1 << v
+    assert len(closed) == nv
+
+
+def test_closed_neighbourhoods_of_random_packing_families():
+    rng = random.Random(2020)
+    for case in range(200):
+        nv = rng.randint(1, 40)
+        rows = [
+            rng.sample(range(nv), rng.randint(1, nv))
+            for _ in range(rng.randint(0, 30))
+        ]
+        _, rows_of, closed = _incidence(nv, rows)
+        expected = _closed_by_scan(nv, rows)
+        # in a scattered order, each lookup building or reading its mask
+        for v in rng.sample(range(nv), nv) * 2:
+            assert closed[v] == expected[v] == _or(rows_of[v]), (case, v)
+
+
+def test_built_in_solve_builds_few_closed_neighbourhoods(monkeypatch):
+    built = []
+
+    def recording_incidence(nv, rows):
+        masks, rows_of, closed = _incidence(nv, rows)
+        built.append(closed)
+        return masks, rows_of, closed
+
+    monkeypatch.setattr(ilp_module, "_incidence", recording_incidence)
+    model = build_model(12, {"C0", "C1", "C2", "C3", "C4", "C5", "C6"})
+    solve_builtin(model, SearchOptions(node_limit=20))
+    [closed] = built
+    assert 0 < len(closed) < 4096
 
 
 def test_cover_weights_cover_every_vertex_on_random_families():

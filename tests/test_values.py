@@ -312,9 +312,9 @@ def test_run_class_construction():
 
 
 def _one_of_each():
-    # no WordSet inside: WordSet itself does not survive pickling
     row = LinearConstraint(((0, 1), (7, 1)), "<=", 1, "r")
-    return [
+    code = WordSet(3, [0, 7])
+    values = [
         Word(3, 5),
         row,
         IlpModel(3, (row,), {"generator": "t"}),
@@ -323,10 +323,18 @@ def _one_of_each():
         SearchOptions(10, 1.5),
         ConstraintFamily("C0", (), (row,)),
         RunClass(5, 2, 2, 1),
+        code,
+        SearchResult(3, 2, code, "optimal", 4),
+        VerifyReport(True, 2, 5, (), (), SdeccResult(True, None, None), code),
     ]
+    params = [pytest.param(v, id=type(v).__name__) for v in values]
+    params.append(pytest.param(
+        SearchOptions(10, 1.5, code), id="SearchOptions-incumbent"
+    ))
+    return params
 
 
-@pytest.mark.parametrize("value", _one_of_each(), ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", _one_of_each())
 def test_values_survive_pickling_and_copying(value):
     import copy
     import pickle
