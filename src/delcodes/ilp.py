@@ -5,11 +5,11 @@ are selected, subject to linear rows of (word value, coefficient) terms that
 are evaluated on a bitmask of the selected values. A Solution holds such a
 selection bitmask. x_<bits> names appear only at the file boundary and in
 the read-only Solution.assignment view: write_lp and read_lp move models
-through the common text LP format so external solvers can be used, and
-read_lp picks one reader per file, compiled patterns for write_lp's own
-layout and a token walk for any other; write_solution and read_solution move
-selections through `name value` files; verify_solution replays every row on
-the selection and independently re-checks the selected words as a code.
+through the common text LP format so external solvers can be used, read_lp
+by one walk over the file's tokens, line by line; write_solution and
+read_solution move selections through `name value` files; verify_solution
+replays every row on the selection and independently re-checks the selected
+words as a code.
 solve_builtin is a self-contained exact 0-1 solver: it classifies the rows,
 propagates fixes and picks its warm-start seeds here, then runs the
 branch-and-bound kernel it shares with the conflict-graph search
@@ -25,8 +25,8 @@ import math
 import re
 import time
 import weakref
-from functools import cached_property
-from itertools import filterfalse, starmap
+from functools import cached_property, partial
+from itertools import chain, filterfalse, islice, starmap
 from operator import itemgetter
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -56,25 +56,6 @@ _SOLUTION_VALUE = re.compile(
 _SENSES = tuple(_SENSE_HOLDS)
 # a backslash starts a comment that runs to the next str.splitlines boundary
 _LP_COMMENT = re.compile(r"\\[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
-# The terms of one expression as write_lp lays them out, every part a whole
-# token: a unit sum `name + name ...`, or else a first term `[int] name` or
-# `sign [magnitude] name` followed by `sign [magnitude] name` terms. LP
-# tokens are what str.split() returns; re's \s is the same str.isspace set.
-_LP_UNIT_TERMS = r"x_[01]+(?:\s+\+\s+x_[01]+)*"
-_LP_SIGNED_TERMS = (
-    r"(?:(?:[+-]?[0-9]+\s+)?x_[01]+|[+-]\s+(?:[0-9]+\s+)?x_[01]+)"
-    r"(?:\s+[+-]\s+(?:[0-9]+\s+)?x_[01]+)*"
-)
-# Maximize, a label, the objective's unit sum, Subject To. The keywords are
-# compared after .lower(): IGNORECASE would also take "ſubject" (U+017F).
-_LP_HEAD = re.compile(
-    rf"\s*(\S+)\s+\S*:\s+({_LP_UNIT_TERMS})\s+(\S+)\s+(\S+)(?!\S)"
-)
-_LP_ROW = re.compile(
-    rf"\s+(\S+):\s+(?:({_LP_UNIT_TERMS})|({_LP_SIGNED_TERMS}))"
-    r"\s+(<=|>=|=)\s+([+-]?[0-9]+)(?!\S)"
-)
-_LP_NAME_SPLIT = re.compile(r"(x_[01]+)")
 
 
 class _NameTerms(dict):
@@ -87,22 +68,6 @@ class _NameTerms(dict):
     def __missing__(self, name: str) -> tuple[int, int]:
         term = self[name] = (int(name[2:], 2), 1)
         return term
-
-
-class _Coefficients(dict):
-    """Text before a name _LP_SIGNED_TERMS took -> that term's coefficient.
-
-    The text is empty, a sign token, a sign token and a magnitude, or an
-    integer that may carry its sign, so without its whitespace it reads
-    as one integer once a bare sign or nothing gets a 1 appended.
-    """
-
-    def __missing__(self, prefix: str) -> int:
-        number = "".join(prefix.split())
-        if not number[-1:].isdigit():
-            number += "1"
-        coeff = self[prefix] = int(number)
-        return coeff
 
 
 class _UnitTerms(list):
@@ -249,8 +214,9 @@ class IlpModel(_Frozen):
 
 
 # Rows and models whose caller has made every __init__ check itself: the
-# generators, which fix each row's shape, and read_lp for write_lp's
-# layout. Rows are many, so theirs are set through the slot descriptors.
+# generators, which fix each row's shape, and read_lp for a file whose walk
+# met nothing those checks refuse. Rows are many, so theirs are set through
+# the slot descriptors.
 
 _set_terms = LinearConstraint.terms.__set__
 _set_sense = LinearConstraint.sense.__set__
@@ -397,95 +363,44 @@ def write_lp(model: IlpModel, sink: IO[str]) -> int:
     return written
 
 
-def _read_layout(text: str) -> tuple[set[str], list, list[str], _NameTerms] | None:
-    """The parts of comment-free text in write_lp's layout, else None.
-
-    The parts are the objective's names, the rows as LinearConstraint
-    arguments, the Binary names and the table of names met before Binary.
-    Compiled patterns take, whatever the whitespace, the head up to
-    Subject To and each whole row, and one split takes Binary, its names
-    and End. Nothing here raises: at the first thing it does not take, a
-    numeral too long for int() included, it returns None. It also declines
-    rows that no model holds, those with a zero coefficient, a name twice
-    in one row or a label twice, so that _read_tokens words their error.
-    The rows it does take need no other check once read_lp has found every
-    name declared (one width, so a name repeats exactly when its value
-    does, as in x_01 - 2 x_01): _LP_ROW gives each a sense and a label of
-    non-space characters, and the comments went with every backslash.
-    """
-    head = _LP_HEAD.match(text)
-    keywords = ("maximize", "subject", "to")
-    if not head or tuple(map(str.lower, head.group(1, 3, 4))) != keywords:
-        return None
-    names = _NameTerms()
-    coefficients = _Coefficients()
-    # the objective's names are the first the table meets
-    tuple(map(names.__getitem__, head[2].split()[::2]))
-    objective = set(names)
-    rows = []
-    pos = head.end()
-    try:
-        while m := _LP_ROW.match(text, pos):
-            label, unit, signed, sense, rhs = m.groups()
-            if unit:
-                row_names = unit.split()[::2]
-                terms = tuple(map(names.__getitem__, row_names))
-            else:
-                parts = _LP_NAME_SPLIT.split(signed)
-                row_names = parts[1::2]
-                values = map(itemgetter(0), map(names.__getitem__, row_names))
-                terms = tuple(
-                    zip(values, map(coefficients.__getitem__, parts[:-1:2]))
-                )
-            if len(set(row_names)) != len(row_names):
-                return None
-            rows.append((terms, sense, int(rhs), label))
-            pos = m.end()
-    except ValueError:  # int() refuses a numeral past its digit limit
-        return None
-    labels = set(map(itemgetter(3), rows))
-    if 0 in coefficients.values() or len(labels) != len(rows):
-        return None
-    tail = text[pos:].split()
-    lowered = list(map(str.lower, tail))
-    if lowered[:1] + lowered[-1:] != ["binary", "end"] or "end" in lowered[1:-1]:
-        return None
-    return objective, rows, tail[1:-1], names
-
-
 def _parse_expression(
-    items: list[str],
-    pos: int,
+    tokens: Iterator[str],
     stop: tuple[str, ...],
     where: str,
     names: _NameTerms,
-) -> tuple[list[tuple[int, int]], int]:
-    """Parse `[±] [coef] name` terms from items[pos] until a sense or keyword.
+) -> tuple[list[tuple[int, int]], str]:
+    """Parse `[±] [coef] name` terms from tokens until a sense or keyword.
 
-    Returns the (value, coefficient) terms and the position of the token
-    that ended them. names holds every x_<bits> name met so far, so the
-    name pattern and int() run once per distinct name.
+    Returns the (value, coefficient) terms and the token that ended them.
+    names holds every x_<bits> name met so far, so the name pattern and
+    int() run once per distinct name, and every unit term of a name is
+    its one shared pair.
     A coefficient after a separate sign token is an unsigned magnitude;
     only a term without one may carry its sign in the number (`-3 x_0`).
     where, the label of the row being read, prefixes every error.
     """
     terms: list[tuple[int, int]] = []
-    end = len(items)
-    while True:
-        if pos == end:
-            raise ValueError(f"{where} expression ran past end of file")
-        tok = items[pos]
-        sign = 1
-        number = _LP_INTEGER
-        if tok == "+" or tok == "-":
-            sign = -1 if tok == "-" else 1
+    append = terms.append
+    for tok in tokens:
+        if tok == "+":
+            tok = next(tokens, None)
+            term = names.get(tok)
+            if term is not None:  # `+ name`, most of write_lp's terms
+                append(term)
+                continue
+            sign = 1
+            number = _LP_MAGNITUDE
+        elif tok == "-":
+            tok = next(tokens, None)
+            sign = -1
             number = _LP_MAGNITUDE  # "- -3" would otherwise read as +3
-            pos += 1
-            if pos == end:
-                raise ValueError(f"{where} dangling sign at end of file")
-            tok = items[pos]
         elif tok in _SENSES or tok.lower() in stop:
-            return terms, pos
+            return terms, tok
+        else:
+            sign = 1
+            number = _LP_INTEGER
+        if tok is None:  # only after a sign
+            raise ValueError(f"{where} dangling sign at end of file")
         coeff = sign
         term = names.get(tok)
         if term is None and not _VAR_NAME.fullmatch(tok):
@@ -494,77 +409,18 @@ def _parse_expression(
                     f"{where} expected coefficient or variable, got {tok!r}"
                 )
             coeff = sign * int(tok)
-            pos += 1
-            if pos == end:
+            tok = next(tokens, None)
+            if tok is None:
                 raise ValueError(
                     f"{where} coefficient without a variable at end of file"
                 )
-            tok = items[pos]
             term = names.get(tok)
         if term is None:
             if not _VAR_NAME.fullmatch(tok):
                 raise ValueError(f"{where} expected variable name, got {tok!r}")
             term = names[tok]
-        pos += 1
-        terms.append(term if coeff == 1 else (term[0], coeff))
-
-
-def _read_tokens(items: list[str]) -> tuple[set[str], list, list[str], _NameTerms]:
-    """The parts of an LP file, as _read_layout gives them, from its tokens.
-
-    One index walks the str.split() tokens, the objective and every row
-    through _parse_expression. This reader defines the language read_lp
-    accepts, and its ValueError words the first fault in file order.
-    """
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos == len(items):
-            raise ValueError("unexpected end of LP file")
-        pos += 1
-        return items[pos - 1]
-
-    # every x_<bits> name read, in order of first appearance
-    names = _NameTerms()
-    if take().lower() != "maximize":
-        raise ValueError("LP file must start with Maximize")
-    obj_label = take()
-    if not obj_label.endswith(":"):
-        raise ValueError(f"objective needs a label, got {obj_label!r}")
-    objective, pos = _parse_expression(items, pos, ("subject",), obj_label, names)
-    if any(coeff != 1 for _, coeff in objective):
-        raise ValueError("objective must have unit coefficients")
-    objective_names = set(names)
-    if take().lower() != "subject" or take().lower() != "to":
-        raise ValueError("expected Subject To after the objective")
-
-    rows = []
-    while True:
-        if pos == len(items):
-            raise ValueError("LP file ended inside Subject To")
-        if items[pos].lower() in ("binary", "end"):
-            break
-        label = take()
-        if not label.endswith(":") or len(label) == 1:
-            raise ValueError(f"expected a constraint label, got {label!r}")
-        terms, pos = _parse_expression(items, pos, ("binary", "end"), label, names)
-        sense = take()
-        if sense not in _SENSES:
-            raise ValueError(f"{label} expected a sense, got {sense!r}")
-        rhs_token = take()
-        if not _LP_INTEGER.fullmatch(rhs_token):
-            raise ValueError(f"{label} right-hand side {rhs_token!r} is not an integer")
-        rows.append((tuple(terms), sense, int(rhs_token), label[:-1]))
-
-    if take().lower() != "binary":
-        raise ValueError("expected a Binary section")
-    binary = []
-    while (name := take()).lower() != "end":
-        binary.append(name)
-    if pos < len(items):
-        raise ValueError(f"unexpected content after End: {items[pos]!r}")
-    return objective_names, rows, binary, names
+        append(term if coeff == 1 else (term[0], coeff))
+    raise ValueError(f"{where} expression ran past end of file")
 
 
 def read_lp(source: IO[str]) -> IlpModel:
@@ -574,19 +430,85 @@ def read_lp(source: IO[str]) -> IlpModel:
     the variables the Binary section declares, those must be x_<bits>
     names of one common width covering every word of that length, every
     constraint may reference only declared variables, and labels must be
-    unique. Term order inside rows is preserved. The reader is chosen
-    once per file: write_lp's layout goes to _read_layout, which never
-    splits the whole file into tokens, and any other file to _read_tokens,
-    which alone defines the language and words every error. Both give
-    the same parts where both read a file, and the checks on names and
-    the model construction then run once. The rows of a file the layout
-    reader took need no check past those on names (see _read_layout), so
-    they and the model are built unchecked; any other file's go through
-    LinearConstraint and IlpModel, which word its first fault.
+    unique. Term order inside rows is preserved. One walk takes the
+    whitespace-separated tokens of the source's lines, a few hundred
+    lines at a time, as it needs them: the objective and every row
+    through _parse_expression, then the Binary section to End at once.
+    Neither the text nor a list of all its tokens is held, and
+    source.read() is never called. The walk defines the language read_lp
+    accepts, and its ValueError words the first fault in file order. It
+    also notes what would fail a row's or the model's own checks, a zero
+    coefficient, a value twice in one row or a label twice; only then,
+    or past MAX_LEN, are rows and model built through LinearConstraint
+    and IlpModel, which word that fault. Otherwise, once every name is a
+    declared one of a single width, nothing in them can fail a check, so
+    they are built unchecked.
     """
-    text = _LP_COMMENT.sub("", source.read())
-    layout = _read_layout(text)
-    objective, raw_rows, binary, names = layout or _read_tokens(text.split())
+    # a comment ends at a line boundary, so stripping and splitting lines
+    # 256 at a time, joined by line breaks, leaves the same tokens as the
+    # whole text would; a sub and a split per line cost twice the time
+    lines = iter(source)
+    chunks = iter(lambda: "\n".join(islice(lines, 256)), "")
+    tokens = chain.from_iterable(
+        map(str.split, map(partial(_LP_COMMENT.sub, ""), chunks))
+    )
+    # every x_<bits> name read, in order of first appearance
+    names = _NameTerms()
+    tok = next(tokens, None)
+    if tok is None:
+        raise ValueError("unexpected end of LP file")
+    if tok.lower() != "maximize":
+        raise ValueError("LP file must start with Maximize")
+    obj_label = next(tokens, None)
+    if obj_label is None:
+        raise ValueError("unexpected end of LP file")
+    if not obj_label.endswith(":"):
+        raise ValueError(f"objective needs a label, got {obj_label!r}")
+    objective, tok = _parse_expression(tokens, ("subject",), obj_label, names)
+    if any(coeff != 1 for _, coeff in objective):
+        raise ValueError("objective must have unit coefficients")
+    objective_names = set(names)
+    if tok.lower() != "subject":
+        raise ValueError("expected Subject To after the objective")
+    tok = next(tokens, None)
+    if tok is None:
+        raise ValueError("unexpected end of LP file")
+    if tok.lower() != "to":
+        raise ValueError("expected Subject To after the objective")
+
+    raw_rows = []
+    checked = False
+    while True:
+        label = next(tokens, None)
+        if label is None:
+            raise ValueError("LP file ended inside Subject To")
+        if label.lower() in ("binary", "end"):
+            break
+        if not label.endswith(":") or len(label) == 1:
+            raise ValueError(f"expected a constraint label, got {label!r}")
+        terms, sense = _parse_expression(tokens, ("binary", "end"), label, names)
+        if sense not in _SENSES:
+            raise ValueError(f"{label} expected a sense, got {sense!r}")
+        rhs_token = next(tokens, None)
+        if rhs_token is None:
+            raise ValueError("unexpected end of LP file")
+        if not _LP_INTEGER.fullmatch(rhs_token):
+            raise ValueError(f"{label} right-hand side {rhs_token!r} is not an integer")
+        # a zero coefficient or a value twice leaves fewer values than terms
+        if len({v for v, c in terms if c}) != len(terms):
+            checked = True
+        raw_rows.append((tuple(terms), sense, int(rhs_token), label[:-1]))
+
+    if label.lower() != "binary":
+        raise ValueError("expected a Binary section")
+    binary = list(tokens)
+    lowered = list(map(str.lower, binary))
+    if "end" not in lowered:
+        raise ValueError("unexpected end of LP file")
+    end = lowered.index("end")
+    if end + 1 < len(binary):
+        raise ValueError(f"unexpected content after End: {binary[end + 1]!r}")
+    del binary[end:]
 
     if not binary:
         raise ValueError("Binary section declares no variables")
@@ -604,7 +526,7 @@ def read_lp(source: IO[str]) -> IlpModel:
         raise ValueError(
             f"expected all {1 << n} variables of length {n}, got {len(declared)}"
         )
-    if objective != declared:
+    if objective_names != declared:
         raise ValueError("objective does not cover exactly the declared variables")
     # names of other widths can share a value, so the check is by name; the
     # first undeclared name in file order is the first one a row references
@@ -614,11 +536,13 @@ def read_lp(source: IO[str]) -> IlpModel:
         raise ValueError(f"constraint references undeclared {first!r}")
 
     metadata = {"generator": "lp-import", "n": n}
-    if layout is None or n > MAX_LEN:
+    labels = set(map(itemgetter(3), raw_rows))
+    if checked or len(labels) != len(raw_rows) or n > MAX_LEN:
         rows = tuple(starmap(LinearConstraint, raw_rows))
         return IlpModel(n, rows, metadata)
     rows = tuple(starmap(_unchecked_row, raw_rows))
     return _unchecked_model(n, rows, metadata)
+
 
 
 # ------------------------------------------------------------ solution files
@@ -772,7 +696,8 @@ def _classify_rows(model: IlpModel):
     """Split rows into packing members, singleton fixes, and generic rows.
 
     Generic rows come as (sense, rhs) pairs; var_rows[v] lists the
-    (generic row index, coefficient) pairs of variable v in row order.
+    (generic row index, coefficient) pairs of variable v in row order,
+    one shared pair per distinct coefficient of a row.
     """
     nv = 1 << model.n
     packing: list[tuple[int, ...]] = []
@@ -798,12 +723,17 @@ def _classify_rows(model: IlpModel):
                     f"{row.label}: conflicts with an earlier fix of "
                     f"{Word(model.n, v)}"
                 )
-        elif row.sense == "<=" and row.rhs == 1 and all(c == 1 for _, c in terms):
+        elif (
+            row.sense == "<=" and row.rhs == 1
+            and set(map(itemgetter(1), terms)) <= {1}
+        ):
             if len(terms) > 1:  # a single-variable x <= 1 row is vacuous
-                packing.append(tuple(v for v, _ in terms))
+                packing.append(tuple(map(itemgetter(0), terms)))
         else:
+            ri = len(generic)
+            pairs = {c: (ri, c) for c in set(map(itemgetter(1), terms))}
             for v, c in terms:
-                var_rows[v].append((len(generic), c))
+                var_rows[v].append(pairs[c])
             generic.append((row.sense, row.rhs))
     return nv, packing, fixes, generic, var_rows
 

@@ -487,18 +487,34 @@ def test_read_lp_matches_the_reference_reader_on_full_models(n):
     assert n_read == n and rows == build_model(n, FAMILY_IDS).constraints
 
 
-@pytest.mark.parametrize("n", range(2, 11))
-def test_read_lp_reads_write_lp_output_without_the_token_walk(
-    n, monkeypatch
-):
-    # write_lp's own layout must stay on the compiled patterns; the token
-    # reader is for what they do not take
-    def refuse(*args):
-        raise AssertionError("_read_tokens ran on write_lp output")
+class LinesOnly:
+    """A text source that can only be iterated line by line."""
 
-    monkeypatch.setattr(ilp_module, "_read_tokens", refuse)
-    model = read_lp(io.StringIO(full_model_text(n)))
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __iter__(self):
+        return iter(io.StringIO(self.text))
+
+    def read(self, *args):
+        raise AssertionError("read_lp called read()")
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_read_lp_reads_full_models_line_by_line(n):
+    model = read_lp(LinesOnly(full_model_text(n)))
     assert model.constraints == build_model(n, FAMILY_IDS).constraints
+
+
+@pytest.mark.parametrize("n", (3, 6))
+def test_read_lp_shares_one_unit_term_per_value(n):
+    model = read_lp(io.StringIO(full_model_text(n)))
+    shared = {}
+    for row in model.constraints:
+        for term in row.terms:
+            if term[1] == 1:
+                assert shared.setdefault(term[0], term) is term, row.label
+    assert len(shared) == 1 << n
 
 
 SMALL_LP = (
@@ -624,58 +640,10 @@ def test_read_lp_matches_the_reference_reader_on_other_layouts(text):
 def test_the_layout_reader_leaves_rows_no_model_holds_to_the_tokens(
     old, new, message
 ):
-    # read_lp builds the layout reader's rows unchecked, so that reader
-    # must decline these and let the token reader's path word the error
-    assert ilp_module._read_layout(SMALL_LP) is not None
+    # read_lp builds rows unchecked unless its walk met one of these, so
+    # each must still reach the checked constructors that word its error
     text = SMALL_LP.replace(old, new, 1)
-    assert ilp_module._read_layout(text) is None
     assert assert_reads_like_the_reference(text) == ("ValueError", message)
-
-
-def layout_reader_agrees(text: str) -> bool:
-    """Whether the layout reader takes text.
-
-    Where it does, the token reader must give equal parts, with the names
-    in the same order.
-    """
-    clean = ilp_module._LP_COMMENT.sub("", text)
-    parts = ilp_module._read_layout(clean)
-    if parts is None:
-        return False
-    objective, rows, binary, names = ilp_module._read_tokens(clean.split())
-    assert parts[:3] == (objective, rows, binary), text
-    assert list(parts[3]) == list(names), text
-    return True
-
-
-@pytest.mark.parametrize(
-    "text", [pytest.param(text, id=name) for name, text in layout_cases()]
-)
-def test_the_readers_agree_on_other_layouts(text):
-    layout_reader_agrees(text)
-
-
-def test_the_readers_agree_on_mutations():
-    # the corpus of test_read_lp_mutations_raise_only_value_error
-    rng = random.Random(7200)
-    sources = [lp_text(build_model(n, FAMILY_IDS)) for n in (2, 3)]
-    sources += [lp_text(random_model(rng)) for _ in range(8)]
-    taken = sum(
-        layout_reader_agrees(mutate_lp(rng, rng.choice(sources)))
-        for _ in range(3000)
-    )
-    assert 0 < taken < 3000
-
-
-def test_the_layout_reader_takes_random_models_as_the_token_reader_does():
-    rng = random.Random(7100)
-    for case in range(300):
-        assert layout_reader_agrees(lp_text(random_model(rng))), case
-
-
-@pytest.mark.parametrize("n", range(2, 11))
-def test_the_layout_reader_takes_full_models_as_the_token_reader_does(n):
-    assert layout_reader_agrees(full_model_text(n))
 
 
 def test_read_lp_accepts_explicit_coefficients_and_wraps():
@@ -1137,6 +1105,18 @@ def test_conflicting_fixes_are_named_from_the_last_fix_in_row_order():
         InfeasibleModelError, match="fixed selections 00001 and 00000 conflict"
     ):
         solve_builtin(IlpModel(5, tuple(rows)))
+
+
+@pytest.mark.parametrize("n", (4, 7))
+def test_generic_rows_share_one_pair_per_coefficient(n):
+    _, _, _, generic, var_rows = ilp_module._classify_rows(
+        build_model(n, FAMILY_IDS)
+    )
+    shared = {}
+    for pairs in var_rows:
+        for pair in pairs:
+            assert shared.setdefault(pair, pair) is pair
+    assert {ri for ri, _ in shared} == set(range(len(generic)))
 
 
 def test_solve_requires_packing_rows():
