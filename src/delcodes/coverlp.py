@@ -18,9 +18,7 @@ with the LP, so a later call on the same family resumes warm.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import time
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -380,12 +378,9 @@ def _separation_rounds(
     Separation adds at most nv rows in all, counting every row of an
     orbit, and skips an orbit that does not fit. With the identity alone
     every orbit is a single vertex or row, and this is the plain LP.
-    Stops when some vertex appears in no mask, a simplex gives up, or no
-    new violated clique is found.
+    Stops when a simplex gives up, as the first does when some vertex
+    appears in no mask, or when no new violated clique is found.
     """
-    everyone = (1 << nv) - 1
-    if functools.reduce(operator.or_, masks) & everyone != everyone:
-        return
     denom = _COVER_DENOM
     group = _symmetries(nv, masks)
     lp = PackingLP(nv, _orbits(group))

@@ -22,6 +22,7 @@ against each other.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import time
 import weakref
@@ -35,7 +36,6 @@ from .bitseq import MAX_LEN, Word, WordSet, _Frozen
 from .sdecc import (
     SdeccResult,
     SearchOptions,
-    _SENSE_HOLDS,
     _branch_and_bound,
     _incidence,
     _ones,
@@ -53,7 +53,11 @@ _SOLUTION_VALUE = re.compile(
     r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|nan)",
     re.IGNORECASE,
 )
+# what each row sense requires of (left-hand side, right-hand side)
+_SENSE_HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
 _SENSES = tuple(_SENSE_HOLDS)
+# the sign each half of a row takes to read as sum <= rhs
+_SIGNS = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
 # a backslash starts a comment that runs to the next str.splitlines boundary
 _LP_COMMENT = re.compile(r"\\[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 
@@ -143,8 +147,13 @@ class LinearConstraint(_Frozen):
             raise ValueError(
                 f"constraint label {label!r} holds whitespace or a backslash"
             )
+        # write_lp writes what it is given, and read_lp reads ints only
+        if type(rhs) is not int:  # a bool is an int, but not an LP numeral
+            raise ValueError(f"{label}: right-hand side {rhs!r} is not an int")
         seen: set[int] = set()
         for value, coeff in terms:
+            if type(coeff) is not int:
+                raise ValueError(f"{label}: coefficient {coeff!r} is not an int")
             if coeff == 0:
                 raise ValueError(f"{label}: zero coefficient on value {value}")
             if value in seen:
@@ -402,22 +411,21 @@ def _parse_expression(
         if tok is None:  # only after a sign
             raise ValueError(f"{where} dangling sign at end of file")
         coeff = sign
+        expected = "coefficient or variable"
         term = names.get(tok)
-        if term is None and not _VAR_NAME.fullmatch(tok):
-            if not number.fullmatch(tok):
-                raise ValueError(
-                    f"{where} expected coefficient or variable, got {tok!r}"
-                )
+        # no name is a numeral, so the cheaper numeral test goes first
+        if term is None and number.fullmatch(tok):
             coeff = sign * int(tok)
             tok = next(tokens, None)
             if tok is None:
                 raise ValueError(
                     f"{where} coefficient without a variable at end of file"
                 )
+            expected = "variable name"
             term = names.get(tok)
         if term is None:
             if not _VAR_NAME.fullmatch(tok):
-                raise ValueError(f"{where} expected variable name, got {tok!r}")
+                raise ValueError(f"{where} expected {expected}, got {tok!r}")
             term = names[tok]
         append(term if coeff == 1 else (term[0], coeff))
     raise ValueError(f"{where} expression ran past end of file")
@@ -502,17 +510,18 @@ def read_lp(source: IO[str]) -> IlpModel:
     if label.lower() != "binary":
         raise ValueError("expected a Binary section")
     binary = list(tokens)
-    lowered = list(map(str.lower, binary))
-    if "end" not in lowered:
+    end = next((i for i, tok in enumerate(binary) if tok.lower() == "end"), -1)
+    if end < 0:
         raise ValueError("unexpected end of LP file")
-    end = lowered.index("end")
     if end + 1 < len(binary):
         raise ValueError(f"unexpected content after End: {binary[end + 1]!r}")
     del binary[end:]
 
     if not binary:
         raise ValueError("Binary section declares no variables")
-    bad = next(filterfalse(_VAR_NAME.fullmatch, binary), None)
+    # a name the walk has met is a well-formed one
+    unmet = filterfalse(names.__contains__, binary)
+    bad = next(filterfalse(_VAR_NAME.fullmatch, unmet), None)
     if bad is not None:
         raise ValueError(f"not a variable name: {bad!r}")
     widths = {size - 2 for size in set(map(len, binary))}
@@ -695,14 +704,17 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
 def _classify_rows(model: IlpModel):
     """Split rows into packing members, singleton fixes, and generic rows.
 
-    Generic rows come as (sense, rhs) pairs; var_rows[v] lists the
-    (generic row index, coefficient) pairs of variable v in row order,
-    one shared pair per distinct coefficient of a row.
+    Each generic row reaches the kernel as sum <= rhs, a >= row negated
+    and an = row as both (the <= half first), with its (rhs, tested)
+    pair: the take test reads only the halves stated <=, since a negated
+    row would change which words the warm start's greedy fill takes.
+    var_rows[v] lists v's (generic row index, coefficient) pairs in row
+    order, one shared pair per distinct coefficient of a row.
     """
     nv = 1 << model.n
     packing: list[tuple[int, ...]] = []
     fixes: dict[int, int] = {}
-    generic: list[tuple[str, int]] = []
+    generic: list[tuple[int, bool]] = []
     var_rows: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for row in model.constraints:
         terms = row.terms
@@ -730,11 +742,13 @@ def _classify_rows(model: IlpModel):
             if len(terms) > 1:  # a single-variable x <= 1 row is vacuous
                 packing.append(tuple(map(itemgetter(0), terms)))
         else:
-            ri = len(generic)
-            pairs = {c: (ri, c) for c in set(map(itemgetter(1), terms))}
-            for v, c in terms:
-                var_rows[v].append(pairs[c])
-            generic.append((row.sense, row.rhs))
+            coeffs = set(map(itemgetter(1), terms))
+            for sign in _SIGNS[row.sense]:
+                ri = len(generic)
+                pairs = {c: (ri, sign * c) for c in coeffs}
+                for v, c in terms:
+                    var_rows[v].append(pairs[c])
+                generic.append((sign * row.rhs, sign == 1))
     return nv, packing, fixes, generic, var_rows
 
 

@@ -226,9 +226,6 @@ def bounds(n: int) -> BoundsRecord:
 
 # --- the branch-and-bound kernel, shared with ilp ---
 
-# what each row sense requires of (left-hand side, right-hand side)
-_SENSE_HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
-
 
 class SearchOptions(_Frozen):
     """Budgets and warm start for the exact searches."""
@@ -309,7 +306,6 @@ def _drop_dominated(
     cand: int,
     rows_of: Sequence[Sequence[int]],
     var_rows: Sequence[Sequence[tuple[int, int]]],
-    generic: Sequence[tuple[str, int]],
 ) -> int:
     """The cand mask without candidates that some optimum can avoid.
 
@@ -318,11 +314,11 @@ def _drop_dominated(
     in ascending order. Another candidate x lying in every packing row
     through y has N[y] inside N[x], so in any feasible S holding x, the
     set S - x + y packs as well and has the same size. x is dropped when
-    that swap also keeps every generic row: y's coefficient relates to x's
-    by the row's sense (an absent term counts as 0). y is itself still a
-    candidate when x goes, so of two variables with equal row sets only
-    one is dropped. On the conflict graph with no generic rows this drops
-    exactly the words C2 excludes: those of weight 1 or n-1 and
+    that swap also keeps every generic row, each a sum <= rhs: y's
+    coefficient is at most x's (an absent term counts as 0). y is itself
+    still a candidate when x goes, so of two variables with equal row sets
+    only one is dropped. On the conflict graph with no generic rows this
+    drops exactly the words C2 excludes: those of weight 1 or n-1 and
     0^k 1 0 1^(n-2-k) with its complement for 1 <= k <= n-3, since two
     words share at most two deletions (Levenshtein 2001; see
     constraints.dominated_words).
@@ -346,9 +342,7 @@ def _drop_dominated(
                 continue
             x_coeffs = dict(var_rows[x])
             if all(
-                _SENSE_HOLDS[generic[ri][0]](
-                    y_coeffs.get(ri, 0), x_coeffs.get(ri, 0)
-                )
+                y_coeffs.get(ri, 0) <= x_coeffs.get(ri, 0)
                 for ri in y_coeffs.keys() | x_coeffs.keys()
             ):
                 dropped.add(x)
@@ -366,18 +360,19 @@ def _branch_and_bound(
     seeds: Iterable[Sequence[int]],
     opts: SearchOptions,
     started: float,
-    generic: Sequence[tuple[str, int]] = (),
+    generic: Sequence[tuple[int, bool]] = (),
     included: int = 0,
 ) -> tuple[int | None, int, bool]:
     """Exact 0-1 maximum of |included| + |S| over sets S inside the cand mask.
 
     S puts at most one variable into each packing row (rows_of and closed
     come from _incidence) and, together with the variables already selected
-    in included, satisfies every generic row (sense, rhs); var_rows[v]
-    lists v's (row index, coefficient) pairs in row order. The variables
-    are 0 .. len(rows_of) - 1; closed is read only at the variables the
-    warm start or the tree takes, so it may build its masks on first
-    lookup.
+    in included, keeps every generic row's sum <= rhs. generic holds each
+    row's (rhs, tested), tested saying whether the take test reads it, and
+    var_rows[v] lists v's (row index, coefficient) pairs in row order. The
+    variables are 0 .. len(rows_of) - 1; closed is read only at the
+    variables the warm start or the tree takes, so it may build its masks
+    on first lookup.
 
     Warm start: each seed, a sequence of variables, is completed greedily
     over cand, its members first in order, then every variable still free
@@ -431,16 +426,14 @@ def _branch_and_bound(
         # negative term cannot fail it where reachable holds
         for ri, c in var_rows[v]:
             if c > 0:
-                sense, rhs = generic[ri]
-                if sense != ">=" and cur[ri] + c - neg[ri] > rhs:
+                rhs, tested = generic[ri]
+                if tested and cur[ri] + c - neg[ri] > rhs:
                     return False
         return True
 
-    def reachable(cur, pos, neg) -> bool:
-        for ri, (sense, rhs) in enumerate(generic):
-            if sense in (">=", "=") and cur[ri] + pos[ri] < rhs:
-                return False
-            if sense in ("<=", "=") and cur[ri] - neg[ri] > rhs:
+    def reachable(cur, neg) -> bool:
+        for ri, (rhs, _) in enumerate(generic):
+            if cur[ri] - neg[ri] > rhs:
                 return False
         return True
 
@@ -452,7 +445,7 @@ def _branch_and_bound(
     # the warm start fills over every candidate: the reduced set would
     # change which completion wins
     # nothing undecided: the fill counts on no negative term, and
-    # reachable(cur, zeros, zeros) holds exactly when cur meets every row
+    # reachable(cur, zeros) holds exactly when cur meets every row
     zeros = [0] * len(generic)
     best = -1
     best_selection: int | None = None
@@ -477,7 +470,7 @@ def _branch_and_bound(
                 free &= ~closed[v]
                 for ri, c in var_rows[v]:
                     cur[ri] += c
-        if selection.bit_count() > best and reachable(cur, zeros, zeros):
+        if selection.bit_count() > best and reachable(cur, zeros):
             best = selection.bit_count()
             best_selection = selection
 
@@ -486,12 +479,12 @@ def _branch_and_bound(
     weighted = None if cover is None else [
         (m, w) for m, w in zip(*cover) if w
     ]
-    cand = _drop_dominated(cand, rows_of, var_rows, generic)
+    cand = _drop_dominated(cand, rows_of, var_rows)
 
     nodes = 0
     exhausted = False
 
-    def visit(cand: int, selection: int, count: int, cur, pos, neg) -> None:
+    def visit(cand: int, selection: int, count: int, cur, neg) -> None:
         nonlocal best, best_selection, nodes, exhausted
         while True:
             nodes += 1
@@ -500,9 +493,9 @@ def _branch_and_bound(
             ):
                 exhausted = True
                 break
-            if generic and not reachable(cur, pos, neg):
+            if generic and not reachable(cur, neg):
                 break
-            if count > best and (not generic or reachable(cur, zeros, zeros)):
+            if count > best and (not generic or reachable(cur, zeros)):
                 best = count
                 best_selection = selection
             if cand == 0:
@@ -553,42 +546,34 @@ def _branch_and_bound(
             nbr = closed[v]
 
             if fits(v, cur, neg):
-                ccur, cpos, cneg = cur, pos, neg
+                ccur, cneg = cur, neg
                 if generic:
                     ccur = cur[:]
-                    cpos = pos[:]
                     cneg = neg[:]
                     t = cand & nbr
                     while t:
                         low = t & -t
                         t ^= low
                         for ri, c in var_rows[low.bit_length() - 1]:
-                            if c > 0:
-                                cpos[ri] -= c
-                            else:
+                            if c < 0:
                                 cneg[ri] += c
                     for ri, c in var_rows[v]:
                         ccur[ri] += c
-                visit(cand & ~nbr, selection | bit, count + 1, ccur, cpos, cneg)
+                visit(cand & ~nbr, selection | bit, count + 1, ccur, cneg)
                 if exhausted:
                     break
 
             cand ^= bit  # exclude v and carry on in this frame
             for ri, c in var_rows[v]:
-                if c > 0:
-                    pos[ri] -= c
-                else:
+                if c < 0:
                     neg[ri] += c
 
-    pos = [0] * len(generic)
     neg = [0] * len(generic)
     for v in _ones(cand):
         for ri, c in var_rows[v]:
-            if c > 0:
-                pos[ri] += c
-            else:
+            if c < 0:
                 neg[ri] -= c
-    visit(cand, included, included.bit_count(), root_cur, pos, neg)
+    visit(cand, included, included.bit_count(), root_cur, neg)
     # visit's closure holds visit itself: the cycle would keep every
     # structure above (16 MB at n = 13) until the cyclic collector ran
     del visit

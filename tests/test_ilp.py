@@ -637,7 +637,7 @@ def test_read_lp_matches_the_reference_reader_on_other_layouts(text):
                      id="label-twice"),
     ],
 )
-def test_the_layout_reader_leaves_rows_no_model_holds_to_the_tokens(
+def test_read_lp_leaves_rows_no_model_holds_to_the_constructors(
     old, new, message
 ):
     # read_lp builds rows unchecked unless its walk met one of these, so
@@ -1117,6 +1117,27 @@ def test_generic_rows_share_one_pair_per_coefficient(n):
         for pair in pairs:
             assert shared.setdefault(pair, pair) is pair
     assert {ri for ri, _ in shared} == set(range(len(generic)))
+
+
+def test_generic_rows_reach_the_kernel_as_sums_at_most_rhs():
+    # <= as stated, >= negated, = as both (the <= half first); the take
+    # test reads only the halves stated <=
+    rows = (
+        LinearConstraint(((0, 2), (1, -1)), "<=", 3, "le"),
+        LinearConstraint(((1, 1), (2, 3)), ">=", 1, "ge"),
+        LinearConstraint(((0, 1), (3, -2)), "=", 1, "eq"),
+    )
+    _, packing, fixes, generic, var_rows = ilp_module._classify_rows(
+        IlpModel(2, rows)
+    )
+    assert (packing, fixes) == ([], {})
+    assert generic == [(3, True), (-1, False), (1, True), (-1, False)]
+    assert var_rows == [
+        [(0, 2), (2, 1), (3, -1)],
+        [(0, -1), (1, -1)],
+        [(1, -3)],
+        [(2, -2), (3, 2)],
+    ]
 
 
 def test_solve_requires_packing_rows():

@@ -423,7 +423,7 @@ def test_root_reduction_drops_exactly_the_c2_words(n):
     graph = conflict_graph(n)
     nv = 1 << n
     _, rows_of, _ = _incidence(nv, graph.cliques_by_center.values())
-    kept = _drop_dominated((1 << nv) - 1, rows_of, [()] * nv, ())
+    kept = _drop_dominated((1 << nv) - 1, rows_of, [()] * nv)
     dropped = {v for v in range(nv) if not kept >> v & 1}
     assert dropped == {w.value for w in dominated_words(n)}
 
@@ -432,7 +432,7 @@ def test_root_reduction_keeps_one_of_two_twins():
     # 0 and 1 share their only row, so each dominates the other; the
     # dominator must still be a candidate, so exactly one of them goes
     _, rows_of, _ = _incidence(2, [(0, 1)])
-    assert _drop_dominated(0b11, rows_of, [()] * 2, ()) == 0b01
+    assert _drop_dominated(0b11, rows_of, [()] * 2) == 0b01
 
 
 def _closed_by_scan(nv, rows):

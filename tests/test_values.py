@@ -102,6 +102,9 @@ def test_linear_constraint_construction():
     assert row != LinearConstraint(((1, 1), (2, -3)), "<=", 4, "s")
     assert row != (((1, 1), (2, -3)), "<=", 4, "r")
     assert hash(row) == hash(LinearConstraint(((1, 1), (2, -3)), "<=", 4, "r"))
+    assert repr(row) == (
+        "LinearConstraint(terms=((1, 1), (2, -3)), sense='<=', rhs=4, label='r')"
+    )
     _refuses_assignment(row, "rhs")
 
 
@@ -112,6 +115,10 @@ def test_linear_constraint_construction():
     (((), "<=", 1, "a\\b"), "constraint label 'a\\\\b' holds whitespace or a backslash"),
     ((((3, 0),), "<=", 1, "r"), "r: zero coefficient on value 3"),
     ((((3, 1), (3, 2)), "<=", 1, "r"), "r: duplicate variable value 3"),
+    (((), "<=", 1.5, "r"), "r: right-hand side 1.5 is not an int"),
+    (((), "<=", True, "r"), "r: right-hand side True is not an int"),
+    ((((3, 0.5),), "<=", 1, "r"), "r: coefficient 0.5 is not an int"),
+    ((((3, True),), "<=", 1, "r"), "r: coefficient True is not an int"),
 ])
 def test_linear_constraint_checks(args, message):
     with pytest.raises(ValueError) as info:
@@ -133,6 +140,10 @@ def test_ilp_model_construction_and_fresh_metadata():
     assert tagged.metadata == {"generator": "t"}
     assert tagged != model
     assert model != IlpModel(4, (row,))
+    assert repr(model) == (
+        "IlpModel(n=3, constraints=(LinearConstraint(terms=((0, 1), (7, 1)), "
+        "sense='<=', rhs=1, label='r'),), metadata={})"
+    )
     _refuses_assignment(model, "n")
     _refuses_assignment(model, "constraints")
 
@@ -177,6 +188,9 @@ def test_solution_construction_and_cached_assignment():
     assert sol == Solution(2, 0b1001, "built-in", "optimal")
     assert sol != Solution(2, 0b1001, "imported", "optimal")
     assert hash(sol) == hash(Solution(2, 0b1001, "built-in", "optimal"))
+    assert repr(sol) == (
+        "Solution(n=2, selection=9, source='built-in', solver_status='optimal')"
+    )
     _refuses_assignment(sol, "selection")
 
 
@@ -222,6 +236,10 @@ def test_bounds_record_construction():
     assert record == bounds(7)
     assert record != BoundsRecord(7, 16, 16, 25, None, None)
     assert hash(record) == hash(bounds(7))
+    assert repr(BoundsRecord(7, 16, 16, 25, None, None)) == (
+        "BoundsRecord(n=7, lower_vt=16, lower_ratio=16, upper_kk=25, "
+        "known_M=None, known_upper=None)"
+    )
     _refuses_assignment(record, "known_M")
 
 
@@ -253,6 +271,14 @@ def test_search_options_construction_and_defaults():
     assert SearchOptions(0, 0.0).node_limit == 0
     assert hash(full) == hash(SearchOptions(10, 1.5, code))
     assert hash(opts) == hash(SearchOptions())
+    assert repr(code) == "WordSet(n=3, {000, 111})"
+    assert repr(full) == (
+        "SearchOptions(node_limit=10, time_limit=1.5, "
+        "incumbent=WordSet(n=3, {000, 111}))"
+    )
+    assert repr(opts) == (
+        "SearchOptions(node_limit=None, time_limit=None, incumbent=None)"
+    )
     _refuses_assignment(full, "node_limit")
 
 
@@ -282,6 +308,8 @@ def test_search_result_construction():
             result.nodes) == (3, 2, code, "optimal", 4)
     assert result != SearchResult(3, 2, code, "bound-limited", 4)
     assert hash(result) == hash(SearchResult(3, 2, code, "optimal", 4))
+    # past eight members a WordSet's repr gives its size instead
+    assert repr(WordSet(4, range(9))) == "WordSet(n=4, size=9)"
     _refuses_assignment(result, "size")
 
 
@@ -296,6 +324,9 @@ def test_constraint_family_construction_and_length():
     assert not ConstraintFamily("C1", (("p", 1),), ())
     assert family != ConstraintFamily("C2", (), (row,))
     assert hash(family) == hash(ConstraintFamily("C0", (), (row,)))
+    assert repr(ConstraintFamily("C1", (("p", 1),), ())) == (
+        "ConstraintFamily(id='C1', parameters=(('p', 1),), constraints=())"
+    )
     _refuses_assignment(family, "id")
 
 
