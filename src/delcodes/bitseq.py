@@ -141,10 +141,11 @@ _set_word_n = Word.n.__set__
 _set_word_value = Word.value.__set__
 
 
-class WordSet:
+class WordSet(_Frozen):
     """An immutable set of words sharing one length, iterated canonically."""
 
     __slots__ = ("n", "_sorted", "_members")
+    _fields = ("n", "values")
 
     def __init__(self, n: int, values: Iterable[int | Word] = ()):
         _check_length(n)
@@ -175,14 +176,6 @@ class WordSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_sorted", tuple(sorted(vals)))
         object.__setattr__(self, "_members", frozenset(vals))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("WordSet is immutable")
-
-    def __reduce__(self) -> tuple:
-        # pickle and copy rebuild through __init__: restoring the slots
-        # would go through the refusing __setattr__
-        return type(self), (self.n, self._sorted)
 
     @classmethod
     def from_words(cls, words: Iterable[Word]) -> "WordSet":
@@ -215,14 +208,6 @@ class WordSet:
         if isinstance(item, Word):
             return item.n == self.n and item.value in self._members
         return False
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WordSet):
-            return NotImplemented
-        return self.n == other.n and self._sorted == other._sorted
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._sorted))
 
     def __repr__(self) -> str:
         if len(self._sorted) <= 8:

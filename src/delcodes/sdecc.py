@@ -380,9 +380,11 @@ def _branch_and_bound(
     pass the take test. The first of the largest completions that meets
     every generic row becomes the incumbent.
 
-    Depth-first, taking a variable before excluding it; a node is cut when
-    the LP-weighted cover or a greedy most-covering-row cover shows it
-    cannot beat the incumbent. The greedy cover cuts when at most
+    Depth-first, taking a variable before excluding it, in one loop over a
+    stack of pending nodes rather than a recursion, so a dive may take as
+    many variables as the largest selection; a node is cut when the
+    LP-weighted cover or a greedy most-covering-row cover shows it cannot
+    beat the incumbent. The greedy cover cuts when at most
     need = best - count packing rows cover the candidates. Each pick is
     the row through the lowest uncovered candidate that covers most of
     the others, and a pick removes at most max_row_size candidates. So
@@ -481,103 +483,101 @@ def _branch_and_bound(
     ]
     cand = _drop_dominated(cand, rows_of, var_rows)
 
-    nodes = 0
-    exhausted = False
-
-    def visit(cand: int, selection: int, count: int, cur, neg) -> None:
-        nonlocal best, best_selection, nodes, exhausted
-        while True:
-            nodes += 1
-            if (node_limit is not None and nodes > node_limit) or (
-                deadline is not None and time.monotonic() > deadline
-            ):
-                exhausted = True
-                break
-            if generic and not reachable(cur, neg):
-                break
-            if count > best and (not generic or reachable(cur, zeros)):
-                best = count
-                best_selection = selection
-            if cand == 0:
-                break
-            need = best - count
-            if need >= 0:
-                if weighted is not None:
-                    total = 0
-                    for m, w in weighted:
-                        if m & cand:
-                            total += w
-                    if total // denom <= need:
-                        break
-                # room is (need + 1 - picks) * max_row_size: a pick removes
-                # at most max_row_size of the left candidates, so once they
-                # exceed room the cover cannot end within need picks
-                rest = cand
-                left = cand.bit_count()
-                room = (need + 1) * max_row_size
-                while rest and left <= room:
-                    r = (rest & -rest).bit_length() - 1
-                    pick_mask = 0
-                    pick_size = 0
-                    for m in rows_of[r]:
-                        c = (m & rest).bit_count()
-                        if c > pick_size:
-                            pick_size = c
-                            pick_mask = m
-                    rest &= ~pick_mask
-                    left -= pick_size
-                    room -= max_row_size
-                if not rest and room > 0:
-                    break  # even this cover cannot beat the incumbent
-
-            # branch on the packing row with the most undecided members
-            chosen = 0
-            chosen_size = 0
-            for mask in packing:
-                c = (mask & cand).bit_count()
-                if c > chosen_size:
-                    chosen_size = c
-                    chosen = mask
-                    if c == max_row_size:
-                        break
-            undecided = chosen & cand
-            v = (undecided & -undecided).bit_length() - 1
-            bit = 1 << v
-            nbr = closed[v]
-
-            if fits(v, cur, neg):
-                ccur, cneg = cur, neg
-                if generic:
-                    ccur = cur[:]
-                    cneg = neg[:]
-                    t = cand & nbr
-                    while t:
-                        low = t & -t
-                        t ^= low
-                        for ri, c in var_rows[low.bit_length() - 1]:
-                            if c < 0:
-                                cneg[ri] += c
-                    for ri, c in var_rows[v]:
-                        ccur[ri] += c
-                visit(cand & ~nbr, selection | bit, count + 1, ccur, cneg)
-                if exhausted:
-                    break
-
-            cand ^= bit  # exclude v and carry on in this frame
-            for ri, c in var_rows[v]:
-                if c < 0:
-                    neg[ri] += c
-
     neg = [0] * len(generic)
     for v in _ones(cand):
         for ri, c in var_rows[v]:
             if c < 0:
                 neg[ri] -= c
-    visit(cand, included, included.bit_count(), root_cur, neg)
-    # visit's closure holds visit itself: the cycle would keep every
-    # structure above (16 MB at n = 13) until the cyclic collector ran
-    del visit
-    return best_selection, nodes, exhausted
+    nodes = 0
+    # each entry is a pending node (cand, selection, count, cur, neg); a
+    # node pushes itself with v excluded, then the child taking v, so the
+    # take is searched first
+    stack = [(cand, included, included.bit_count(), root_cur, neg)]
+    while stack:
+        cand, selection, count, cur, neg = stack.pop()
+        nodes += 1
+        if (node_limit is not None and nodes > node_limit) or (
+            deadline is not None and time.monotonic() > deadline
+        ):
+            return best_selection, nodes, True
+        if generic and not reachable(cur, neg):
+            continue
+        if count > best and (not generic or reachable(cur, zeros)):
+            best = count
+            best_selection = selection
+        if cand == 0:
+            continue
+        need = best - count
+        if need >= 0:
+            if weighted is not None:
+                total = 0
+                for m, w in weighted:
+                    if m & cand:
+                        total += w
+                if total // denom <= need:
+                    continue
+            # room is (need + 1 - picks) * max_row_size: a pick removes at
+            # most max_row_size of the left candidates, so once they exceed
+            # room the cover cannot end within need picks
+            rest = cand
+            left = cand.bit_count()
+            room = (need + 1) * max_row_size
+            while rest and left <= room:
+                r = (rest & -rest).bit_length() - 1
+                pick_mask = 0
+                pick_size = 0
+                for m in rows_of[r]:
+                    c = (m & rest).bit_count()
+                    if c > pick_size:
+                        pick_size = c
+                        pick_mask = m
+                rest &= ~pick_mask
+                left -= pick_size
+                room -= max_row_size
+            if not rest and room > 0:
+                continue  # even this cover cannot beat the incumbent
+
+        # branch on the packing row with the most undecided members
+        chosen = 0
+        chosen_size = 0
+        for mask in packing:
+            c = (mask & cand).bit_count()
+            if c > chosen_size:
+                chosen_size = c
+                chosen = mask
+                if c == max_row_size:
+                    break
+        undecided = chosen & cand
+        v = (undecided & -undecided).bit_length() - 1
+        bit = 1 << v
+        nbr = closed[v]
+
+        took = fits(v, cur, neg)
+        if took:
+            ccur, cneg = cur, neg
+            if generic:
+                ccur = cur[:]
+                cneg = neg[:]
+                t = cand & nbr
+                while t:
+                    low = t & -t
+                    t ^= low
+                    for ri, c in var_rows[low.bit_length() - 1]:
+                        if c < 0:
+                            cneg[ri] += c
+                for ri, c in var_rows[v]:
+                    ccur[ri] += c
+
+        cand ^= bit  # exclude v: this node stays pending without it
+        for ri, c in var_rows[v]:
+            if c < 0:
+                neg[ri] += c
+        stack.append((cand, selection, count, cur, neg))
+        if took:
+            stack.append(
+                (cand & ~nbr, selection | bit, count + 1, ccur, cneg)
+            )
+    return best_selection, nodes, False
 
 
 def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResult:

@@ -6,12 +6,13 @@ import io
 import itertools
 import random
 import re
+import sys
 import time
 
 import pytest
 
 from delcodes.bitseq import Word, WordSet
-from delcodes import ilp as ilp_module
+from delcodes import coverlp, ilp as ilp_module
 from delcodes.constraints import FAMILY_IDS, build_model, dominated_words
 from delcodes.ilp import (
     IlpModel,
@@ -1300,6 +1301,50 @@ def test_solver_matches_enumeration_under_extra_rows(n):
         assert sol.solver_status == "optimal"
         assert verify_solution(model, sol).ok
     assert 0 < infeasible < 150
+
+
+def test_a_dive_may_take_more_words_than_the_recursion_limit():
+    # 1,024 pair rows x_2i + x_2i+1 <= 1 at n = 11, plus a row asking for
+    # the last pair's 11111111110 and the first pair's 00000000001: the
+    # optimum takes one word from every pair, and the dive that finds it
+    # takes all 1,024 on one path
+    n = 11
+    rows = tuple(
+        LinearConstraint(((2 * i, 1), (2 * i + 1, 1)), "<=", 1, f"p{i}")
+        for i in range(1 << (n - 1))
+    ) + (LinearConstraint(((0b11111111110, 1), (1, 1)), ">=", 2, "both"),)
+    model = IlpModel(n, rows)
+    assert sys.getrecursionlimit() < 1024
+    sol = solve_builtin(model)
+    assert (sol.objective, sol.solver_status) == (1024, "optimal")
+    report = verify_solution(model, sol)
+    # every row holds; no 1,024 words of length 11 form a deletion code,
+    # and the pair rows do not ask for one
+    assert (report.checked, report.violated) == (1025, ())
+
+
+@pytest.mark.parametrize("n, size, nodes", [(6, 10, 165), (7, 16, 63841)])
+def test_generic_rows_cut_the_same_nodes(monkeypatch, n, size, nodes):
+    # with no LP-weighted cover, the C4 row (negated into sum <= rhs), the
+    # C5 rows and the C6 rows decide, through cur and neg, which takes
+    # fit and which nodes stay reachable; solve_builtin hides the kernel's
+    # node count, so it is read from the kernel's return
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    monkeypatch.setattr(coverlp, "_MAX_PIVOTS", 0)
+    counts = []
+    kernel = ilp_module._branch_and_bound
+
+    def counted(*args, **kwargs):
+        result = kernel(*args, **kwargs)
+        counts.append(result[1])
+        return result
+
+    monkeypatch.setattr(ilp_module, "_branch_and_bound", counted)
+    model = build_model(n, {"C0", "C4", "C5", "C6"})
+    sol = solve_builtin(model)
+    assert (sol.objective, sol.solver_status) == (size, "optimal")
+    assert counts == [nodes]
+    assert verify_solution(model, sol).ok
 
 
 def test_full_length_twelve_selection_is_pinned():

@@ -88,6 +88,23 @@ def test_word_equality_order_and_hash():
         Word(3, 5) < (3, 6)
 
 
+# -------------------------------------------------------------------- WordSet
+
+
+def test_word_set_is_immutable_and_slotted():
+    code = WordSet(3, [7, 0])
+    # deleting a slot would leave a set that no longer works
+    for name in ("n", "values", "_sorted", "_members"):
+        _refuses_assignment(code, name)
+    assert (code.n, code.values, code.members) == (3, (0, 7), {0, 7})
+    assert not hasattr(code, "__dict__")
+    assert code == WordSet(n=3, values=(0, 7))
+    assert code != WordSet(4, [0, 7])
+    assert code != (3, (0, 7))
+    assert hash(code) == hash((3, (0, 7)))
+    assert code.__reduce__() == (WordSet, (3, (0, 7)))
+
+
 # ---------------------------------------------------------- LinearConstraint
 
 
