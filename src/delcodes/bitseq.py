@@ -154,28 +154,29 @@ class WordSet(_Frozen):
         # ints, and out-of-range values take the loop, which names the first
         # offender in input order
         try:
-            vals = set(items)
+            vals = frozenset(items)
             fits = not vals or 0 <= min(vals) and max(vals) < (1 << n)
         except TypeError:
             fits = False
         if not fits:
-            vals = set()
+            checked = set()
             for v in items:
                 if isinstance(v, Word):
                     if v.n != n:
                         raise ValueError(
                             f"word {v} has length {v.n}, expected {n}"
                         )
-                    vals.add(v.value)
+                    checked.add(v.value)
                 else:
                     if not 0 <= v < (1 << n):
                         raise ValueError(
                             f"value {v} does not fit in {n} bits"
                         )
-                    vals.add(v)
+                    checked.add(v)
+            vals = frozenset(checked)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_sorted", tuple(sorted(vals)))
-        object.__setattr__(self, "_members", frozenset(vals))
+        object.__setattr__(self, "_members", vals)
 
     @classmethod
     def from_words(cls, words: Iterable[Word]) -> "WordSet":

@@ -292,31 +292,50 @@ class Solution(_Frozen):
 
 
 def _term_tokens(
-    terms: Sequence[tuple[int, int]], names: Sequence[str]
-) -> Iterator[str]:
-    for position, (value, coeff) in enumerate(terms):
-        sign = "-" if coeff < 0 else "+"
-        if position == 0 and sign == "+":
-            sign = ""
-        magnitude = "" if abs(coeff) == 1 else f"{abs(coeff)} "
-        body = f"{magnitude}{names[value]}"
-        yield f"{sign} {body}" if sign else body
+    terms: Sequence[tuple[int, int]],
+    names: Sequence[str],
+    signed: Sequence[str],
+) -> list[str]:
+    """Each term as `+ name`, `- name`, `+ k name` or `- k name`.
+
+    signed[v] is "+ " + names[v], so a unit term is one lookup; a first
+    term with a positive coefficient drops its "+ ".
+    """
+    parts = [
+        signed[v] if c == 1
+        else f"- {names[v]}" if c == -1
+        else f"+ {c} {names[v]}" if c > 0
+        else f"- {-c} {names[v]}"
+        for v, c in terms
+    ]
+    if parts and parts[0][0] == "+":
+        parts[0] = parts[0][2:]
+    return parts
 
 
 _LP_WIDTH = 72
 
 
-def _wrapped(head: str, parts: Sequence[str]) -> Iterator[str]:
-    # every head and part is non-empty, so no line is ever blank
-    line = head
+def _wrapped(head: str, parts: Iterable[str]) -> list[str]:
+    """head and the parts joined by spaces, in lines of at most 72 columns.
+
+    A part goes on the current line if it fits, else it starts a line
+    indented by two spaces; every head and part is non-empty, so no line
+    is ever blank.
+    """
+    lines = []
+    line = [head]
+    width = len(head)
     for part in parts:
-        grown = f"{line} {part}"
-        if len(grown) > _LP_WIDTH:
-            yield line
-            line = f"  {part}"
+        width += 1 + len(part)
+        if width > _LP_WIDTH:
+            lines.append(" ".join(line))
+            line = ["  " + part]
+            width = 2 + len(part)
         else:
-            line = grown
-    yield line
+            line.append(part)
+    lines.append(" ".join(line))
+    return lines
 
 
 def _lp_sections(
@@ -324,13 +343,13 @@ def _lp_sections(
 ) -> Iterator[Iterable[str]]:
     """write_lp's lines: the head to Subject To, each row's, Binary to End."""
     names = model.variable_names
+    signed = ["+ " + name for name in names]
     head = [header, shape, "Maximize"]
-    objective_terms = [(v, 1) for v in range(1 << model.n)]
-    head.extend(_wrapped(" obj:", list(_term_tokens(objective_terms, names))))
+    head.extend(_wrapped(" obj:", [names[0], *signed[1:]]))
     head.append("Subject To")
     yield head
     for row in model.constraints:
-        parts = list(_term_tokens(row.terms, names))
+        parts = _term_tokens(row.terms, names, signed)
         parts.append(f"{row.sense} {row.rhs}")
         yield _wrapped(f" {row.label}:", parts)
     yield ["Binary", *_wrapped(f" {names[0]}", names[1:]), "End"]
@@ -372,6 +391,22 @@ def write_lp(model: IlpModel, sink: IO[str]) -> int:
     return written
 
 
+# the magnitudes of `+ k name` terms the walk takes in one step: the
+# canonical numerals only, so `07`, `0` and `1` take the general path
+_LP_COEFFICIENTS = {str(k): k for k in range(2, 100)}
+
+
+def _named_term(
+    tok: str | None, where: str, names: _NameTerms
+) -> tuple[int, int]:
+    """The term of the name after a coefficient, when no name met so far."""
+    if tok is None:
+        raise ValueError(f"{where} coefficient without a variable at end of file")
+    if not _VAR_NAME.fullmatch(tok):
+        raise ValueError(f"{where} expected variable name, got {tok!r}")
+    return names[tok]
+
+
 def _parse_expression(
     tokens: Iterator[str],
     stop: tuple[str, ...],
@@ -383,7 +418,9 @@ def _parse_expression(
     Returns the (value, coefficient) terms and the token that ended them.
     names holds every x_<bits> name met so far, so the name pattern and
     int() run once per distinct name, and every unit term of a name is
-    its one shared pair.
+    its one shared pair. The shapes write_lp emits take a dict lookup per
+    token when the name was met before: `+ name`, `- name` and `+ k name`
+    for k in 2..99; any other term takes the general path.
     A coefficient after a separate sign token is an unsigned magnitude;
     only a term without one may carry its sign in the number (`-3 x_0`).
     where, the label of the row being read, prefixes every error.
@@ -397,10 +434,20 @@ def _parse_expression(
             if term is not None:  # `+ name`, most of write_lp's terms
                 append(term)
                 continue
+            coeff = _LP_COEFFICIENTS.get(tok)
+            if coeff is not None:  # `+ k name`
+                tok = next(tokens, None)
+                term = names.get(tok) or _named_term(tok, where, names)
+                append((term[0], coeff))
+                continue
             sign = 1
             number = _LP_MAGNITUDE
         elif tok == "-":
             tok = next(tokens, None)
+            term = names.get(tok)
+            if term is not None:  # `- name`
+                append((term[0], -1))
+                continue
             sign = -1
             number = _LP_MAGNITUDE  # "- -3" would otherwise read as +3
         elif tok in _SENSES or tok.lower() in stop:
@@ -408,25 +455,22 @@ def _parse_expression(
         else:
             sign = 1
             number = _LP_INTEGER
+            term = names.get(tok)
         if tok is None:  # only after a sign
             raise ValueError(f"{where} dangling sign at end of file")
         coeff = sign
-        expected = "coefficient or variable"
-        term = names.get(tok)
-        # no name is a numeral, so the cheaper numeral test goes first
-        if term is None and number.fullmatch(tok):
-            coeff = sign * int(tok)
-            tok = next(tokens, None)
-            if tok is None:
-                raise ValueError(
-                    f"{where} coefficient without a variable at end of file"
-                )
-            expected = "variable name"
-            term = names.get(tok)
         if term is None:
-            if not _VAR_NAME.fullmatch(tok):
-                raise ValueError(f"{where} expected {expected}, got {tok!r}")
-            term = names[tok]
+            # no name is a numeral, so the cheaper numeral test goes first
+            if number.fullmatch(tok):
+                coeff = sign * int(tok)
+                tok = next(tokens, None)
+                term = names.get(tok) or _named_term(tok, where, names)
+            elif _VAR_NAME.fullmatch(tok):
+                term = names[tok]
+            else:
+                raise ValueError(
+                    f"{where} expected coefficient or variable, got {tok!r}"
+                )
         append(term if coeff == 1 else (term[0], coeff))
     raise ValueError(f"{where} expression ran past end of file")
 

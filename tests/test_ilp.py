@@ -245,6 +245,92 @@ def test_write_lp_renders_negative_coefficients():
     assert "- x_" in text  # the balance row carries minus-one terms
 
 
+# The term formatting and line wrapping write_lp replaced, kept as the
+# reference its bytes are compared with beyond the golden digests.
+def _reference_term_tokens(terms, names):
+    for position, (value, coeff) in enumerate(terms):
+        sign = "-" if coeff < 0 else "+"
+        if position == 0 and sign == "+":
+            sign = ""
+        magnitude = "" if abs(coeff) == 1 else f"{abs(coeff)} "
+        body = f"{magnitude}{names[value]}"
+        yield f"{sign} {body}" if sign else body
+
+
+def _reference_wrapped(head, parts):
+    line = head
+    for part in parts:
+        grown = f"{line} {part}"
+        if len(grown) > 72:
+            yield line
+            line = f"  {part}"
+        else:
+            line = grown
+    yield line
+
+
+def reference_write_lp(model: IlpModel) -> str:
+    meta = model.metadata
+    generator = str(meta.get("generator", "delcodes"))
+    families = ",".join(str(f) for f in meta.get("families", ())) or "-"
+    c6 = ";".join(f"{p},{q}" for p, q in meta.get("c6_params", ()) or ())
+    names = [variable_name(Word(model.n, v)) for v in range(1 << model.n)]
+    lines = [
+        f"\\ {generator} model",
+        f"\\ n={model.n} families={families}" + (f" c6={c6}" if c6 else ""),
+        "Maximize",
+    ]
+    objective = [(v, 1) for v in range(1 << model.n)]
+    lines += _reference_wrapped(
+        " obj:", list(_reference_term_tokens(objective, names))
+    )
+    lines.append("Subject To")
+    for row in model.constraints:
+        parts = list(_reference_term_tokens(row.terms, names))
+        parts.append(f"{row.sense} {row.rhs}")
+        lines += _reference_wrapped(f" {row.label}:", parts)
+    lines += ["Binary", *_reference_wrapped(f" {names[0]}", names[1:]), "End"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_write_lp_matches_the_reference_writer_on_family_models(n):
+    selections = [{"C0", family} for family in FAMILY_IDS] + [FAMILY_IDS]
+    for selected in selections:
+        model = build_model(n, selected)
+        assert lp_text(model) == reference_write_lp(model), sorted(selected)
+
+
+def random_wide_model(rng: random.Random) -> IlpModel:
+    """Mixed signs and magnitudes 1..150, one-term rows, overlong labels."""
+    n = rng.randint(1, 5)
+    rows = []
+    for i in range(rng.randint(1, 6)):
+        size = rng.choice((1, 1, rng.randint(2, 1 << n)))
+        values = rng.sample(range(1 << n), size)
+        terms = tuple(
+            (v, rng.choice((-1, 1)) * rng.choice((1, 1, rng.randint(2, 150))))
+            for v in values
+        )
+        if rng.random() < 0.3:
+            terms = ((terms[0][0], -abs(terms[0][1])),) + terms[1:]
+        label = f"r{i}_" + "w" * rng.choice((0, 5, 70, 80))
+        sense = rng.choice(("<=", ">=", "="))
+        rhs = rng.randint(-200, 200)
+        rows.append(LinearConstraint(terms, sense, rhs, label))
+    return IlpModel(n, tuple(rows))
+
+
+def test_write_lp_matches_the_reference_writer_on_random_int_models():
+    rng = random.Random(7300)
+    for case in range(400):
+        model = random_wide_model(rng)
+        text = lp_text(model)
+        assert text == reference_write_lp(model), case
+        n_read, rows, _ = assert_reads_like_the_reference(text)
+        assert (n_read, rows) == (model.n, model.constraints), case
+
+
 # ------------------------------------------------------------------- read_lp
 
 # The token-walk reader read_lp replaced, kept as the reference its results
@@ -645,6 +731,59 @@ def test_read_lp_leaves_rows_no_model_holds_to_the_constructors(
     # each must still reach the checked constructors that word its error
     text = SMALL_LP.replace(old, new, 1)
     assert assert_reads_like_the_reference(text) == ("ValueError", message)
+
+
+SMALL_BINARY = "Binary\n x_00 x_01 x_10 x_11\nEnd\n"
+
+
+def lp_with_rows(rows: str, tail: str = SMALL_BINARY) -> str:
+    return (
+        "Maximize\n obj: x_00 + x_01\n  + x_10 + x_11\nSubject To\n"
+        + rows + tail
+    )
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        pytest.param(lp_with_rows(" r1: - x_01 - x_10 <= 0\n"),
+                     ((1, -1), (2, -1)), id="minus-name"),
+        pytest.param(lp_with_rows(" r1: x_00 + 2 x_01 + 99 x_10 <= 3\n"),
+                     ((0, 1), (1, 2), (2, 99)), id="plus-k-name"),
+        pytest.param(lp_with_rows(" r1: x_00 + 3 x_000 <= 1\n"),
+                     ("ValueError",
+                      "constraint references undeclared 'x_000'"),
+                     id="plus-k-new-name"),
+        pytest.param(lp_with_rows(" r1: x_00 + 3 y_01 <= 1\n"),
+                     ("ValueError", "r1: expected variable name, got 'y_01'"),
+                     id="plus-k-bad-name"),
+        pytest.param(lp_with_rows(" r1: x_00 + 07 x_01 <= 1\n"),
+                     ((0, 1), (1, 7)), id="plus-leading-zero"),
+        pytest.param(lp_with_rows(" r1: x_00 + 100 x_01 <= 1\n"),
+                     ((0, 1), (1, 100)), id="plus-100"),
+        pytest.param(lp_with_rows(" r1: x_00 + 1 x_01 <= 1\n"),
+                     ((0, 1), (1, 1)), id="plus-1"),
+        pytest.param(lp_with_rows(" r1: x_00 + 0 x_01 <= 1\n"),
+                     ("ValueError", "r1: zero coefficient on value 1"),
+                     id="plus-0"),
+        pytest.param(lp_with_rows(" r1: x_00 + 3", tail=""),
+                     ("ValueError",
+                      "r1: coefficient without a variable at end of file"),
+                     id="plus-k-at-end-of-file"),
+    ],
+)
+def test_read_lp_takes_write_lp_term_shapes_like_the_reference(text, expected):
+    outcome = assert_reads_like_the_reference(text)
+    if outcome[0] == "ValueError":
+        assert outcome == expected
+    else:
+        assert outcome[1][0].terms == expected
+
+
+def test_read_lp_reads_a_written_unit_coefficient_as_the_shared_pair():
+    text = lp_with_rows(" r1: x_00 + 1 x_01 <= 1\n r2: x_01 + x_10 <= 1\n")
+    r1, r2 = read_lp(io.StringIO(text)).constraints
+    assert r1.terms[1] is r2.terms[0] == (1, 1)
 
 
 def test_read_lp_accepts_explicit_coefficients_and_wraps():
