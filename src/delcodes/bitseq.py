@@ -12,11 +12,18 @@ two whole-set counts the validity and perfectness checks rest on:
 surface_size_sum adds up a code's surface sizes from its run counts, and
 surface_union_size counts the union of its deletion surfaces with bit
 operations on a 2^n-bit mask instead of a set of |C| n ints.
+
+insertion_values and surface_size_sum work word-parallel: they pack words
+into the 32-bit fields of one int (a word and its insertions have at most
+MAX_LEN + 1 bits) and act on every field with a few big-int operations,
+moving fields in and out through '<I' structs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import struct
 from typing import Iterable, Iterator
 
 MAX_LEN = 24
@@ -265,43 +272,74 @@ def surface_values(n: int, value: int) -> set[int]:
     return {delete_position(value, n, i) for i in range(1, n + 1)}
 
 
-def insertion_values(n: int, value: int) -> set[int]:
-    """Distinct packed values reachable from an n-bit value by one insertion.
+def insertion_values(n: int, value: int) -> tuple[int, ...]:
+    """The n+2 distinct packed values reachable from an n-bit value by one
+    insertion, in no particular order.
 
     Inserting b above the k low bits keeps those bits, shifts the rest up
     by one and puts b at bit k. For k >= 1, inserting bit k-1 itself gives
     the same word as inserting it at k-1, so only its complement is
     inserted there; at k = 0 both bits are. That makes exactly the n+2
-    distinct insertions, each built once.
+    distinct insertions. They are built at once, one per 32-bit field of
+    a single int: value times the spread holds a copy of value in every
+    field, and each field's masks make its own insertion.
     """
-    shifted = value << 1  # 0 inserted at k = 0
-    values = {
-        (shifted & high ^ bit) | value & low
-        for high, low, bit in _insertion_table(n)
-    }
-    values.add(shifted)
-    return values
+    spread, high, low, flip, fields = _insertion_fields(n)
+    copies = value * spread
+    return fields.unpack(
+        ((copies << 1 & high ^ flip) | copies & low).to_bytes(
+            fields.size, "little"
+        )
+    )
 
 
 @functools.lru_cache(maxsize=MAX_LEN + 1)
-def _insertion_table(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(high mask, low mask, bit k) for k = 0..n.
+def _insertion_fields(n: int) -> tuple[int, int, int, int, struct.Struct]:
+    """(spread, high, low, flip, fields) for the n+2 32-bit fields.
 
-    shifted & high holds the bits of value at k-1 and up, moved up by one,
-    so bit k holds value's bit k-1 (0 for k = 0); xor with bit k makes it
-    the complement.
+    spread has a 1 at the bottom of every field. Field 0 keeps the value
+    shifted up by one, which inserts 0 at k = 0; field k+1, for
+    k = 0..n, keeps the bits of the shifted copy at k and up, so bit k
+    holds value's bit k-1 (0 for k = 0), flips bit k to its complement
+    and takes the k low bits of the unshifted copy. Insertions have at
+    most MAX_LEN + 1 bits, so no field carries into the next.
     """
-    return tuple((-1 << k, (1 << k) - 1, 1 << k) for k in range(n + 1))
+    field = (1 << 32) - 1
+    spread = high = low = flip = 0
+    for k in range(-1, n + 1):
+        shift = 32 * (k + 1)
+        spread |= 1 << shift
+        if k < 0:
+            high |= field << shift
+        else:
+            high |= (field & -1 << k) << shift
+            low |= ((1 << k) - 1) << shift
+            flip |= 1 << k << shift
+    return spread, high, low, flip, struct.Struct(f"<{n + 2}I")
+
+
+_RUN_CHUNK = 4096  # words per packed int in surface_size_sum
 
 
 def surface_size_sum(n: int, values: Iterable[int]) -> int:
     """Sum of the single-deletion surface sizes of n-bit values.
 
     A word's surface has one member per run of the word, and each run
-    after the first starts where two adjacent bits differ.
+    after the first starts where two adjacent bits differ. The values are
+    packed _RUN_CHUNK at a time into the 32-bit fields of one int p, so
+    each chunk's run starts are the set bits of (p ^ p >> 1) masked to the
+    n-1 low bits of every field, counted at once; the shift's carry from
+    one field lands on bit 31 of the one below, which the mask drops.
     """
-    edges = (1 << (n - 1)) - 1
-    return sum(((v ^ (v >> 1)) & edges).bit_count() + 1 for v in values)
+    edges = ((1 << (n - 1)) - 1).to_bytes(4, "little")
+    values = iter(values)
+    total = 0
+    while chunk := list(itertools.islice(values, _RUN_CHUNK)):
+        size = len(chunk)
+        p = int.from_bytes(struct.pack(f"<{size}I", *chunk), "little")
+        mask = int.from_bytes(edges * size, "little")
+        total += ((p ^ p >> 1) & mask).bit_count() + size
+    return total
 
 
 def surface_union_size(n: int, values: Iterable[int]) -> int:

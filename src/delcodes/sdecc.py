@@ -106,18 +106,20 @@ def decode_single(code: WordSet, received: Word) -> Word | None:
     """Recover the codeword that received arose from by one deletion.
 
     The candidates are received's n+1 distinct single insertions, which
-    bitseq's insertion_values builds once each, intersected with the
-    code's members in one set operation. Returns None when no codeword
-    covers received. The caller promises the code is a valid SDECC; two
-    covering codewords mean that promise was broken and raise
-    RuntimeError.
+    bitseq's insertion_values builds together in one int's packed
+    fields; the code's members are intersected with that tuple in one
+    set operation. Returns None when no codeword covers received. The
+    caller promises the code is a valid SDECC; two covering codewords
+    mean that promise was broken and raise RuntimeError.
     """
     n = code.n
     if received.n != n - 1:
         raise ValueError(
             f"received word must have length {n - 1}, got {received.n}"
         )
-    hits = insertion_values(received.n, received.value) & code.members
+    hits = code.members.intersection(
+        insertion_values(received.n, received.value)
+    )
     if not hits:
         return None
     if len(hits) > 1:
@@ -126,7 +128,8 @@ def decode_single(code: WordSet, received: Word) -> Word | None:
             f"code is not a valid SDECC: {Word(n, a)} and {Word(n, b)} "
             f"both cover {received}"
         )
-    return Word(n, hits.pop())
+    (hit,) = hits
+    return Word(n, hit)
 
 
 class ConflictGraph:
@@ -168,7 +171,11 @@ class ConflictGraph:
 
 
 def conflict_graph(n: int) -> ConflictGraph:
-    """Build the conflict graph for length n (2 <= n <= 14)."""
+    """Build the conflict graph for length n (2 <= n <= 14).
+
+    Each center's clique is the tuple of its n+1 insertions from
+    bitseq.insertion_values, distinct by construction, sorted as built.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= GRAPH_MAX_N:
         raise ValueError(
             f"conflict graph supports 2 <= n <= {GRAPH_MAX_N}, got {n!r}"

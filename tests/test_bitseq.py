@@ -244,12 +244,10 @@ def test_insertion_values_match_string_oracle():
             expected = {
                 s[:i] + b + s[i:] for i in range(n + 1) for b in "01"
             }
-            got = {
-                format(v, f"0{n + 1}b")
-                for v in insertion_values(n, int(s, 2))
-            }
-            assert got == expected
-            assert len(got) == n + 2  # distinct supersequences of one insertion
+            got = insertion_values(n, int(s, 2))
+            assert set(format(v, f"0{n + 1}b") for v in got) == expected
+            # the n+2 distinct supersequences of one insertion, each once
+            assert len(got) == len(set(got)) == n + 2
 
 
 def test_delete_position_agrees_with_slicing():
@@ -311,15 +309,51 @@ def test_surface_size_sum_adds_the_surface_sizes(n):
     assert surface_size_sum(n, []) == 0
 
 
+def _surface_size_sum_reference(n, values):
+    # one surface member per run: a run starts at the first bit and at
+    # every bit that differs from the one before it
+    return sum(
+        1 + sum(a != b for a, b in zip(s, s[1:]))
+        for s in (format(v, f"0{n}b") for v in values)
+    )
+
+
+@pytest.mark.parametrize("n", (16, 20, 24))
+def test_surface_size_sum_matches_a_per_word_count_across_chunks(n):
+    # 4,096 words go into one packed int: one word short of a chunk, a
+    # whole chunk and one word into the next, with the extremes of the
+    # field (all zeros, all ones, alternating bits) among them
+    rng = random.Random(7400 + n)
+    top = (1 << n) - 1
+    edge = [0, top, top // 3, top - top // 3, 1, 1 << (n - 1)]
+    for count in (1, 4095, 4096, 4097, 3 * 4096 + 5):
+        values = edge + [rng.randrange(1 << n) for _ in range(count)]
+        expected = _surface_size_sum_reference(n, values)
+        assert surface_size_sum(n, values) == expected, (n, count)
+        assert surface_size_sum(n, tuple(values)) == expected
+        # a one-shot iterator is read once, chunk by chunk
+        assert surface_size_sum(n, iter(values)) == expected
+        assert surface_size_sum(n, (v for v in values)) == expected
+    assert surface_size_sum(n, ()) == 0
+    assert surface_size_sum(n, iter(())) == 0
+    assert surface_size_sum(n, [0]) == surface_size_sum(n, [top]) == 1
+    assert surface_size_sum(n, [top // 3]) == n  # 0101...: n runs
+
+
 def test_insertion_values_match_the_string_oracle_at_every_length():
     rng = random.Random(7200)
-    for n in range(1, MAX_LEN):
-        for _ in range(20):
-            s = format(rng.randrange(1 << n), f"0{n}b")
+    for n in range(1, MAX_LEN + 1):
+        top = (1 << n) - 1
+        words = [0, top, top // 3] + [rng.randrange(1 << n) for _ in range(20)]
+        for value in words:
+            s = format(value, f"0{n}b")
             expected = {
                 int(s[:i] + b + s[i:], 2) for i in range(n + 1) for b in "01"
             }
-            assert insertion_values(n, int(s, 2)) == expected, s
+            got = insertion_values(n, value)
+            assert type(got) is tuple
+            assert set(got) == expected, s
+            assert len(got) == n + 2, s  # distinct: conflict_graph relies on it
 
 
 # ------------------------------------------------------------------- distance

@@ -16,6 +16,7 @@ import pytest
 from delcodes import coverlp
 from delcodes import ilp as ilp_module
 from delcodes.bitseq import (
+    MAX_LEN,
     Word,
     WordSet,
     deletion_surface,
@@ -31,6 +32,7 @@ from delcodes.coverlp import (
 )
 from delcodes.ilp import IlpModel, LinearConstraint, solve_builtin
 from delcodes.sdecc import (
+    GRAPH_MAX_N,
     KNOWN_SIZES,
     BoundsRecord,
     SearchOptions,
@@ -183,6 +185,49 @@ def test_decode_round_trips_random_deletions_at_long_lengths(n):
         assert decode_single(code, received) == Word(n, sent), (bits, i)
 
 
+def _sparse_code_at_max_len():
+    # random words at n = MAX_LEN, each kept only if its surface misses
+    # every kept one: a valid code whose neighbours are all far apart
+    n = MAX_LEN
+    rng = random.Random(7500)
+    kept, covered = [], set()
+    while len(kept) < 40:
+        v = rng.randrange(1 << n)
+        surface = surface_values(n, v)
+        if not surface & covered:
+            kept.append(v)
+            covered |= surface
+    return WordSet(n, kept)
+
+
+def test_decode_round_trips_every_deletion_of_a_sparse_code_at_max_len():
+    code = _sparse_code_at_max_len()
+    n = code.n
+    assert is_sdecc(code)
+    for sent in code.values:
+        bits = format(sent, f"0{n}b")
+        for i in range(n):
+            received = Word.parse(bits[:i] + bits[i + 1:])
+            assert decode_single(code, received) == Word(n, sent), (bits, i)
+    # a received word no codeword covers decodes to None
+    covered = {c for v in code.values for c in surface_values(n, v)}
+    uncovered = next(v for v in range(1 << (n - 1)) if v not in covered)
+    assert decode_single(code, Word(n - 1, uncovered)) is None
+
+
+def test_decode_names_both_covering_words_at_max_len():
+    # 0^24 and 0^23 1 both cover 0^23, and no two words are lower
+    n = MAX_LEN
+    code = WordSet(n, _sparse_code_at_max_len().values + (0, 1))
+    zeros = "0" * (n - 1)
+    with pytest.raises(
+        RuntimeError,
+        match=f"code is not a valid SDECC: {zeros}0 and {zeros}1 both cover "
+        f"{zeros}$",
+    ):
+        decode_single(code, Word(n - 1, 0))
+
+
 def test_decode_names_the_two_lowest_covering_words():
     # 00000, 00001 and 10000 all cover 0000
     code = code_of("10000", "00001", "00000", "11111")
@@ -208,11 +253,15 @@ def test_graph_cliques_for_length_two():
     assert g.cliques_by_center[0b1] == (0b01, 0b10, 0b11)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, GRAPH_MAX_N + 1))
 def test_every_center_has_exactly_n_plus_one_coverers(n):
     g = conflict_graph(n)
-    assert len(g.cliques_by_center) == 1 << (n - 1)
-    assert all(len(c) == n + 1 for c in g.cliques_by_center.values())
+    assert list(g.cliques_by_center) == list(range(1 << (n - 1)))
+    for c in g.cliques_by_center.values():
+        # n+1 distinct words, ascending, each of length n
+        assert len(c) == n + 1
+        assert all(a < b for a, b in zip(c, c[1:]))
+        assert 0 <= c[0] and c[-1] < 1 << n
 
 
 @pytest.mark.parametrize("n", range(2, 9))
