@@ -13,6 +13,7 @@ checks, infeasible or unsolved models), 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json as jsonlib
 import os
 import sys
@@ -347,11 +348,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a handler builds many long-lived objects, which the cyclic collector
+    # would rescan many times for little garbage; cycles left behind are
+    # collected once it runs again
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         status, data, lines = args.handler(args)
     except (ValueError, OSError, InfeasibleModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
     try:
         if args.json:
             print(jsonlib.dumps(data, indent=2, sort_keys=True))

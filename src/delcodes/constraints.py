@@ -245,6 +245,10 @@ def gen_c5(n: int, strengthened: bool = False) -> ConstraintFamily:
     into the selection, as C3 does), the w=1 row drops the weight-1
     terms: those words conflict with the all-zero word and cannot be
     selected. The right-hand side C(n-1, 1) = n-1 is unchanged.
+
+    The w = 0 and w = n-1 rows are C0's rows for 0^(n-1) and 1^(n-1).
+    They stay in the model, so an external solver reads the same LP; the
+    built-in solver keeps one packing row per member set.
     """
     _check_n(n)
     unit = _unit_terms(n)

@@ -291,10 +291,13 @@ def _incidence(
 ) -> tuple[list[int], list[list[int]], _ClosedNeighbourhoods]:
     """Packing masks from member tuples, with the rows through each variable.
 
-    Each row lists the distinct word values of its members. masks[i] has a
-    bit per member of row i; rows_of[v] lists the masks containing v
-    in row order; closed[v] is their union, i.e. v together with every
-    variable it shares a row with, built on its first lookup (see
+    Each row lists the distinct word values of its members. masks has a
+    bit mask per distinct member set, in the order of its first row: a
+    later row with the same members is dropped, so a family equal to
+    another up to repeated rows gets the same masks and shares its cached
+    cover LP. rows_of[v] lists the masks containing v in that order;
+    closed[v] is their union, i.e. v together with every variable it
+    shares a row with, built on its first lookup (see
     _ClosedNeighbourhoods).
     """
     masks: list[int] = []
@@ -303,6 +306,8 @@ def _incidence(
         mask = 0
         for v in members:
             mask |= 1 << v
+        if mask and mask in rows_of[members[0]]:
+            continue  # an equal earlier row lists members[0] too
         masks.append(mask)
         for v in members:
             rows_of[v].append(mask)
@@ -344,8 +349,12 @@ def _drop_dominated(
         if not common:
             continue
         y_coeffs = dict(var_rows[y])
-        for x, xbit in enumerate(bin(common)[:1:-1]):
-            if xbit == "0" or x in dropped:
+        # common has few set bits: walk them, not its width
+        while common:
+            low = common & -common
+            common ^= low
+            x = low.bit_length() - 1
+            if x in dropped:
                 continue
             x_coeffs = dict(var_rows[x])
             if all(

@@ -1,0 +1,101 @@
+"""The search kernel's outcomes and node counts, as a committed table.
+
+    PYTHONPATH=src python tests/outcome_table.py
+
+rewrites tests/outcome_table.json; tests/test_outcome_table.py checks that
+the table built at the current source equals the committed one. It holds
+max_sdecc_exact(1..8), and solve_builtin on C0 plus every subset of C1..C6
+at n = 5..8. Outcomes (sizes, statuses, witnesses and selections as hex
+masks) are kept apart from kernel node counts, so a change meant to move
+only node counts regenerates the table and shows no outcome moving.
+solve_builtin does not report its node count; it is read from the return
+of the kernel it calls. Both parts start from an empty cover-weight cache.
+Every case runs under a node budget far above its count, so a change that
+breaks a cut fails in seconds instead of searching a large tree.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from pathlib import Path
+
+from delcodes import coverlp
+from delcodes import ilp as ilp_module
+from delcodes.constraints import build_model
+from delcodes.sdecc import SearchOptions, max_sdecc_exact
+
+TABLE = Path(__file__).with_suffix(".json")
+EXACT_LENGTHS = range(1, 9)
+MODEL_LENGTHS = range(5, 9)
+EXTRA_FAMILIES = ("C1", "C2", "C3", "C4", "C5", "C6")
+BUDGET = SearchOptions(node_limit=1_000)
+
+
+def build_table() -> dict:
+    """Solve every case once, with a fresh cover-weight cache."""
+    exact_outcomes, exact_nodes = {}, {}
+    model_outcomes, model_nodes = {}, {}
+    counts: list[int] = []
+    kernel = ilp_module._branch_and_bound
+
+    def counted(*args, **kwargs):
+        result = kernel(*args, **kwargs)
+        counts.append(result[1])
+        return result
+
+    saved_cache = coverlp._cover_weight_cache
+    coverlp._cover_weight_cache = {}
+    ilp_module._branch_and_bound = counted
+    try:
+        for n in EXACT_LENGTHS:
+            result = max_sdecc_exact(n, BUDGET)
+            exact_outcomes[str(n)] = {
+                "size": result.size,
+                "status": result.proof_status,
+                "witness": hex(sum(1 << v for v in result.witness.values)),
+            }
+            exact_nodes[str(n)] = result.nodes
+        for n in MODEL_LENGTHS:
+            for k in range(len(EXTRA_FAMILIES) + 1):
+                for extra in itertools.combinations(EXTRA_FAMILIES, k):
+                    key = f"n={n} " + ",".join(("C0",) + extra)
+                    counts.clear()
+                    sol = ilp_module.solve_builtin(
+                        build_model(n, ("C0",) + extra), BUDGET
+                    )
+                    model_outcomes[key] = {
+                        "objective": sol.objective,
+                        "status": sol.solver_status,
+                        "selection": hex(sol.selection),
+                    }
+                    (model_nodes[key],) = counts
+    finally:
+        ilp_module._branch_and_bound = kernel
+        coverlp._cover_weight_cache = saved_cache
+    return {
+        "max_sdecc_exact": {"outcomes": exact_outcomes, "nodes": exact_nodes},
+        "solve_builtin": {"outcomes": model_outcomes, "nodes": model_nodes},
+    }
+
+
+def dumps(table: dict) -> str:
+    """The table as text: one case per line, so a diff names each case."""
+    lines = ["{"]
+    for i, (search, parts) in enumerate(table.items()):
+        lines.append(f"  {json.dumps(search)}: {{")
+        for j, (part, cases) in enumerate(parts.items()):
+            lines.append(f"    {json.dumps(part)}: {{")
+            rows = [
+                f"      {json.dumps(key)}: {json.dumps(value)}"
+                for key, value in cases.items()
+            ]
+            lines.append(",\n".join(rows))
+            lines.append("    }" + ("," if j < len(parts) - 1 else ""))
+        lines.append("  }" + ("," if i < len(table) - 1 else ""))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+if __name__ == "__main__":
+    TABLE.write_text(dumps(build_table()), encoding="utf-8")

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, JSON parity, file pipelines."""
 
+import gc
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from delcodes import cli
 from delcodes.cli import main
 from delcodes.constraints import build_model
 from delcodes.ilp import (
@@ -422,6 +424,34 @@ def test_bounds_plain_and_json_agree(capsys):
 def test_bounds_renders_unknowns(capsys):
     status, out, _ = run(capsys, "bounds", "--n", "20")
     assert status == 0 and "unknown" in out
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_the_collector_pauses_while_a_handler_runs(monkeypatch, capsys, fails):
+    seen = []
+    handler = cli._cmd_bounds
+
+    def recording(args):
+        seen.append(gc.isenabled())
+        if fails:
+            raise ValueError("refused")
+        return handler(args)
+
+    monkeypatch.setattr(cli, "_cmd_bounds", recording)
+    assert gc.isenabled()
+    status, _, err = run(capsys, "bounds", "--n", "5")
+    assert seen == [False]
+    assert gc.isenabled()
+    assert (status, err) == ((1, "error: refused\n") if fails else (0, ""))
+    # a collector paused by the caller stays paused
+    gc.disable()
+    try:
+        run(capsys, "bounds", "--n", "5")
+    finally:
+        enabled = gc.isenabled()
+        gc.enable()
+    assert seen == [False, False]
+    assert not enabled
 
 
 # --------------------------------------------------------------- exit status

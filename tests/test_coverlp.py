@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from delcodes import coverlp
+from delcodes.constraints import build_model
 from delcodes.coverlp import (
     _COVER_CACHE_ENTRIES,
     _COVER_DENOM,
@@ -30,6 +31,7 @@ from delcodes.coverlp import (
     _separation_rounds,
     _symmetries,
 )
+from delcodes.ilp import solve_builtin
 from delcodes.sdecc import _incidence, conflict_graph, max_sdecc_exact
 
 
@@ -349,3 +351,14 @@ def test_a_cached_round_that_serves_a_call_stays_cached(monkeypatch):
     assert served[0] == served[1] == served[2]
     assert sum(served[0][1]) // _COVER_DENOM <= 16
     assert list(coverlp._cover_weight_cache) == [(128, tuple(masks))]
+
+
+def test_c5_rows_that_repeat_c0_rows_share_its_cached_family(monkeypatch):
+    # C5's w = 0 and w = n-1 rows are C0's rows for 0^(n-1) and 1^(n-1);
+    # with them dropped the {C0, C5} model has {C0}'s packing masks, so its
+    # solve resumes {C0}'s family instead of separating a second one
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    for families in ({"C0"}, {"C0", "C5"}):
+        sol = solve_builtin(build_model(7, families))
+        assert (sol.objective, sol.solver_status) == (16, "optimal")
+    assert [key[0] for key in coverlp._cover_weight_cache] == [128]

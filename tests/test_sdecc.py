@@ -530,6 +530,17 @@ def test_closed_neighbourhoods_of_random_packing_families():
             assert closed[v] == expected[v] == _or(rows_of[v]), (case, v)
 
 
+def test_incidence_keeps_the_first_of_rows_with_equal_members():
+    # (2, 1, 0) and (3, 1) repeat earlier member sets in another order
+    rows = [(0, 1, 2), (1, 3), (2, 1, 0), (3, 1), (0, 3)]
+    masks, rows_of, closed = _incidence(4, rows)
+    assert masks == [0b0111, 0b1010, 0b1001]
+    assert rows_of == [
+        [0b0111, 0b1001], [0b0111, 0b1010], [0b0111], [0b1010, 0b1001]
+    ]
+    assert [closed[v] for v in range(4)] == [0b1111, 0b1111, 0b0111, 0b1011]
+
+
 def test_built_in_solve_builds_few_closed_neighbourhoods(monkeypatch):
     built = []
 
