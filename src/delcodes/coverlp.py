@@ -14,11 +14,18 @@ orbit, and re-solves from its last optimal tableau by dual simplex, so a
 round costs the few pivots the new rows need rather than a whole solve.
 _cover_weights runs those rounds per mask family and caches them together
 with the LP, so a later call on the same family resumes warm.
+
+The per-mask bookkeeping works on a family's 0/1 member matrix (a row per
+mask, a column per vertex) rather than bit by bit: a symmetry's images of
+the masks are a column permutation of it, serving the symmetry test, the
+pairing of rows into orbits and the orbits of new cliques alike; a
+round's per-vertex weight totals are one reduction over its (row, vertex)
+pairs; and the clique search takes its renumbered neighbourhoods as the
+support's columns of the support's closed neighbourhoods.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -105,6 +112,7 @@ class PackingLP:
         self._tab[0, :-1] = -sizes * (1.0 + 1e-6 * jitter)
         self._basic = np.zeros(0, dtype=np.int64)  # the variable of each row
         self._nonbasic = np.arange(self.columns)  # the variable of each column
+        self._outer = None
 
     def add_rows(self, masks: Sequence[int]) -> bool:
         """Add one row per mask and re-solve; False when the simplex gives up.
@@ -115,20 +123,14 @@ class PackingLP:
         """
         import numpy as np
 
-        nv = self.nv
         tab = self._tab
         basic = self._basic
         nonbasic = self._nonbasic
         m = len(basic)
         columns = self.columns
-        width = (nv + 7) // 8
-        packed = np.frombuffer(
-            b"".join(mask.to_bytes(width, "little") for mask in masks),
-            dtype=np.uint8,
-        ).reshape(len(masks), width)
-        members = np.unpackbits(packed, axis=1, bitorder="little")[:, :nv]
         coeffs = np.add.reduceat(
-            members[:, self._order], self._starts, axis=1, dtype=np.float64
+            _member_matrix(self.nv, masks)[:, self._order], self._starts,
+            axis=1, dtype=np.float64,
         )
         # row k: its structural columns and its slack, in terms of the
         # nonbasic variables: a basic column contributes minus its row
@@ -149,7 +151,12 @@ class PackingLP:
         self._basic = np.concatenate(
             (basic, np.arange(columns + m, columns + m + len(masks)))
         )
-        return self._solve()
+        # a pivot writes its outer product here; dropped after the solve,
+        # so a cached LP holds only its tableau
+        self._outer = np.empty_like(self._tab)
+        solved = self._solve()
+        self._outer = None
+        return solved
 
     def _solve(self) -> bool:
         import numpy as np
@@ -159,42 +166,38 @@ class PackingLP:
         values = tab[:m, -1]
         costs = tab[-1, :-1]
         for _ in range(_MAX_PIVOTS):
-            r = int(np.argmin(values))
+            r = values.argmin()
             if values[r] < -1e-9:  # dual simplex: row r leaves
                 row = tab[r, :-1]
-                eligible = row < -1e-9
-                if not eligible.any():
+                eligible = (row < -1e-9).nonzero()[0]
+                if not eligible.size:
                     return False
-                ratios = np.divide(
-                    np.maximum(costs, 0.0), -row,
-                    out=np.full(self.columns, np.inf), where=eligible,
-                )
-                self._pivot(r, int(np.argmin(ratios)))
+                ratios = np.maximum(costs[eligible], 0.0) / -row[eligible]
+                self._pivot(r, eligible[ratios.argmin()])
                 continue
-            c = int(np.argmin(costs))  # primal simplex: column c enters
+            c = costs.argmin()  # primal simplex: column c enters
             if costs[c] >= -1e-9:
                 return True
-            col = tab[:m, c]
-            positive = col > 1e-9
-            if not positive.any():
+            positive = (tab[:m, c] > 1e-9).nonzero()[0]
+            if not positive.size:
                 return False
-            ratios = np.divide(
-                values, col, out=np.full(m, np.inf), where=positive
-            )
-            self._pivot(int(np.argmin(ratios)), c)
+            ratios = values[positive] / tab[positive, c]
+            self._pivot(positive[ratios.argmin()], c)
         return False
 
     def _pivot(self, r: int, c: int) -> None:
         # the nonbasic variable of column c enters in row r; the variable
         # leaving row r takes over column c
+        import numpy as np
+
         tab = self._tab
         inverse = 1.0 / tab[r, c]
         pivot_row = tab[r] * inverse
         col = tab[:, c].copy()
         col[r] = 0.0
-        tab -= col[:, None] * pivot_row
+        tab -= np.multiply.outer(col, pivot_row, out=self._outer)
         tab[r] = pivot_row
-        tab[:, c] = col * -inverse
+        np.multiply(col, -inverse, out=tab[:, c])
         tab[r, c] = inverse
         self._basic[r], self._nonbasic[c] = self._nonbasic[c], self._basic[r]
 
@@ -217,6 +220,31 @@ class PackingLP:
         return np.maximum(duals, 0.0), y[self._column]
 
 
+def _member_matrix(nv: int, masks: Sequence[int]) -> np.ndarray:
+    """The 0/1 uint8 matrix whose row k holds the nv bits of masks[k]."""
+    import numpy as np
+
+    width = (nv + 7) // 8
+    packed = np.frombuffer(
+        b"".join(mask.to_bytes(width, "little") for mask in masks),
+        dtype=np.uint8,
+    ).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=nv, bitorder="little")
+
+
+def _mask_list(members: np.ndarray) -> list[int]:
+    """The masks of a 0/1 matrix's rows, bit v from column v."""
+    import numpy as np
+
+    packed = np.packbits(members, axis=1, bitorder="little")
+    data = packed.tobytes()
+    width = packed.shape[1]
+    return [
+        int.from_bytes(data[i * width:(i + 1) * width], "little")
+        for i in range(len(packed))
+    ]
+
+
 def _violated_cliques(
     x: Sequence[float], closed: Sequence[int], nv: int, known: set[int],
     limit: int,
@@ -228,27 +256,25 @@ def _violated_cliques(
     2006) lists the maximal cliques of the subgraph on x's support,
     skipping every branch whose clique and candidates together weigh at
     most _CLIQUE_SLACK. The search runs on the support renumbered 0, 1, ...
-    in ascending order, so its masks are as short as the support. Each
-    listed clique heavier than that is grown to a maximal clique of the
-    whole graph, lowest vertex first; the vertices it gains lie outside the
-    support, so distinct cliques stay distinct. Returns the grown cliques
-    not in known as masks over all nv variables, in the order they were
-    found; the search stops at the limit-th, since a point spread evenly
-    over a dense graph violates exponentially many.
+    in ascending order, so its masks are as short as the support: the
+    support's columns of the member matrix of the support's closed
+    neighbourhoods. Each listed clique heavier than that is grown to a
+    maximal clique of the whole graph, lowest vertex first; the vertices
+    it gains lie outside the support, so distinct cliques stay distinct.
+    Returns the grown cliques not in known as masks over all nv
+    variables, in the order they were found; the search stops at the
+    limit-th, since a point spread evenly over a dense graph violates
+    exponentially many.
     """
-    support = [v for v in range(nv) if x[v] > 1e-9]
-    weights = [float(x[v]) for v in support]
-    where = {v: 1 << i for i, v in enumerate(support)}
-    within = sum(1 << v for v in support)
-    nbrs = []  # in support positions; closed[v] holds v itself, dropped here
-    for v in support:
-        t = closed[v] & within ^ 1 << v
-        mask = 0
-        while t:
-            low = t & -t
-            mask |= where[low.bit_length() - 1]
-            t ^= low
-        nbrs.append(mask)
+    import numpy as np
+
+    x = np.asarray(x)
+    at = np.flatnonzero(x > 1e-9)
+    support = at.tolist()
+    weights = x[at].tolist()
+    adjacent = _member_matrix(nv, [closed[v] for v in support])[:, at]
+    np.fill_diagonal(adjacent, 0)  # closed[v] holds v itself
+    nbrs = _mask_list(adjacent)
     found: list[int] = []
 
     def expand(clique: int, held: float, cand: int, done: int) -> None:
@@ -305,41 +331,55 @@ def _violated_cliques(
     return found
 
 
-def _image(mask: int, perm: Sequence[int]) -> int:
-    """The mask of the vertices perm[v] for the vertices v of mask."""
-    image = 0
-    while mask:
-        low = mask & -mask
-        image |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return image
+def _images(
+    members: np.ndarray, perms: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The images of a member matrix's masks, one list per permutation.
+
+    The image of a mask has bit perm[v] for each bit v of the mask. Every
+    permutation here is its own inverse, so the image's column w is the
+    member matrix's column perm[w].
+    """
+    import numpy as np
+
+    image = np.empty_like(members)
+    return [
+        _mask_list(np.take(members, perm, axis=1, out=image))
+        for perm in perms
+    ]
 
 
-def _symmetries(nv: int, masks: Sequence[int]) -> list[list[int]]:
+def _symmetries(
+    nv: int, masks: Sequence[int], members: np.ndarray
+) -> tuple[list[list[int]], list[list[int]]]:
     """The reversal/complement symmetries that map the masks onto themselves.
 
     When nv = 2^n, vertex v is an n-bit word, and reversing that word,
     complementing it (v ^ (nv - 1)) and doing both map single-deletion
-    surfaces onto single-deletion surfaces. Returns, as vertex
-    permutations with the identity first, those of the three that are
-    not the identity and map the list of masks onto itself as a
-    multiset; with the identity they form a group, since the product of
-    two kept ones is the third. Any other nv gets the identity alone.
+    surfaces onto single-deletion surfaces. Returns (group, images): as
+    vertex permutations with the identity first, those of the three that
+    are not the identity and map the list of masks onto itself as a
+    multiset, and the masks' images under each kept one (under the
+    identity, the masks). With the identity they form a group, since the
+    product of two kept ones is the third, each its own inverse. Any
+    other nv gets the identity alone. members is the masks' member matrix
+    (_member_matrix).
     """
     identity = list(range(nv))
+    group, images = [identity], [list(masks)]
     n = nv.bit_length() - 1
     if nv != 1 << n:
-        return [identity]
+        return group, images
     reverse = [int(format(v, f"0{n}b")[::-1], 2) for v in identity]
     complement = [v ^ (nv - 1) for v in identity]
     both = [reverse[v] for v in complement]
+    perms = (reverse, complement, both)
     ordered = sorted(masks)
-    group = [identity]
-    for perm in (reverse, complement, both):
-        images = sorted(_image(m, perm) for m in masks)
-        if perm not in group and images == ordered:
+    for perm, image in zip(perms, _images(members, perms)):
+        if perm not in group and sorted(image) == ordered:
             group.append(perm)
-    return group
+            images.append(image)
+    return group, images
 
 
 def _orbits(group: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -371,7 +411,11 @@ def _separation_rounds(
     of rows meets the vertices of an orbit of vertices equally often. It
     rationalizes those duals upward and repairs any per-vertex shortfall
     in exact integer arithmetic, so the bound stays sound even when the
-    LP solve was inexact. The next round takes the cliques
+    LP solve was inexact: the per-vertex totals come from one reduction
+    over the (row, vertex) pairs of the rows' member matrices, and only
+    the vertices short there are repaired, in ascending order, each
+    re-summed at its turn; a repair only raises weights, so no other
+    vertex falls short. The next round takes the cliques
     _violated_cliques separates from the LP point, lifted to one value
     per vertex, and adds each new clique with its whole orbit as one row
     of the same PackingLP, which re-solves from the last round's tableau.
@@ -381,8 +425,11 @@ def _separation_rounds(
     Stops when a simplex gives up, as the first does when some vertex
     appears in no mask, or when no new violated clique is found.
     """
+    import numpy as np
+
     denom = _COVER_DENOM
-    group = _symmetries(nv, masks)
+    members = _member_matrix(nv, masks)
+    group, images = _symmetries(nv, masks, members)
     lp = PackingLP(nv, _orbits(group))
     rows = list(masks)
     known = set(rows)
@@ -394,54 +441,61 @@ def _separation_rounds(
         unpaired.setdefault(rows[idx], []).append(idx)
     for idx, m in enumerate(rows):
         if lp_row[idx] < 0:
-            images = {_image(m, perm) for perm in group}
-            for image in images:
+            orbit = {image[idx] for image in images}
+            for image in orbit:
                 lp_row[unpaired[image].pop()] = len(sizes)
-            sizes.append(len(images))
+            sizes.append(len(orbit))
             new.append(m)
-    by_vertex: list[list[int]] = [[] for _ in range(nv)]
-    closed = [0] * nv  # v and every variable sharing an input mask with it
-    for idx, m in enumerate(rows):
-        t = m
-        while t:
-            low = t & -t
-            v = low.bit_length() - 1
-            by_vertex[v].append(idx)
-            closed[v] |= m
-            t ^= low
+    # every (row, vertex) membership, by row then vertex
+    hit_row, hit_vertex = np.nonzero(members)
+    # a cached family keeps this generator suspended: hold only what later
+    # rounds read
+    del members, images, unpaired
+    # closed[v]: v and every variable sharing an input mask with it, built
+    # when separation first needs it
+    closed = None
     room = nv  # how many rows separation may still add
     while True:
         if not lp.add_rows(new):
             return
         duals, x = lp.solution()
         shares = duals / sizes
-        weights = [math.ceil(shares[r] * denom - 1e-9) for r in lp_row]
-        for through in by_vertex:
+        ceiled = np.ceil(shares[lp_row] * denom - 1e-9)
+        weights = ceiled.astype(np.int64).tolist()
+        totals = np.bincount(
+            hit_vertex, weights=ceiled[hit_row], minlength=nv
+        )  # sums of integers below 2^53: exact in any order
+        for v in np.flatnonzero(totals < denom).tolist():
+            through = hit_row[hit_vertex == v].tolist()
             got = sum(weights[i] for i in through)
             if got < denom:
                 weights[through[0]] += denom - got
         yield tuple(rows), tuple(weights)
+        if closed is None:
+            closed = [0] * nv
+            for r, v in zip(hit_row.tolist(), hit_vertex.tolist()):
+                closed[v] |= rows[r]
         new = []
-        for c in _violated_cliques(x, closed, nv, known, room):
+        start = len(rows)
+        found = _violated_cliques(x, closed, nv, known, room)
+        found_images = [found] + _images(_member_matrix(nv, found), group[1:])
+        for k, c in enumerate(found):
             if c in known:  # the image of a clique taken this round
                 continue
-            images = list(dict.fromkeys(_image(c, perm) for perm in group))
-            if len(images) > room:
+            orbit = list(dict.fromkeys(image[k] for image in found_images))
+            if len(orbit) > room:
                 continue
-            room -= len(images)
-            for image in images:
-                t = image
-                while t:
-                    low = t & -t
-                    by_vertex[low.bit_length() - 1].append(len(rows))
-                    t ^= low
-                rows.append(image)
-                lp_row.append(len(sizes))
-            known.update(images)
-            sizes.append(len(images))
+            room -= len(orbit)
+            rows += orbit
+            lp_row += [len(sizes)] * len(orbit)
+            known.update(orbit)
+            sizes.append(len(orbit))
             new.append(c)
         if not new:
             return
+        added_row, added_vertex = np.nonzero(_member_matrix(nv, rows[start:]))
+        hit_row = np.concatenate((hit_row, added_row + start))
+        hit_vertex = np.concatenate((hit_vertex, added_vertex))
 
 
 def _cover_weights(

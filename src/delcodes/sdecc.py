@@ -616,9 +616,12 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
     reported size.
 
     Optimality proofs are fast through n = 8; n = 9 and beyond want a
-    budget. n = 1 is the trivial single-word case.
+    budget. n = 1 is the trivial single-word case; n outside
+    1..GRAPH_MAX_N, or not an int (a bool included), raises ValueError.
     """
     started = time.monotonic()
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= GRAPH_MAX_N:
+        raise ValueError(f"max supports 1 <= n <= {GRAPH_MAX_N}, got {n!r}")
     opts = options or SearchOptions()
     inc = opts.incumbent
     if inc is not None and inc.n != n:

@@ -4,14 +4,22 @@
 
 rewrites tests/outcome_table.json; tests/test_outcome_table.py checks that
 the table built at the current source equals the committed one. It holds
-max_sdecc_exact(1..8), and solve_builtin on C0 plus every subset of C1..C6
-at n = 5..8. Outcomes (sizes, statuses, witnesses and selections as hex
-masks) are kept apart from kernel node counts, so a change meant to move
-only node counts regenerates the table and shows no outcome moving.
-solve_builtin does not report its node count; it is read from the return
-of the kernel it calls. Both parts start from an empty cover-weight cache.
-Every case runs under a node budget far above its count, so a change that
-breaks a cut fails in seconds instead of searching a large tree.
+max_sdecc_exact(1..8); solve_builtin on C0 plus every subset of C1..C6 at
+n = 5..8; solve_builtin on the full C0..C6 models at n = 9..13 under a
+60-node budget; and max_sdecc_exact(6) and (7) with the LP-weighted cover
+switched off, as "6 greedy" and "7 greedy". The first two parts close at
+their roots. The budget stops every n = 9..13 tree before it improves on
+its warm start, so those cases pin the warm start and the budget check.
+With greedy covers alone the n = 6 and 7 proofs take 61 and 26,511
+nodes, so their node counts pin the branching rule. Outcomes (sizes,
+statuses, witnesses and selections as hex masks) are kept apart from
+kernel node counts, so a change meant to move only node counts
+regenerates the table and shows no outcome moving. solve_builtin does not
+report its node count; it is read from the return of the kernel it calls.
+The table is built from an empty cover-weight cache, and the greedy cases
+from another. Every case but the n = 9..13 ones runs under a node budget
+far above its count, so a change that breaks a cut fails in seconds
+instead of searching a large tree.
 """
 
 from __future__ import annotations
@@ -30,6 +38,10 @@ EXACT_LENGTHS = range(1, 9)
 MODEL_LENGTHS = range(5, 9)
 EXTRA_FAMILIES = ("C1", "C2", "C3", "C4", "C5", "C6")
 BUDGET = SearchOptions(node_limit=1_000)
+FULL_LENGTHS = range(9, 14)
+FULL_BUDGET = SearchOptions(node_limit=60)
+GREEDY_LENGTHS = (6, 7)
+GREEDY_BUDGET = SearchOptions(node_limit=100_000)
 
 
 def build_table() -> dict:
@@ -44,35 +56,50 @@ def build_table() -> dict:
         counts.append(result[1])
         return result
 
+    def exact(key: str, n: int, budget: SearchOptions) -> None:
+        result = max_sdecc_exact(n, budget)
+        exact_outcomes[key] = {
+            "size": result.size,
+            "status": result.proof_status,
+            "witness": hex(sum(1 << v for v in result.witness.values)),
+        }
+        exact_nodes[key] = result.nodes
+
     saved_cache = coverlp._cover_weight_cache
+    saved_pivots = coverlp._MAX_PIVOTS
     coverlp._cover_weight_cache = {}
     ilp_module._branch_and_bound = counted
     try:
         for n in EXACT_LENGTHS:
-            result = max_sdecc_exact(n, BUDGET)
-            exact_outcomes[str(n)] = {
-                "size": result.size,
-                "status": result.proof_status,
-                "witness": hex(sum(1 << v for v in result.witness.values)),
+            exact(str(n), n, BUDGET)
+        cases = [
+            (n, ("C0",) + extra, BUDGET)
+            for n in MODEL_LENGTHS
+            for k in range(len(EXTRA_FAMILIES) + 1)
+            for extra in itertools.combinations(EXTRA_FAMILIES, k)
+        ]
+        cases += [
+            (n, ("C0",) + EXTRA_FAMILIES, FULL_BUDGET) for n in FULL_LENGTHS
+        ]
+        for n, families, budget in cases:
+            key = f"n={n} " + ",".join(families)
+            counts.clear()
+            sol = ilp_module.solve_builtin(build_model(n, families), budget)
+            model_outcomes[key] = {
+                "objective": sol.objective,
+                "status": sol.solver_status,
+                "selection": hex(sol.selection),
             }
-            exact_nodes[str(n)] = result.nodes
-        for n in MODEL_LENGTHS:
-            for k in range(len(EXTRA_FAMILIES) + 1):
-                for extra in itertools.combinations(EXTRA_FAMILIES, k):
-                    key = f"n={n} " + ",".join(("C0",) + extra)
-                    counts.clear()
-                    sol = ilp_module.solve_builtin(
-                        build_model(n, ("C0",) + extra), BUDGET
-                    )
-                    model_outcomes[key] = {
-                        "objective": sol.objective,
-                        "status": sol.solver_status,
-                        "selection": hex(sol.selection),
-                    }
-                    (model_nodes[key],) = counts
+            (model_nodes[key],) = counts
+        # a simplex allowed no pivot gives up, leaving greedy covers alone
+        coverlp._MAX_PIVOTS = 0
+        coverlp._cover_weight_cache = {}
+        for n in GREEDY_LENGTHS:
+            exact(f"{n} greedy", n, GREEDY_BUDGET)
     finally:
         ilp_module._branch_and_bound = kernel
         coverlp._cover_weight_cache = saved_cache
+        coverlp._MAX_PIVOTS = saved_pivots
     return {
         "max_sdecc_exact": {"outcomes": exact_outcomes, "nodes": exact_nodes},
         "solve_builtin": {"outcomes": model_outcomes, "nodes": model_nodes},

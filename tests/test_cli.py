@@ -151,6 +151,13 @@ def test_max_rejects_mismatched_incumbent_at_length_one(tmp_path, capsys):
     assert "incumbent has length 5, expected 1" in err
 
 
+@pytest.mark.parametrize("n", ["0", "15"])
+def test_max_rejects_out_of_range_lengths(capsys, n):
+    status, out, err = run(capsys, "max", "--n", n)
+    assert status == 1 and out == ""
+    assert err == f"error: max supports 1 <= n <= 14, got {n}\n"
+
+
 # ------------------------------------------------------------- gen and solve
 
 

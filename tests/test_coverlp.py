@@ -6,7 +6,9 @@ feasible. The LP on the quotient by the reversal/complement symmetries
 must have the plain LP's optimum, its lifted weights must cover every
 vertex, and a family without symmetry must run exactly the plain rounds.
 The length-7 separation rounds are pinned, together with the pivots the
-warm start saves on them. The cache of rounds per mask family keeps a
+warm start saves on them, and so is every round's rows and integer
+weights on a set of families, by digests made before the rounds' bookkeeping
+moved to member matrices. The cache of rounds per mask family keeps a
 bounded number of families, a family whose cached round serves a call
 among them.
 """
@@ -26,12 +28,12 @@ from delcodes.coverlp import (
     PackingLP,
     _cover_weight_cache,
     _cover_weights,
-    _image,
+    _member_matrix,
     _orbits,
     _separation_rounds,
     _symmetries,
 )
-from delcodes.ilp import solve_builtin
+from delcodes.ilp import _classify_rows, solve_builtin
 from delcodes.sdecc import _incidence, conflict_graph, max_sdecc_exact
 
 
@@ -39,6 +41,17 @@ def center_masks(n: int) -> list[int]:
     cliques = conflict_graph(n).cliques_by_center.values()
     masks, _, _ = _incidence(1 << n, cliques)
     return masks
+
+
+def image(mask: int, perm) -> int:
+    # the mask of the vertices perm[v] for the vertices v of mask
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+def symmetries(nv: int, masks) -> list[list[int]]:
+    group, images = _symmetries(nv, masks, _member_matrix(nv, masks))
+    assert images == [[image(m, perm) for m in masks] for perm in group]
+    return group
 
 
 def length_seven_rounds() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -53,7 +66,7 @@ def quotient_rows(rows, group) -> list[int]:
     for row in rows:
         if row not in seen:
             reps.append(row)
-            seen.update(_image(row, perm) for perm in group)
+            seen.update(image(row, perm) for perm in group)
     return reps
 
 
@@ -130,6 +143,77 @@ def test_length_seven_rounds_are_pinned():
     assert [sum(w) // _COVER_DENOM for _, w in rounds] == [17, 17, 16, 16]
 
 
+def pinned_families() -> list[tuple[int, list[int]]]:
+    # the center cliques at n = 2..8, with the full group; the distinct
+    # packing rows of the n = 7 C0-led models (today all the n = 7 center
+    # cliques, so they add no family); the n = 7 cliques without a row of
+    # orbit four, with the identity alone;
+    # the cocktail-party pairs, with the complement alone; and seeded
+    # random families over the full group, some orbits cut short or twice
+    families = [(1 << n, center_masks(n)) for n in range(2, 9)]
+    for extra in itertools.chain.from_iterable(
+        itertools.combinations(("C1", "C2", "C3", "C4", "C5", "C6"), k)
+        for k in range(7)
+    ):
+        nv, packing, _, _, _ = _classify_rows(build_model(7, ("C0",) + extra))
+        masks, _, _ = _incidence(nv, packing)
+        if (nv, masks) not in families:
+            families.append((nv, masks))
+    masks = center_masks(7)
+    del masks[1]
+    families.append((128, masks))
+    families.append((32, [
+        1 << u | 1 << v for u in range(32) for v in range(u + 1, 32)
+        if v != u ^ 1
+    ]))
+    rng = random.Random(2027)
+    for case in range(12):
+        nv = 1 << rng.choice((4, 5, 6))
+        full = symmetries(nv, [])
+        masks = []
+        for _ in range(rng.randint(1, 12)):
+            m = sum(1 << v for v in rng.sample(range(nv), rng.randint(1, 6)))
+            orbit = list(dict.fromkeys(image(m, perm) for perm in full))
+            masks += orbit[:1 if case % 3 == 0 else None] * rng.choice((1, 2))
+        for v in range(nv):  # every vertex lies in some mask
+            if not any(m >> v & 1 for m in masks):
+                masks += dict.fromkeys(image(1 << v, perm) for perm in full)
+        rng.shuffle(masks)
+        families.append((nv, masks))
+    return families
+
+
+def rounds_digest(families) -> str:
+    digest = hashlib.sha256()
+    for nv, masks in families:
+        # iterating every round runs the separation to convergence
+        digest.update(repr(list(_separation_rounds(nv, masks))).encode())
+    return digest.hexdigest()
+
+
+def test_separation_rounds_are_pinned_bit_for_bit():
+    # every round's rows and integer weights, run to convergence
+    assert rounds_digest(pinned_families()) == (
+        "49f600141388a6041ea17326f2abd480c4dbc02e0f9e27600c47dbf4f788ef75"
+    )
+
+
+def test_repaired_weights_are_pinned_bit_for_bit(monkeypatch):
+    # duals scaled down leave some vertices short and others not, so the
+    # exact integer repair runs on part of the vertices of every round
+    solution = PackingLP.solution
+
+    def scaled(self):
+        duals, x = solution(self)
+        return duals * 0.8, x
+
+    monkeypatch.setattr(PackingLP, "solution", scaled)
+    families = [(1 << n, center_masks(n)) for n in range(3, 8)]
+    assert rounds_digest(families) == (
+        "58104a6d0b1e5b61c9ed811439a9045974e869bc579e31365276631573c3fe04"
+    )
+
+
 def test_warm_rounds_take_fewer_pivots_than_cold_solves(monkeypatch):
     pivots = 0
     pivot = PackingLP._pivot
@@ -141,7 +225,7 @@ def test_warm_rounds_take_fewer_pivots_than_cold_solves(monkeypatch):
 
     monkeypatch.setattr(PackingLP, "_pivot", counted)
     # the LP the rounds solve: a column per vertex orbit, a row per row orbit
-    group = _symmetries(128, center_masks(7))
+    group = symmetries(128, center_masks(7))
     orbits = _orbits(group)
     rounds = [quotient_rows(rows, group) for rows, _ in length_seven_rounds()]
     for before, after in zip(rounds, rounds[1:]):
@@ -159,7 +243,7 @@ def test_warm_rounds_take_fewer_pivots_than_cold_solves(monkeypatch):
 def test_quotient_lp_has_the_plain_lp_optimum(n):
     nv = 1 << n
     masks = center_masks(n)
-    group = _symmetries(nv, masks)
+    group = symmetries(nv, masks)
     orbits = _orbits(group)
     assert len(orbits) < nv
     rows = quotient_rows(masks, group)
@@ -184,7 +268,7 @@ def reverse(n: int, v: int) -> int:
 def test_center_cliques_have_the_full_group(n):
     nv = 1 << n
     masks = center_masks(n)
-    group = _symmetries(nv, masks)
+    group = symmetries(nv, masks)
     assert group == [
         list(range(nv)),
         [reverse(n, v) for v in range(nv)],
@@ -195,8 +279,8 @@ def test_center_cliques_have_the_full_group(n):
     # some row has an orbit of four, and dropping it leaves the identity
     stabilizers = set()
     for i, m in enumerate(masks):
-        kept = _symmetries(nv, masks[:i] + masks[i + 1:])
-        assert kept == [perm for perm in group if _image(m, perm) == m]
+        kept = symmetries(nv, masks[:i] + masks[i + 1:])
+        assert kept == [perm for perm in group if image(m, perm) == m]
         stabilizers.add(len(kept))
     assert min(stabilizers) == (2 if n == 3 else 1)
 
@@ -209,7 +293,7 @@ def test_cocktail_party_rows_keep_only_the_complement():
         1 << u | 1 << v
         for u in range(nv) for v in range(u + 1, nv) if v != u ^ 1
     ]
-    assert _symmetries(nv, masks) == [
+    assert symmetries(nv, masks) == [
         list(range(nv)), [v ^ (nv - 1) for v in range(nv)]
     ]
 
@@ -219,17 +303,17 @@ def test_lifted_weights_cover_every_vertex_on_symmetric_families():
     for case in range(60):
         n = rng.choice((4, 5, 6))
         nv = 1 << n
-        full = _symmetries(nv, [])
+        full = symmetries(nv, [])
         masks: list[int] = []
         for _ in range(rng.randint(1, 12)):
             m = sum(1 << v for v in rng.sample(range(nv), rng.randint(1, 6)))
-            orbit = list(dict.fromkeys(_image(m, perm) for perm in full))
+            orbit = list(dict.fromkeys(image(m, perm) for perm in full))
             masks += orbit * rng.choice((1, 1, 2))  # some orbits twice
         for v in range(nv):  # every vertex lies in some mask
             if not any(m >> v & 1 for m in masks):
-                masks += dict.fromkeys(_image(1 << v, perm) for perm in full)
+                masks += dict.fromkeys(image(1 << v, perm) for perm in full)
         rng.shuffle(masks)
-        assert len(_symmetries(nv, masks)) == 4, case
+        assert len(symmetries(nv, masks)) == 4, case
         # the first round's weights price the plain LP optimum, plus at
         # most the rounding up of each row's share
         _, weights = next(_separation_rounds(nv, masks))
@@ -248,7 +332,7 @@ def test_lifted_weights_cover_every_vertex_on_symmetric_families():
 def test_a_family_without_symmetry_runs_the_plain_rounds():
     masks = center_masks(7)
     del masks[1]  # its orbit has four rows
-    assert len(_symmetries(128, masks)) == 1
+    assert len(symmetries(128, masks)) == 1
     rounds = list(_separation_rounds(128, masks))
     # the rounds of the plain LP, before the quotient existed
     assert [len(rows) for rows, _ in rounds] == [63, 91, 109, 118, 121]

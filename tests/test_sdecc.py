@@ -405,6 +405,13 @@ def test_trivial_length_one_maximum():
     assert r.witness == WordSet(1, [0])
 
 
+@pytest.mark.parametrize("bad", [0, 15, -1, True, 7.0])
+def test_exact_search_rejects_out_of_range_lengths(bad):
+    # checked before the n = 1 shortcut, so True is not taken as n = 1
+    with pytest.raises(ValueError, match="max supports 1 <= n <= 14"):
+        max_sdecc_exact(bad)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_search_matches_known_maxima_small(n):
     r = max_sdecc_exact(n)
