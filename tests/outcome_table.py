@@ -7,9 +7,14 @@ the table built at the current source equals the committed one. It holds
 max_sdecc_exact(1..8); solve_builtin on C0 plus every subset of C1..C6 at
 n = 5..8; solve_builtin on the full C0..C6 models at n = 9..13 under a
 60-node budget; and max_sdecc_exact(6) and (7) with the LP-weighted cover
-switched off, as "6 greedy" and "7 greedy". The first two parts close at
-their roots. The budget stops every n = 9..13 tree before it improves on
-its warm start, so those cases pin the warm start and the budget check.
+switched off, as "6 greedy" and "7 greedy"; and solve_builtin on 300
+seeded random models, "random <i> n=<n>": the C0 model at n = 3..7 plus
+1-4 rows from tests/test_ilp.py's random_row, under a 2,000-node budget.
+A random model's outcome is its InfeasibleModelError message when it has
+one, and its node count None when propagation decides it before the
+kernel runs. The first two parts close at their roots. The budget stops
+every n = 9..13 tree before it improves on its warm start, so those
+cases pin the warm start and the budget check.
 With greedy covers alone the n = 6 and 7 proofs take 61 and 26,511
 nodes, so their node counts pin the branching rule. Outcomes (sizes,
 statuses, witnesses and selections as hex masks) are kept apart from
@@ -26,12 +31,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 from delcodes import coverlp
 from delcodes import ilp as ilp_module
 from delcodes.constraints import build_model
+from delcodes.ilp import IlpModel, InfeasibleModelError
 from delcodes.sdecc import SearchOptions, max_sdecc_exact
+from test_ilp import random_row
 
 TABLE = Path(__file__).with_suffix(".json")
 EXACT_LENGTHS = range(1, 9)
@@ -42,6 +50,10 @@ FULL_LENGTHS = range(9, 14)
 FULL_BUDGET = SearchOptions(node_limit=60)
 GREEDY_LENGTHS = (6, 7)
 GREEDY_BUDGET = SearchOptions(node_limit=100_000)
+RANDOM_SEED = 2028
+RANDOM_MODELS = 300
+RANDOM_LENGTHS = range(3, 8)
+RANDOM_BUDGET = SearchOptions(node_limit=2_000)
 
 
 def build_table() -> dict:
@@ -91,6 +103,26 @@ def build_table() -> dict:
                 "selection": hex(sol.selection),
             }
             (model_nodes[key],) = counts
+        rng = random.Random(RANDOM_SEED)
+        for i in range(RANDOM_MODELS):
+            n = rng.choice(RANDOM_LENGTHS)
+            rows = tuple(
+                random_row(rng, n, f"r{j}") for j in range(rng.randint(1, 4))
+            )
+            model = IlpModel(n, build_model(n, {"C0"}).constraints + rows)
+            key = f"random {i} n={n}"
+            counts.clear()
+            try:
+                sol = ilp_module.solve_builtin(model, RANDOM_BUDGET)
+            except InfeasibleModelError as exc:
+                model_outcomes[key] = {"error": str(exc)}
+            else:
+                model_outcomes[key] = {
+                    "objective": sol.objective,
+                    "status": sol.solver_status,
+                    "selection": hex(sol.selection),
+                }
+            model_nodes[key] = counts[0] if counts else None
         # a simplex allowed no pivot gives up, leaving greedy covers alone
         coverlp._MAX_PIVOTS = 0
         coverlp._cover_weight_cache = {}
