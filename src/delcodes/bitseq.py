@@ -29,11 +29,24 @@ from typing import Iterable, Iterator
 MAX_LEN = 24
 
 
+def _is_int(x: object) -> bool:
+    """Whether x is an int and not a bool, which is an int too."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_length(n: int) -> None:
+    # the int test is written out, not a call of _is_int: every Word
+    # construction runs it
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"word length must be an int, got {n!r}")
     if not 1 <= n <= MAX_LEN:
         raise ValueError(f"word length must be in 1..{MAX_LEN}, got {n}")
+
+
+def _check_range(n: int, lo: int, hi: int, what: str) -> None:
+    """Refuse n unless it is an int, not a bool, in lo..hi."""
+    if not _is_int(n) or not lo <= n <= hi:
+        raise ValueError(f"{what} {lo} <= n <= {hi}, got {n!r}")
 
 
 class _Frozen:
@@ -81,10 +94,13 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@functools.total_ordering
 class Word(_Frozen):
     """One binary word; position 1 is the leftmost symbol.
 
-    Words compare, order and hash by (n, value), among Words only.
+    Words compare, order and hash by (n, value), among Words only:
+    _Frozen gives equality and the hash, and total_ordering the orderings
+    other than __lt__.
     """
 
     __slots__ = _fields = ("n", "value")
@@ -103,33 +119,10 @@ class Word(_Frozen):
             raise ValueError(f"not a binary word: {text!r}")
         return cls(len(text), int(text, 2))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.value == other.value
-
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.n, self.value) < (other.n, other.value)
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.value) <= (other.n, other.value)
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.value) > (other.n, other.value)
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.value) >= (other.n, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.value))
 
     def bit(self, i: int) -> int:
         """Symbol at 1-based position i, counted from the left."""
@@ -411,7 +404,7 @@ def deletion_surface(x: Word, t: int = 1) -> WordSet:
     Iterates single deletions t times with dedup at every level; the radius-1
     surface of x has run_count(x, 0) + run_count(x, 1) members.
     """
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+    if not _is_int(t) or t < 1:
         raise ValueError(f"deletion count must be a positive int, got {t!r}")
     if t >= x.n:
         raise ValueError(f"cannot delete {t} symbols from a length-{x.n} word")

@@ -94,7 +94,8 @@ def _cmd_check(args: argparse.Namespace) -> _Handled:
         ]
         return 0, data, lines
     x, y = result.first_pair
-    lines = [f"INVALID: {x} and {y} share deleted word {result.shared}"]
+    shared = "(the empty word)" if result.shared is None else result.shared
+    lines = [f"INVALID: {x} and {y} share deleted word {shared}"]
     return 1, data, lines
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .bitseq import Word, WordSet, _Frozen, runs_of
+from .bitseq import Word, WordSet, _Frozen, _check_range, _is_int, runs_of
 from .ilp import (
     IlpModel,
     LinearConstraint,
@@ -49,10 +49,7 @@ _PRESET_PQ = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= GEN_MAX_N:
-        raise ValueError(
-            f"constraint generation supports 2 <= n <= {GEN_MAX_N}, got {n!r}"
-        )
+    _check_range(n, 2, GEN_MAX_N, "constraint generation supports")
 
 
 def _bits(value: int, width: int) -> str:
@@ -95,8 +92,7 @@ def run_class_members(rc: RunClass) -> WordSet:
     counts differ by more than one or there are more 1-runs than 1s.
     """
     n = rc.n
-    if not 1 <= n <= GEN_MAX_N:
-        raise ValueError(f"run classes support 1 <= n <= {GEN_MAX_N}, got {n}")
+    _check_range(n, 1, GEN_MAX_N, "run classes support")
     for name, value in (("w", rc.w), ("alpha", rc.alpha), ("beta", rc.beta)):
         if not 0 <= value <= n:
             raise ValueError(f"{name} must lie in 0..{n}, got {value}")
@@ -294,8 +290,10 @@ def gen_c6(n: int, p: int, q: int) -> ConstraintFamily:
     is unestablished are rejected.
     """
     _check_n(n)
-    if p < 0 or q < 0:
-        raise ValueError(f"section widths must be nonnegative, got p={p} q={q}")
+    if not (_is_int(p) and _is_int(q)) or p < 0 or q < 0:
+        raise ValueError(
+            f"section widths must be nonnegative, got p={p!r} q={q!r}"
+        )
     if p + q == 0:
         raise ValueError("at least one of p, q must be positive")
     r = n - p - q

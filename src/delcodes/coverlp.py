@@ -35,8 +35,9 @@ if TYPE_CHECKING:
 # lcm(1..11): every dual these instances produce rationalizes upward with
 # negligible loss at this denominator
 _COVER_DENOM = 27720
-# the dense-tableau simplex is reliable up to this many columns; larger
-# instances fall back to the greedy cover alone
+# the cover LP runs only on families of at most this many vertices
+# (words); larger ones fall back to the greedy cover alone. The cap is on
+# vertices, not LP columns: the n = 8 orbit-quotient LP has 72 columns
 _COVER_MAX_VERTICES = 256
 # per mask family: the separation rounds run so far, and the generator
 # that runs the next ones (None once it has stopped); at most

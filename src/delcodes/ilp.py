@@ -32,7 +32,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .bitseq import MAX_LEN, Word, WordSet, _Frozen
+from .bitseq import MAX_LEN, Word, WordSet, _Frozen, _is_int
 from .sdecc import (
     SdeccResult,
     SearchOptions,
@@ -192,8 +192,10 @@ class IlpModel(_Frozen):
         constraints: tuple[LinearConstraint, ...],
         metadata: Mapping[str, object] | None = None,
     ) -> None:
-        if not 1 <= n <= MAX_LEN:
-            raise ValueError(f"model length must lie in 1..{MAX_LEN}, got {n}")
+        if not _is_int(n) or not 1 <= n <= MAX_LEN:
+            raise ValueError(
+                f"model length must lie in 1..{MAX_LEN}, got {n!r}"
+            )
         labels: set[str] = set()
         for row in constraints:
             if row.label in labels:
@@ -266,8 +268,8 @@ class Solution(_Frozen):
     def __init__(
         self, n: int, selection: int, source: str, solver_status: str
     ) -> None:
-        if not 1 <= n <= MAX_LEN:
-            raise ValueError(f"solution length {n} is not in 1..{MAX_LEN}")
+        if not _is_int(n) or not 1 <= n <= MAX_LEN:
+            raise ValueError(f"solution length {n!r} is not in 1..{MAX_LEN}")
         if selection < 0 or selection.bit_length() > 1 << n:
             raise ValueError(f"selection is not in 0..2^(2^{n})-1")
         if source not in ("built-in", "imported"):
@@ -705,8 +707,8 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
     """Replay every row and independently re-check the selected words.
 
     The code check does not trust the model: it runs is_sdecc on the
-    selected words directly, so a model missing packing rows cannot hide
-    an invalid selection.
+    selected words directly, at every length, so a model missing packing
+    rows cannot hide an invalid selection.
     """
     selection = solution.selection
     foreign: tuple[str, ...] = ()
@@ -725,12 +727,7 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
         if not row.satisfied(bits)
     )
     words = WordSet(model.n, _ones(selection))
-    if model.n >= 2:
-        code_result = is_sdecc(words)
-    elif len(words) <= 1:
-        code_result = SdeccResult(True, None, None)
-    else:  # both length-1 words delete to the empty word
-        code_result = SdeccResult(False, (Word(1, 0), Word(1, 1)), None)
+    code_result = is_sdecc(words)
     return VerifyReport(
         ok=not violated and code_result.ok and solution.n == model.n,
         objective=solution.objective,

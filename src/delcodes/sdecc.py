@@ -29,6 +29,7 @@ from .bitseq import (
     Word,
     WordSet,
     _Frozen,
+    _check_range,
     insertion_values,
     surface_size_sum,
     surface_union_size,
@@ -61,7 +62,9 @@ KNOWN_SIZES: dict[int, tuple[int | None, int]] = {
 class SdeccResult(NamedTuple):
     """Validity verdict; truthy exactly when the code is a valid SDECC.
 
-    Two length-1 words share the empty word, which shared holds as None.
+    For an invalid code, first_pair is the first conflicting pair and
+    shared the first deleted word they share. Two length-1 words share
+    the empty word, which has no Word, so there shared is None.
     """
 
     ok: bool
@@ -73,20 +76,19 @@ class SdeccResult(NamedTuple):
 
 
 def is_sdecc(code: WordSet) -> SdeccResult:
-    """Check pairwise-disjoint deletion surfaces.
+    """Check pairwise-disjoint deletion surfaces, at any length n >= 1.
 
-    The surfaces are disjoint exactly when their sizes, summed by
-    bitseq.surface_size_sum, add up to the size of their union, which
-    bitseq.surface_union_size counts on a 2^n-bit mask; so the check
-    costs about n 2^n / 8 bytes of work for any code size. Only
-    when the sizes disagree is the code scanned in ascending order, each
-    surface in ascending order, so that the result carries the first
-    violating pair in that order together with the first shared deleted
-    word of the later one.
+    At n = 1 every word deletes to the empty word, so a code of at most
+    one word is valid and {0, 1} is not. The surfaces are disjoint
+    exactly when their sizes, summed by bitseq.surface_size_sum, add up
+    to the size of their union, which bitseq.surface_union_size counts
+    on a 2^n-bit mask; so the check costs about n 2^n / 8 bytes of work
+    for any code size. Only when the sizes disagree is the code scanned
+    in ascending order, each surface in ascending order, so that the
+    result carries the first violating pair in that order together with
+    the first shared deleted word of the later one.
     """
     n = code.n
-    if n < 2:
-        raise ValueError(f"validity needs length >= 2, got {n}")
     values = code.values
     if surface_union_size(n, values) == surface_size_sum(n, values):
         return SdeccResult(True, None, None)
@@ -96,7 +98,9 @@ def is_sdecc(code: WordSet) -> SdeccResult:
             prev = owner.get(c)
             if prev is not None:
                 return SdeccResult(
-                    False, (Word(n, prev), Word(n, v)), Word(n - 1, c)
+                    False,
+                    (Word(n, prev), Word(n, v)),
+                    Word(n - 1, c) if n > 1 else None,
                 )
             owner[c] = v
     raise RuntimeError("surfaces overlap but no shared deleted word was found")
@@ -176,10 +180,7 @@ def conflict_graph(n: int) -> ConflictGraph:
     Each center's clique is the tuple of its n+1 insertions from
     bitseq.insertion_values, distinct by construction, sorted as built.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= GRAPH_MAX_N:
-        raise ValueError(
-            f"conflict graph supports 2 <= n <= {GRAPH_MAX_N}, got {n!r}"
-        )
+    _check_range(n, 2, GRAPH_MAX_N, "conflict graph supports")
     return ConflictGraph(n, {
         c: tuple(sorted(insertion_values(n - 1, c)))
         for c in range(1 << (n - 1))
@@ -218,8 +219,7 @@ class BoundsRecord(_Frozen):
 
 def bounds(n: int) -> BoundsRecord:
     """Lower and upper bounds on the maximum code size for length n."""
-    if not 3 <= n <= FORMULA_MAX_N:
-        raise ValueError(f"bounds supports 3 <= n <= {FORMULA_MAX_N}, got {n}")
+    _check_range(n, 3, FORMULA_MAX_N, "bounds supports")
     known = KNOWN_SIZES.get(n)
     return BoundsRecord(
         n=n,
@@ -620,8 +620,7 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
     1..GRAPH_MAX_N, or not an int (a bool included), raises ValueError.
     """
     started = time.monotonic()
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= GRAPH_MAX_N:
-        raise ValueError(f"max supports 1 <= n <= {GRAPH_MAX_N}, got {n!r}")
+    _check_range(n, 1, GRAPH_MAX_N, "max supports")
     opts = options or SearchOptions()
     inc = opts.incumbent
     if inc is not None and inc.n != n:

@@ -12,6 +12,8 @@ from .bitseq import (
     Word,
     WordSet,
     _check_length,
+    _check_range,
+    _is_int,
     surface_size_sum,
     surface_union_size,
 )
@@ -45,8 +47,8 @@ def vt_code(n: int, a: int) -> WordSet:
     """
     _check_length(n)
     m = n + 1
-    if not 0 <= a < m:
-        raise ValueError(f"residue must be in 0..{n}, got {a}")
+    if not _is_int(a) or not 0 <= a < m:
+        raise ValueError(f"residue must be in 0..{n}, got {a!r}")
     h = n // 2
     buckets: list[list[int]] = [[] for _ in range(m)]
     for low, s in enumerate(_syndrome_table(n, 0, h)):
@@ -68,21 +70,30 @@ def _syndrome_table(n: int, lo_bit: int, hi_bit: int) -> list[int]:
     return table
 
 
+def _prime_powers(d: int) -> list[tuple[int, int]]:
+    """(p, k) for each prime power p^k exactly dividing d, p ascending."""
+    powers = []
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            k = 0
+            while d % p == 0:
+                d //= p
+                k += 1
+            powers.append((p, k))
+        p += 1 if p == 2 else 2
+    if d > 1:
+        powers.append((d, 1))
+    return powers
+
+
 def euler_phi(d: int) -> int:
     """Count of integers in 1..d coprime to d."""
     if d < 1:
         raise ValueError(f"phi is defined for positive integers, got {d}")
-    result = d
-    m = d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    result = 1
+    for p, k in _prime_powers(d):
+        result *= (p - 1) * p ** (k - 1)
     return result
 
 
@@ -90,19 +101,8 @@ def moebius(d: int) -> int:
     """0 if d has a squared prime factor, else (-1)^(number of prime factors)."""
     if d < 1:
         raise ValueError(f"mu is defined for positive integers, got {d}")
-    sign = 1
-    m = d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            sign = -sign
-        p += 1 if p == 2 else 2
-    if m > 1:
-        sign = -sign
-    return sign
+    powers = _prime_powers(d)
+    return 0 if any(k > 1 for _, k in powers) else (-1) ** len(powers)
 
 
 def _odd_divisors(m: int) -> list[int]:
@@ -110,8 +110,7 @@ def _odd_divisors(m: int) -> list[int]:
 
 
 def _divisor_sum_size(n: int, weight) -> int:
-    if not 1 <= n <= FORMULA_MAX_N:
-        raise ValueError(f"formula supports 1 <= n <= {FORMULA_MAX_N}, got {n}")
+    _check_range(n, 1, FORMULA_MAX_N, "formula supports")
     m = n + 1
     total = sum(weight(d) * (1 << (m // d)) for d in _odd_divisors(m))
     if total % (2 * m):
@@ -138,11 +137,10 @@ def is_perfect(code: WordSet) -> bool:
     True exactly when the surfaces are pairwise disjoint and their union is
     all of {0,1}^(n-1): every shorter word then has a unique decoding. A
     word's surface has one member per run of the word, so that holds when
-    the run sum, the union size and 2^(n-1) all agree.
+    the run sum, the union size and 2^(n-1) all agree. At n = 1 the one
+    shorter word is the empty word, so {0} and {1} are perfect.
     """
     n = code.n
-    if n < 2:
-        raise ValueError(f"perfectness needs length >= 2, got {n}")
     values = code.values
     return (
         surface_size_sum(n, values) == 1 << (n - 1)

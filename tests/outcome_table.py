@@ -11,8 +11,8 @@ switched off, as "6 greedy" and "7 greedy"; and solve_builtin on 300
 seeded random models, "random <i> n=<n>": the C0 model at n = 3..7 plus
 1-4 rows from tests/test_ilp.py's random_row, under a 2,000-node budget.
 A random model's outcome is its InfeasibleModelError message when it has
-one, and its node count None when propagation decides it before the
-kernel runs. The first two parts close at their roots. The budget stops
+one, and its node count None when its rows and fixes refuse it before
+the kernel runs. The first two parts close at their roots. The budget stops
 every n = 9..13 tree before it improves on its warm start, so those
 cases pin the warm start and the budget check.
 With greedy covers alone the n = 6 and 7 proofs take 61 and 26,511

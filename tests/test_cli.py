@@ -101,6 +101,21 @@ def test_check_invalid_code_exits_one_with_witness(tmp_path, capsys):
     }
 
 
+def test_check_answers_at_length_one(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("1\n")
+    status, out, _ = run(capsys, "check", "--code", str(path))
+    assert status == 0
+    assert out.strip() == "valid single-deletion code: 1 words of length 1"
+    path.write_text("0\n1\n")
+    status, out, _ = run(capsys, "check", "--code", str(path))
+    assert status == 1
+    assert out.strip() == "INVALID: 0 and 1 share deleted word (the empty word)"
+    status, data, _ = run_json(capsys, "check", "--code", str(path))
+    assert status == 1 and data["ok"] is False
+    assert data["witness"] == {"first": "0", "second": "1", "shared": ""}
+
+
 def test_check_missing_file_is_a_domain_error(tmp_path, capsys):
     status, _, err = run(capsys, "check", "--code", str(tmp_path / "no.txt"))
     assert status == 1 and "error:" in err

@@ -1,6 +1,7 @@
 """Constraint family generators: shapes, oracles, and validity on known codes."""
 
 import itertools
+import re
 from math import comb
 
 import pytest
@@ -485,6 +486,18 @@ def test_c6_rejects_unknown_remainder_and_bad_shape():
     for p, q in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError, match="section widths must be nonneg"):
             gen_c6(8, p, q)
+
+
+@pytest.mark.parametrize("p,q", [(True, False), (1.0, 0)])
+def test_c6_rejects_section_widths_that_are_not_ints(p, q):
+    message = f"section widths must be nonnegative, got p={p!r} q={q!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gen_c6(7, p, q)
+
+
+def test_build_model_rejects_bool_c6_params():
+    with pytest.raises(ValueError, match="got p=True q=False"):
+        build_model(7, {"C0", "C6"}, c6_params=[(True, False)])
 
 
 def test_c6_preset_drops_unusable_shapes():

@@ -103,6 +103,11 @@ def test_model_rejects_a_length_outside_the_word_range(n):
         IlpModel(n, ())
 
 
+def test_model_rejects_a_bool_length():
+    with pytest.raises(ValueError, match=r"lie in 1\.\.24, got True$"):
+        IlpModel(True, ())
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_model_variable_names_are_the_word_names(n):
     names = IlpModel(n, ()).variable_names
@@ -144,6 +149,11 @@ def test_solution_objective_must_count_ones():
 def test_solution_rejects_selection_out_of_range(n, selection):
     with pytest.raises(ValueError):
         Solution(n, selection, "imported", "unknown")
+
+
+def test_solution_rejects_a_bool_length():
+    with pytest.raises(ValueError, match=r"solution length True is not in"):
+        Solution(True, 0, "built-in", "optimal")
 
 
 def test_selected_words_reads_ones():
@@ -1128,7 +1138,7 @@ def test_verify_flags_the_rows_a_bitwise_replay_flags():
 
 
 def test_verify_passes_one_selected_word_of_length_one():
-    # is_sdecc needs length >= 2; a single word is a code of any length
+    # a single word is a code at any length, length 1 included
     model = IlpModel(1, ())
     report = verify_solution(model, Solution(1, 0b10, "imported", "unknown"))
     assert report.ok

@@ -9,6 +9,7 @@ against independent-set membership for small lengths.
 import gc
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -80,9 +81,19 @@ def test_single_word_codes_are_always_valid():
         assert is_sdecc(WordSet(4, [w.value]))
 
 
-def test_validity_rejects_length_one():
-    with pytest.raises(ValueError):
-        is_sdecc(WordSet(1, [0, 1]))
+def test_validity_at_length_one():
+    # every length-1 word deletes to the empty word, which is no Word
+    for k in range(3):
+        for values in itertools.combinations((0, 1), k):
+            expected = all(
+                not (surface_values(1, x) & surface_values(1, y))
+                for x, y in itertools.combinations(values, 2)
+            )
+            result = is_sdecc(WordSet(1, values))
+            assert result.ok == expected == (k <= 1), values
+            if not expected:
+                assert result.first_pair == (Word(1, 0), Word(1, 1))
+                assert result.shared is None
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -392,6 +403,13 @@ def test_bounds_record_refuses_a_chain_out_of_order():
 @pytest.mark.parametrize("bad", [2, 63, 0])
 def test_bounds_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
+        bounds(bad)
+
+
+@pytest.mark.parametrize("bad", [5.0, True])
+def test_bounds_rejects_a_length_that_is_not_an_int(bad):
+    message = f"bounds supports 3 <= n <= 62, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         bounds(bad)
 
 

@@ -1,5 +1,7 @@
 """VT construction and size formulas against frozen tables and oracles."""
 
+import itertools
+import re
 from math import gcd
 
 import pytest
@@ -15,7 +17,13 @@ from delcodes.vt import (
     vt_code,
     vt_syndrome,
 )
-from delcodes.bitseq import Word, WordSet, deletion_surface, enumerate_words
+from delcodes.bitseq import (
+    Word,
+    WordSet,
+    deletion_surface,
+    enumerate_words,
+    surface_values,
+)
 
 # |VT_a(n)| for n = 1..8, a = 0..n, row by row
 SIZE_TABLE = {
@@ -117,6 +125,13 @@ def test_vt_code_rejects_bad_residue():
         vt_code(5, -1)
 
 
+@pytest.mark.parametrize("a", [True, 1.0])
+def test_vt_code_rejects_a_residue_that_is_not_an_int(a):
+    message = f"residue must be in 0..5, got {a!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        vt_code(5, a)
+
+
 def test_all_vt_codes_are_single_deletion_codes():
     # surfaces within one residue class never intersect
     from delcodes.sdecc import is_sdecc
@@ -176,6 +191,13 @@ def test_formula_range_guard():
             vt1_size(bad)
 
 
+@pytest.mark.parametrize("size", [vt0_size, vt1_size])
+def test_formula_rejects_a_bool_length(size):
+    message = "formula supports 1 <= n <= 62, got True"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        size(True)
+
+
 def test_vt0_is_never_smaller_than_other_residues():
     for n in range(1, 11):
         sizes = [len(vt_code(n, a)) for a in range(n + 1)]
@@ -209,8 +231,13 @@ def test_imperfect_cases():
     assert not is_perfect(WordSet.from_words(
         [Word.parse("000"), Word.parse("001")]
     ))
-    with pytest.raises(ValueError):
-        is_perfect(WordSet(1, [0, 1]))
+    # at n = 1 the surfaces tile {0,1}^0 when they cover the empty word
+    # exactly once
+    for k in range(3):
+        for values in itertools.combinations((0, 1), k):
+            surfaces = [surface_values(1, v) for v in values]
+            tiles = sum(map(len, surfaces)) == len(set().union(*surfaces)) == 1
+            assert is_perfect(WordSet(1, values)) == tiles == (k == 1), values
 
 
 def test_perfectness_needs_disjoint_surfaces_and_full_cover():
