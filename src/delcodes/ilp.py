@@ -270,6 +270,8 @@ class Solution(_Frozen):
     ) -> None:
         if not _is_int(n) or not 1 <= n <= MAX_LEN:
             raise ValueError(f"solution length {n!r} is not in 1..{MAX_LEN}")
+        if not _is_int(selection):
+            raise ValueError(f"selection must be an int, got {selection!r}")
         if selection < 0 or selection.bit_length() > 1 << n:
             raise ValueError(f"selection is not in 0..2^(2^{n})-1")
         if source not in ("built-in", "imported"):
@@ -808,8 +810,9 @@ def solve_builtin(
     variables and decides its lowest member first; bounds come from
     greedy covers by the packing rows and from an LP-weighted cover by
     those rows and the clique rows separated from them (coverlp, whose
-    packing LP re-solves warm as clique rows are added), while the other
-    rows prune by reachability and gate incumbents.
+    packing LP re-solves warm as clique rows are added; built only at the
+    first node the greedy cover cannot cut), while the other rows prune
+    by reachability and gate incumbents.
     Exhausts the space unless the node or time budget, counted from the
     start of this call, interrupts, in which case the best incumbent is
     returned with solver_status "feasible" (or "unknown" when none was

@@ -409,13 +409,14 @@ def _branch_and_bound(
     within need picks, the node would not be cut, and stopping there
     changes no outcome.
 
-    The LP-weighted cover is built once, after the warm start:
-    coverlp._cover_weights adds clique rows separated from the packing
-    rows, re-solving one packing LP by dual simplex from its last optimum
-    after each batch, until its root bound is at most the incumbent's
-    size, no violated clique is left, the row cap is reached or the
-    deadline has passed, and gives every row an exact integer weight. A
-    row family solved in an earlier call resumes from its cached rounds
+    The LP-weighted cover is built at the first node with need >= 0 the
+    greedy cover does not cut, and checked there; later nodes check it
+    first. coverlp._cover_weights adds clique rows separated from the
+    packing rows, re-solving one packing LP by dual simplex from its last
+    optimum after each batch, until its root bound is at most the warm
+    start's size, no violated clique is left, the row cap is reached or
+    the deadline has passed, and gives every row an exact integer weight.
+    A row family solved in an earlier call resumes from its cached rounds
     and LP. A cut drops only subtrees holding nothing strictly better than
     the incumbent, so the incumbents the tree finds do not depend on the
     separated rows. The branch variable is the lowest candidate in the
@@ -436,7 +437,6 @@ def _branch_and_bound(
         started + opts.time_limit if opts.time_limit is not None else None
     )
     nv = len(rows_of)
-    denom = _COVER_DENOM
     max_row_size = max(mask.bit_count() for mask in packing)
 
     def fits(v: int, cur, neg) -> bool:
@@ -492,11 +492,18 @@ def _branch_and_bound(
             best = selection.bit_count()
             best_selection = selection
 
-    # built after the warm start, so separation can stop at the incumbent
-    cover = _cover_weights(nv, packing, best, deadline)
-    weighted = None if cover is None else [
-        (m, w) for m, w in zip(*cover) if w
-    ]
+    # the LP-weighted cover's rows with a weight, None until built and
+    # empty if there is none; whichever node builds it aims at this size
+    target = best
+    weighted = None
+
+    def covered(cand: int, need: int) -> bool:
+        total = 0
+        for m, w in weighted:
+            if m & cand:
+                total += w
+        return total // _COVER_DENOM <= need
+
     cand = _drop_dominated(cand, rows_of, var_rows)
 
     neg = [0] * len(generic)
@@ -525,13 +532,8 @@ def _branch_and_bound(
             continue
         need = best - count
         if need >= 0:
-            if weighted is not None:
-                total = 0
-                for m, w in weighted:
-                    if m & cand:
-                        total += w
-                if total // denom <= need:
-                    continue
+            if weighted and covered(cand, need):
+                continue
             # room is (need + 1 - picks) * max_row_size: a pick removes at
             # most max_row_size of the left candidates, so once they exceed
             # room the cover cannot end within need picks
@@ -552,6 +554,13 @@ def _branch_and_bound(
                 room -= max_row_size
             if not rest and room > 0:
                 continue  # even this cover cannot beat the incumbent
+            if weighted is None:
+                cover = _cover_weights(nv, packing, target, deadline)
+                weighted = [] if cover is None else [
+                    (m, w) for m, w in zip(*cover) if w
+                ]
+                if weighted and covered(cand, need):
+                    continue
 
         # branch on the packing row with the most undecided members
         chosen = 0
@@ -607,10 +616,10 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
     VT_0 wins a tie and stays the witness when the tree finds nothing
     larger. Before the first node the kernel drops every word whose
     surface contains a kept rival's surface; these are exactly the words
-    the C2 family excludes (see _drop_dominated). Clique rows separated
-    for the root cover bring it to 16.99 at n = 7, so each proof through
-    n = 8 closes at its first node; with the center cliques alone the
-    n = 7 bound is 17.15 and the tree took 6,903 nodes.
+    the C2 family excludes (see _drop_dominated). Each proof through
+    n = 8 closes at its first node, through n = 5 by the greedy cover
+    alone; separated clique rows bring the n = 7 LP bound to 16.99 (17.15
+    and 6,903 nodes with the center cliques alone).
     Exhausting the node or time budget downgrades proof_status to
     "bound-limited"; the returned witness is always a valid code of the
     reported size.
@@ -623,8 +632,11 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
     _check_range(n, 1, GRAPH_MAX_N, "max supports")
     opts = options or SearchOptions()
     inc = opts.incumbent
-    if inc is not None and inc.n != n:
-        raise ValueError(f"incumbent has length {inc.n}, expected {n}")
+    if inc is not None:
+        if inc.n != n:
+            raise ValueError(f"incumbent has length {inc.n}, expected {n}")
+        if not is_sdecc(inc):
+            raise ValueError("incumbent is not a valid single-deletion code")
     if n == 1:
         return SearchResult(1, 1, WordSet(1, [0]), "optimal", 0)
     graph = conflict_graph(n)
@@ -633,8 +645,6 @@ def max_sdecc_exact(n: int, options: SearchOptions | None = None) -> SearchResul
     # wins ties against the incumbent
     seeds = [vt_code(n, 0).values]
     if inc is not None:
-        if not is_sdecc(inc):
-            raise ValueError("incumbent is not a valid single-deletion code")
         seeds.append(inc.values)
 
     size = 1 << n

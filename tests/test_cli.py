@@ -518,6 +518,24 @@ def test_importing_the_package_leaves_numpy_unloaded():
     assert probe.stdout.strip() == "False"
 
 
+def test_searches_the_greedy_cover_closes_leave_numpy_unloaded():
+    # numpy is imported with the first cover LP, which no proof through
+    # n = 5 and no solve of the n = 5 C0 model builds
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from delcodes.constraints import build_model; "
+         "from delcodes.ilp import solve_builtin; "
+         "from delcodes.sdecc import max_sdecc_exact; "
+         "max_sdecc_exact(5); solve_builtin(build_model(5, {'C0'})); "
+         "print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert probe.stdout.strip() == "False"
+
+
 def test_importing_the_package_leaves_dataclasses_and_inspect_unloaded():
     # together they took about a sixth of the start-up of every command
     src = str(Path(__file__).resolve().parents[1] / "src")

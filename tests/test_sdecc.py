@@ -16,6 +16,7 @@ import pytest
 
 from delcodes import coverlp
 from delcodes import ilp as ilp_module
+from delcodes import sdecc as sdecc_module
 from delcodes.bitseq import (
     MAX_LEN,
     Word,
@@ -31,7 +32,12 @@ from delcodes.coverlp import (
     _cover_weights,
     _violated_cliques,
 )
-from delcodes.ilp import IlpModel, LinearConstraint, solve_builtin
+from delcodes.ilp import (
+    IlpModel,
+    LinearConstraint,
+    _classify_rows,
+    solve_builtin,
+)
 from delcodes.sdecc import (
     GRAPH_MAX_N,
     KNOWN_SIZES,
@@ -617,6 +623,52 @@ def test_cover_weight_cache_keeps_only_families_it_solves():
     assert [sum(w) // _COVER_DENOM for _, w in rounds][-2:] == [17, 16]
 
 
+def test_proofs_the_greedy_cover_closes_build_no_cover_lp(monkeypatch):
+    # through n = 5 the greedy cover cuts the root, so no packing LP is
+    # solved; n = 6 needs the LP-weighted cover
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    for n in range(2, 6):
+        assert max_sdecc_exact(n).nodes == 1
+    assert coverlp._cover_weight_cache == {}
+    assert max_sdecc_exact(6).nodes == 1
+    assert [key[0] for key in coverlp._cover_weight_cache] == [64]
+
+
+def test_a_search_stopped_at_its_first_node_builds_no_cover_lp(monkeypatch):
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    sol = solve_builtin(build_model(7, {"C0"}), SearchOptions(node_limit=0))
+    assert (sol.objective, sol.solver_status) == (16, "feasible")
+    assert coverlp._cover_weight_cache == {}
+
+
+def test_a_cover_built_without_an_incumbent_aims_at_minus_one(monkeypatch):
+    # no warm-start seed holds both x_000001 and x_000110, so the search
+    # starts without an incumbent and its first node with need >= 0 comes
+    # after the tree has found one; the cover built there still has the
+    # rounds of target -1
+    base = build_model(6, {"C0"})
+    both = LinearConstraint(((1, 1), (6, 1)), ">=", 2, "both")
+    model = IlpModel(6, base.constraints + (both,))
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    targets = []
+    cover_weights = sdecc_module._cover_weights
+
+    def recorded(nv, masks, target, deadline=None):
+        targets.append(target)
+        return cover_weights(nv, masks, target, deadline)
+
+    monkeypatch.setattr(sdecc_module, "_cover_weights", recorded)
+    sol = solve_builtin(model)
+    assert (sol.objective, sol.solver_status) == (9, "optimal")
+    assert targets == [-1]
+    [(lazy, _)] = coverlp._cover_weight_cache.values()
+    coverlp._cover_weight_cache.clear()
+    masks, _, _ = _incidence(64, _classify_rows(model)[1])
+    _cover_weights(64, masks, -1)
+    [(fresh, _)] = coverlp._cover_weight_cache.values()
+    assert len(lazy) > 1 and lazy == fresh
+
+
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_separated_rows_are_maximal_cliques_of_the_input_rows(n):
     nv = 1 << n
@@ -814,6 +866,14 @@ def test_incumbent_must_match_length_and_be_valid():
         max_sdecc_exact(
             5, SearchOptions(incumbent=code_of("00000", "10000"))
         )
+
+
+def test_an_invalid_incumbent_is_refused_at_length_one():
+    # the n = 1 answer follows the incumbent checks, as at every length
+    with pytest.raises(ValueError, match="not a valid single-deletion code"):
+        max_sdecc_exact(1, SearchOptions(incumbent=WordSet(1, [0, 1])))
+    r = max_sdecc_exact(1, SearchOptions(incumbent=WordSet(1, [1])))
+    assert (r.size, r.proof_status) == (1, "optimal")
 
 
 def test_incumbent_warm_start_is_accepted():

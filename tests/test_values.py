@@ -217,6 +217,8 @@ def test_solution_construction_and_cached_assignment():
     ((2, 1 << 4, "built-in", "optimal"), "selection is not in 0..2^(2^2)-1"),
     ((2, 0, "mine", "optimal"), "unknown source 'mine'"),
     ((2, 0, "imported", "done"), "unknown status 'done'"),
+    ((2, 1.0, "built-in", "optimal"), "selection must be an int, got 1.0"),
+    ((2, True, "built-in", "optimal"), "selection must be an int, got True"),
 ])
 def test_solution_checks(args, message):
     with pytest.raises(ValueError) as info:
