@@ -9,12 +9,17 @@ n = 5..8; solve_builtin on the full C0..C6 models at n = 9..13 under a
 60-node budget; and max_sdecc_exact(6) and (7) with the LP-weighted cover
 switched off, as "6 greedy" and "7 greedy"; and solve_builtin on 300
 seeded random models, "random <i> n=<n>": the C0 model at n = 3..7 plus
-1-4 rows from tests/test_ilp.py's random_row, under a 2,000-node budget.
-A random model's outcome is its InfeasibleModelError message when it has
-one, and its node count None when its rows and fixes refuse it before
-the kernel runs. The first two parts close at their roots. The budget stops
-every n = 9..13 tree before it improves on its warm start, so those
-cases pin the warm start and the budget check.
+1-4 rows from tests/test_ilp.py's random_row, under a 2,000-node budget;
+and solve_builtin on the n = 7 C0 model plus the row
+"pair: x_0000001 + x_0000110 >= 2", as "n=7 C0,pair". A random model's
+outcome is its InfeasibleModelError message when it has one, and its node
+count None when its rows and fixes refuse it before the kernel runs. The
+first two parts close at their roots. No seed meets the pair row, so its
+search builds the LP-weighted cover below the root with target -1 and
+proves the optimum 15 in a tree: the one closed proof in the table whose
+tree runs with that cover built. The budget stops every n = 9..13 tree
+before it improves on its warm start, so those cases pin the warm start
+and the budget check.
 With greedy covers alone the n = 6 and 7 proofs take 61 and 26,511
 nodes, so their node counts pin the branching rule. Outcomes (sizes,
 statuses, witnesses and selections as hex masks) are kept apart from
@@ -37,7 +42,7 @@ from pathlib import Path
 from delcodes import coverlp
 from delcodes import ilp as ilp_module
 from delcodes.constraints import build_model
-from delcodes.ilp import IlpModel, InfeasibleModelError
+from delcodes.ilp import IlpModel, InfeasibleModelError, LinearConstraint
 from delcodes.sdecc import SearchOptions, max_sdecc_exact
 from test_ilp import random_row
 
@@ -54,6 +59,8 @@ RANDOM_SEED = 2028
 RANDOM_MODELS = 300
 RANDOM_LENGTHS = range(3, 8)
 RANDOM_BUDGET = SearchOptions(node_limit=2_000)
+PAIR = LinearConstraint(((0b0000001, 1), (0b0000110, 1)), ">=", 2, "pair")
+PAIR_BUDGET = SearchOptions(node_limit=100_000)
 
 
 def build_table() -> dict:
@@ -77,6 +84,20 @@ def build_table() -> dict:
         }
         exact_nodes[key] = result.nodes
 
+    def solve(key: str, model: IlpModel, budget: SearchOptions) -> None:
+        counts.clear()
+        try:
+            sol = ilp_module.solve_builtin(model, budget)
+        except InfeasibleModelError as exc:
+            model_outcomes[key] = {"error": str(exc)}
+        else:
+            model_outcomes[key] = {
+                "objective": sol.objective,
+                "status": sol.solver_status,
+                "selection": hex(sol.selection),
+            }
+        (model_nodes[key],) = counts or [None]
+
     saved_cache = coverlp._cover_weight_cache
     saved_pivots = coverlp._MAX_PIVOTS
     coverlp._cover_weight_cache = {}
@@ -95,14 +116,7 @@ def build_table() -> dict:
         ]
         for n, families, budget in cases:
             key = f"n={n} " + ",".join(families)
-            counts.clear()
-            sol = ilp_module.solve_builtin(build_model(n, families), budget)
-            model_outcomes[key] = {
-                "objective": sol.objective,
-                "status": sol.solver_status,
-                "selection": hex(sol.selection),
-            }
-            (model_nodes[key],) = counts
+            solve(key, build_model(n, families), budget)
         rng = random.Random(RANDOM_SEED)
         for i in range(RANDOM_MODELS):
             n = rng.choice(RANDOM_LENGTHS)
@@ -110,19 +124,10 @@ def build_table() -> dict:
                 random_row(rng, n, f"r{j}") for j in range(rng.randint(1, 4))
             )
             model = IlpModel(n, build_model(n, {"C0"}).constraints + rows)
-            key = f"random {i} n={n}"
-            counts.clear()
-            try:
-                sol = ilp_module.solve_builtin(model, RANDOM_BUDGET)
-            except InfeasibleModelError as exc:
-                model_outcomes[key] = {"error": str(exc)}
-            else:
-                model_outcomes[key] = {
-                    "objective": sol.objective,
-                    "status": sol.solver_status,
-                    "selection": hex(sol.selection),
-                }
-            model_nodes[key] = counts[0] if counts else None
+            solve(f"random {i} n={n}", model, RANDOM_BUDGET)
+        # after the random models, whose covers it would otherwise resume
+        model = IlpModel(7, build_model(7, {"C0"}).constraints + (PAIR,))
+        solve("n=7 C0,pair", model, PAIR_BUDGET)
         # a simplex allowed no pivot gives up, leaving greedy covers alone
         coverlp._MAX_PIVOTS = 0
         coverlp._cover_weight_cache = {}
