@@ -11,17 +11,22 @@ codes as linear rows over the variables V_x, one per length-n word:
   C5  per-weight run-count capacities
   C6  fixed prefix/suffix sections are themselves small codes
 
-C0 alone carves out exactly the valid codes; C1 and C3-C6 narrow or cut the
-search space without lowering the best objective, and C2 removes words that
-some maximum code avoids. Rows hold (word value, coefficient) int terms,
-each coefficient-1 term being its word's one pair from ilp._unit_terms;
-the ilp module names variables x_<bits> only in files. build_model
-assembles any selection into a model for the ilp module. Each generator
-fixes the shape of its rows itself (a valid sense, a label of its own
-without whitespace, distinct values below 2^n, no zero coefficient), so
-the rows and the model are built without the checks of LinearConstraint
-and IlpModel; build_model still rejects the labels that repeated
-c6_params repeat.
+C0 alone carves out exactly the valid codes. C1..C6 hold for some maximum
+code, so they do not lower the best objective; C2 removes words that some
+maximum code avoids. They are stated for external solvers and do not
+narrow the built-in solver's search: the model's LP relaxation with every
+family equals C0's for n = 6..11, and with greedy covers alone
+solve_builtin at n = 7 takes 26,511 nodes for {C0}, {C0, C1} and
+{C0, C4}, and 63,841 for {C0, C6} (ROADMAP item 15).
+
+Rows hold (word value, coefficient) int terms, each coefficient-1 term
+being its word's one pair from ilp._unit_terms; the ilp module names
+variables x_<bits> only in files. build_model assembles any selection
+into a model for the ilp module. Each generator fixes the shape of its
+rows itself (a valid sense, a label of its own without whitespace,
+distinct values below 2^n, no zero coefficient), so the rows and the
+model are built without the checks of LinearConstraint and IlpModel;
+build_model still rejects the labels that repeated c6_params repeat.
 """
 
 from __future__ import annotations

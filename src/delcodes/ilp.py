@@ -810,9 +810,9 @@ def solve_builtin(
     variables and decides its lowest member first; bounds come from
     greedy covers by the packing rows and from an LP-weighted cover by
     those rows and the clique rows separated from them (coverlp, whose
-    packing LP re-solves warm as clique rows are added; built only at the
-    first node the greedy cover cannot cut), while the other rows prune
-    by reachability and gate incumbents.
+    packing LP re-solves warm as clique rows are added; read only at
+    nodes the greedy cover does not cut, and built at the first of them),
+    while the other rows prune by reachability and gate incumbents.
     Exhausts the space unless the node or time budget, counted from the
     start of this call, interrupts, in which case the best incumbent is
     returned with solver_status "feasible" (or "unknown" when none was
@@ -822,9 +822,6 @@ def solve_builtin(
     opts = options or SearchOptions()
     n = model.n
     nv, packing_rows, fixes, generic, var_rows = _classify_rows(model)
-    if not packing_rows:
-        raise ValueError("solve_builtin needs at least one packing row")
-
     packing, rows_of, closed = _incidence(nv, packing_rows)
     if any(not rows for rows in rows_of):
         raise ValueError("every variable must appear in some packing row")

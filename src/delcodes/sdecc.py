@@ -398,9 +398,9 @@ def _branch_and_bound(
 
     Depth-first, taking a variable before excluding it, in one loop over a
     stack of pending nodes rather than a recursion, so a dive may take as
-    many variables as the largest selection; a node is cut when the
-    LP-weighted cover or a greedy most-covering-row cover shows it cannot
-    beat the incumbent. The greedy cover cuts when at most
+    many variables as the largest selection; a node is cut when a greedy
+    most-covering-row cover or the LP-weighted cover shows it cannot beat
+    the incumbent. The greedy cover cuts when at most
     need = best - count packing rows cover the candidates. Each pick is
     the row through the lowest uncovered candidate that covers most of
     the others, and a pick removes at most max_row_size candidates. So
@@ -409,9 +409,9 @@ def _branch_and_bound(
     within need picks, the node would not be cut, and stopping there
     changes no outcome.
 
-    The LP-weighted cover is built at the first node with need >= 0 the
-    greedy cover does not cut, and checked there; later nodes check it
-    first. coverlp._cover_weights adds clique rows separated from the
+    A node with need >= 0 reads the LP-weighted cover only when the
+    greedy cover does not cut it, and the first such node builds it.
+    coverlp._cover_weights adds clique rows separated from the
     packing rows, re-solving one packing LP by dual simplex from its last
     optimum after each batch, until its root bound is at most the warm
     start's size, no violated clique is left, the row cap is reached or
@@ -497,13 +497,6 @@ def _branch_and_bound(
     target = best
     weighted = None
 
-    def covered(cand: int, need: int) -> bool:
-        total = 0
-        for m, w in weighted:
-            if m & cand:
-                total += w
-        return total // _COVER_DENOM <= need
-
     cand = _drop_dominated(cand, rows_of, var_rows)
 
     neg = [0] * len(generic)
@@ -532,8 +525,6 @@ def _branch_and_bound(
             continue
         need = best - count
         if need >= 0:
-            if weighted and covered(cand, need):
-                continue
             # room is (need + 1 - picks) * max_row_size: a pick removes at
             # most max_row_size of the left candidates, so once they exceed
             # room the cover cannot end within need picks
@@ -559,7 +550,12 @@ def _branch_and_bound(
                 weighted = [] if cover is None else [
                     (m, w) for m, w in zip(*cover) if w
                 ]
-                if weighted and covered(cand, need):
+            if weighted:
+                total = 0
+                for m, w in weighted:
+                    if m & cand:
+                        total += w
+                if total // _COVER_DENOM <= need:
                     continue
 
         # branch on the packing row with the most undecided members

@@ -1291,7 +1291,7 @@ def test_generic_rows_reach_the_kernel_as_sums_at_most_rhs():
 
 
 def test_solve_requires_packing_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every variable must appear"):
         solve_builtin(IlpModel(3, ()))
 
 
