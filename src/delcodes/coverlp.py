@@ -12,8 +12,8 @@ holds that LP as a dense tableau: it solves from the slack basis once,
 then takes clique rows separated from its optimal point, each with its
 orbit, and re-solves from its last optimal tableau by dual simplex, so a
 round costs the few pivots the new rows need rather than a whole solve.
-_cover_weights runs those rounds per mask family and caches them together
-with the LP, so a later call on the same family resumes warm.
+_cover_weights keeps the round that meets a call's target, serving later
+calls on the same mask family and target without an LP.
 
 The per-mask bookkeeping works on a family's 0/1 member matrix (a row per
 mask, a column per vertex) rather than bit by bit: a symmetry's images of
@@ -39,16 +39,14 @@ _COVER_DENOM = 27720
 # (words); larger ones fall back to the greedy cover alone. The cap is on
 # vertices, not LP columns: the n = 8 orbit-quotient LP has 72 columns
 _COVER_MAX_VERTICES = 256
-# per mask family: the separation rounds run so far, and the generator
-# that runs the next ones (None once it has stopped); at most
-# _COVER_CACHE_ENTRIES families, the least recently used evicted first
+# (nv, masks, target) -> the (rows, weights) round served; at most
+# _COVER_CACHE_ENTRIES entries, the least recently used evicted first
 _cover_weight_cache: dict[
-    tuple[int, tuple[int, ...]],
-    tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], Iterator | None],
+    tuple[int, tuple[int, ...], int], tuple[tuple[int, ...], tuple[int, ...]]
 ] = {}
-# a family holds its PackingLP tableau, up to about a megabyte at nv = 256;
-# over the test suite, 1,164 of 1,168 resumed families had been used
-# within the 16 families before
+# an entry holds only its rows and weights, 7 to 17 KB on the n = 7 and 8
+# center cliques; over the test suite, 772 of the 773 calls the cache
+# served found their entry among the 16 most recently used
 _COVER_CACHE_ENTRIES = 64
 # a clique row counts as violated when the LP point puts more than this on it
 _CLIQUE_SLACK = 1 + 1e-6
@@ -153,7 +151,7 @@ class PackingLP:
             (basic, np.arange(columns + m, columns + m + len(masks)))
         )
         # a pivot writes its outer product here; dropped after the solve,
-        # so a cached LP holds only its tableau
+        # so between rounds the LP holds only its tableau
         self._outer = np.empty_like(self._tab)
         solved = self._solve()
         self._outer = None
@@ -449,8 +447,8 @@ def _separation_rounds(
             new.append(m)
     # every (row, vertex) membership, by row then vertex
     hit_row, hit_vertex = np.nonzero(members)
-    # a cached family keeps this generator suspended: hold only what later
-    # rounds read
+    # later rounds read none of these: freed now, they do not add to the
+    # peak memory of separation
     del members, images, unpaired
     # closed[v]: v and every variable sharing an input mask with it, built
     # when separation first needs it
@@ -521,32 +519,25 @@ def _cover_weights(
     clock passes deadline. Returns None when the first round does not
     exist: some vertex appears in no mask, the instance is too large, or
     the first simplex gives up; callers then rely on greedy covers alone.
-    The rounds are cached per mask family, with the generator that holds
-    the family's PackingLP, and a later call resumes where an earlier one
-    stopped; a family too large to solve is neither hashed nor kept. The
-    cache keeps the _COVER_CACHE_ENTRIES most recently used families.
+    The round served is kept per (nv, masks, target), unless the deadline
+    cut the rounds short; the rounds are deterministic, so it serves later
+    calls with that key. A family too large to solve is neither hashed nor
+    kept. The cache keeps the _COVER_CACHE_ENTRIES most recent rounds.
     """
     if not masks or nv > _COVER_MAX_VERTICES:
         return None
-    key = (nv, tuple(masks))
-    # taken out while the rounds run: an interrupted call leaves no entry
-    # whose generator has died mid-round
-    entry = _cover_weight_cache.pop(key, None)
-    rounds, more = entry or ([], _separation_rounds(nv, masks))
-    denom = _COVER_DENOM
-    met = next((r for r in rounds if sum(r[1]) // denom <= target), None)
-    while met is None and more is not None:
-        if rounds and deadline is not None and time.monotonic() > deadline:
-            break
-        step = next(more, None)
-        if step is None:
-            more = None
-            break
-        rounds.append(step)
-        if sum(step[1]) // denom <= target:
-            met = step
-    # put back as the most recent family, whichever round serves the call
+    key = (nv, tuple(masks), target)
+    served = _cover_weight_cache.pop(key, None)
+    if served is None:
+        for served in _separation_rounds(nv, masks):
+            if sum(served[1]) // _COVER_DENOM <= target:
+                break
+            if deadline is not None and time.monotonic() > deadline:
+                return served  # not kept: a later call runs every round
+        if served is None:
+            return None
+    # put back as the most recent entry, whichever call made it
     while len(_cover_weight_cache) >= _COVER_CACHE_ENTRIES:
         del _cover_weight_cache[next(iter(_cover_weight_cache))]
-    _cover_weight_cache[key] = rounds, more
-    return met or (rounds[-1] if rounds else None)
+    _cover_weight_cache[key] = served
+    return served

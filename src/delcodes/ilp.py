@@ -715,10 +715,10 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
     selection = solution.selection
     foreign: tuple[str, ...] = ()
     if solution.n != model.n:
-        # none of its variables belongs to the model, which selects nothing
-        foreign = tuple(
-            name for name, value in solution.assignment.items() if value
-        )
+        # none of its variables belongs to the model, which selects nothing;
+        # named from the set bits, not from the 2^n names of the assignment
+        name = f"x_{{:0{solution.n}b}}".format
+        foreign = tuple(map(name, _ones(selection)))
         selection = 0
     # one bit string serves every row, instead of a shift of the whole
     # selection per term

@@ -30,6 +30,7 @@ from .bitseq import (
     WordSet,
     _Frozen,
     _check_range,
+    _is_int,
     insertion_values,
     surface_size_sum,
     surface_union_size,
@@ -245,6 +246,13 @@ class SearchOptions(_Frozen):
         time_limit: float | None = None,
         incumbent: WordSet | None = None,
     ) -> None:
+        if node_limit is not None and not _is_int(node_limit):
+            raise ValueError(f"node_limit must be an int, got {node_limit!r}")
+        timed = _is_int(time_limit) or isinstance(time_limit, float)
+        if time_limit is not None and not timed:
+            raise ValueError(f"time_limit must be a number, got {time_limit!r}")
+        if incumbent is not None and not isinstance(incumbent, WordSet):
+            raise ValueError(f"incumbent must be a WordSet, got {incumbent!r}")
         limits = (("node_limit", node_limit), ("time_limit", time_limit))
         for name, limit in limits:
             # NaN fails every comparison, so it would never trip the deadline
@@ -295,7 +303,7 @@ def _incidence(
     bit mask per distinct member set, in the order of its first row: a
     later row with the same members is dropped, so a family equal to
     another up to repeated rows gets the same masks and shares its cached
-    cover LP. rows_of[v] lists the masks containing v in that order;
+    cover. rows_of[v] lists the masks containing v in that order;
     closed[v] is their union, i.e. v together with every variable it
     shares a row with, built on its first lookup (see
     _ClosedNeighbourhoods).
@@ -416,8 +424,8 @@ def _branch_and_bound(
     optimum after each batch, until its root bound is at most the warm
     start's size, no violated clique is left, the row cap is reached or
     the deadline has passed, and gives every row an exact integer weight.
-    A row family solved in an earlier call resumes from its cached rounds
-    and LP. A cut drops only subtrees holding nothing strictly better than
+    A later call with the same row family and target gets the cached
+    round. A cut drops only subtrees holding nothing strictly better than
     the incumbent, so the incumbents the tree finds do not depend on the
     separated rows. The branch variable is the lowest candidate in the
     first packing row holding the most candidates, so every variable must

@@ -125,7 +125,7 @@ def build_table() -> dict:
             )
             model = IlpModel(n, build_model(n, {"C0"}).constraints + rows)
             solve(f"random {i} n={n}", model, RANDOM_BUDGET)
-        # after the random models, whose covers it would otherwise resume
+        # after the random models, kept in place so the table keeps its order
         model = IlpModel(7, build_model(7, {"C0"}).constraints + (PAIR,))
         solve("n=7 C0,pair", model, PAIR_BUDGET)
         # a simplex allowed no pivot gives up, leaving greedy covers alone

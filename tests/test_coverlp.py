@@ -8,14 +8,15 @@ vertex, and a family without symmetry must run exactly the plain rounds.
 The length-7 separation rounds are pinned, together with the pivots the
 warm start saves on them, and so is every round's rows and integer
 weights on a set of families, by digests made before the rounds' bookkeeping
-moved to member matrices. The cache of rounds per mask family keeps a
-bounded number of families, a family whose cached round serves a call
-among them.
+moved to member matrices. The cache of served rounds keeps a bounded
+number of them, one that serves a call among them; each target is served
+the round it would run to, and a round the deadline cut short is not kept.
 """
 
 import hashlib
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -356,7 +357,7 @@ def test_cover_weight_cache_keeps_the_most_recent_families():
         assert len(_cover_weight_cache) <= _COVER_CACHE_ENTRIES
     kept = [key[1] for key in _cover_weight_cache]
     assert kept == [tuple(m) for m in families[-_COVER_CACHE_ENTRIES:]]
-    # a resumed family becomes the most recent one and outlives the rest
+    # a family served again becomes the most recent one and outlives the rest
     oldest = families[-_COVER_CACHE_ENTRIES]
     _cover_weights(nv, oldest, -1)
     _cover_weights(nv, newest, -1)
@@ -434,13 +435,35 @@ def test_a_cached_round_that_serves_a_call_stays_cached(monkeypatch):
     assert runs == [128]
     assert served[0] == served[1] == served[2]
     assert sum(served[0][1]) // _COVER_DENOM <= 16
-    assert list(coverlp._cover_weight_cache) == [(128, tuple(masks))]
+    assert list(coverlp._cover_weight_cache) == [(128, tuple(masks), 16)]
+
+
+def test_a_call_past_its_deadline_keeps_no_round(monkeypatch):
+    # the first round always runs; one the deadline cut short is served
+    # but not kept, so a later call runs the rounds it skipped
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    started = time.monotonic()
+    rows, weights = _cover_weights(128, center_masks(7), 16, started - 1)
+    assert (len(rows), sum(weights) // _COVER_DENOM) == (64, 17)
+    assert coverlp._cover_weight_cache == {}
+
+
+def test_each_target_is_served_the_round_it_would_run_to(monkeypatch):
+    # the first round whose bound meets the target, else the last round,
+    # whichever targets were asked before
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    masks = center_masks(7)
+    rounds = list(_separation_rounds(128, masks))
+    for target in (16, -1, 16, 17, 30, -1):
+        met = [r for r in rounds if sum(r[1]) // _COVER_DENOM <= target]
+        want = met[0] if met else rounds[-1]
+        assert _cover_weights(128, masks, target) == want, target
 
 
 def test_c5_rows_that_repeat_c0_rows_share_its_cached_family(monkeypatch):
     # C5's w = 0 and w = n-1 rows are C0's rows for 0^(n-1) and 1^(n-1);
     # with them dropped the {C0, C5} model has {C0}'s packing masks, so its
-    # solve resumes {C0}'s family instead of separating a second one
+    # solve is served {C0}'s cover instead of separating a second family
     monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
     for families in ({"C0"}, {"C0", "C5"}):
         sol = solve_builtin(build_model(7, families))

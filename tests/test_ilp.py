@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -1119,6 +1120,22 @@ def test_verify_flags_foreign_variables():
     assert report.foreign_names == ("x_000",)
     assert len(report.words) == 0
     assert "foreign variables: x_000" in report.render().splitlines()
+
+
+def test_verify_names_foreign_variables_without_every_name():
+    # two words of length 20: naming only the set bits, not all 2^20
+    # variables of the solution's assignment, keeps the check small
+    model = build_model(3, {"C0"})
+    solution = Solution(20, 1 | 1 << (1 << 20) - 1, "imported", "unknown")
+    tracemalloc.start()
+    try:
+        report = verify_solution(model, solution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.foreign_names == ("x_" + "0" * 20, "x_" + "1" * 20)
+    assert not report.ok
+    assert peak < 16 << 20, peak
 
 
 def test_verify_flags_the_rows_a_bitwise_replay_flags():

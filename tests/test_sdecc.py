@@ -612,15 +612,15 @@ def test_cover_weights_cover_every_vertex_on_random_families():
 def test_cover_weight_cache_keeps_only_families_it_solves():
     # above the simplex cap the 2^n-bit masks are neither hashed nor kept
     solve_builtin(build_model(9, {"C0"}), SearchOptions(node_limit=1))
-    assert all(nv <= 256 for nv, _ in _cover_weight_cache)
+    assert all(nv <= 256 for nv, *_ in _cover_weight_cache)
     for key in [key for key in _cover_weight_cache if key[0] == 128]:
         del _cover_weight_cache[key]
     solve_builtin(build_model(7, {"C0"}), SearchOptions(node_limit=1))
-    # the rounds stop at the first bound of M(7), the incumbent's size
-    [(rounds, _)] = [
+    # the kept round is the first whose bound is M(7), the incumbent's size
+    [(rows, weights)] = [
         entry for key, entry in _cover_weight_cache.items() if key[0] == 128
     ]
-    assert [sum(w) // _COVER_DENOM for _, w in rounds][-2:] == [17, 16]
+    assert (len(rows), sum(weights) // _COVER_DENOM) == (114, 16)
 
 
 def test_proofs_the_greedy_cover_closes_build_no_cover_lp(monkeypatch):
@@ -661,12 +661,12 @@ def test_a_cover_built_without_an_incumbent_aims_at_minus_one(monkeypatch):
     sol = solve_builtin(model)
     assert (sol.objective, sol.solver_status) == (9, "optimal")
     assert targets == [-1]
-    [(lazy, _)] = coverlp._cover_weight_cache.values()
+    [lazy] = coverlp._cover_weight_cache.values()
     coverlp._cover_weight_cache.clear()
     masks, _, _ = _incidence(64, _classify_rows(model)[1])
-    _cover_weights(64, masks, -1)
-    [(fresh, _)] = coverlp._cover_weight_cache.values()
-    assert len(lazy) > 1 and lazy == fresh
+    # the kept round has separated rows, and a fresh call runs to it
+    assert len(lazy[0]) > len(masks)
+    assert lazy == _cover_weights(64, masks, -1)
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))
@@ -759,10 +759,10 @@ def test_length_eight_root_adds_no_rows():
     # the center cliques alone bound the root by 30.32, whose floor is
     # already M(8), so no clique is separated
     masks, _, _ = _incidence(256, conflict_graph(8).cliques_by_center.values())
-    _cover_weight_cache.pop((256, tuple(masks)), None)
+    _cover_weight_cache.pop((256, tuple(masks), 30), None)
     max_sdecc_exact(8)
-    rounds, _ = _cover_weight_cache[256, tuple(masks)]
-    assert [len(rows) for rows, _ in rounds] == [128]
+    rows, _ = _cover_weight_cache[256, tuple(masks), 30]
+    assert len(rows) == 128
 
 
 def cocktail_party_model(n: int) -> IlpModel:
@@ -806,7 +806,7 @@ def test_time_budget_stops_separation_after_the_first_round(monkeypatch):
     )
     model = IlpModel(8, tuple(rows))
     masks = [sum(1 << v for v, _ in row.terms) for row in rows[:-1]]
-    _cover_weight_cache.pop((256, tuple(masks)), None)
+    _cover_weight_cache.pop((256, tuple(masks), -1), None)
     calls = 0
     violated_cliques = coverlp._violated_cliques
 
@@ -818,7 +818,7 @@ def test_time_budget_stops_separation_after_the_first_round(monkeypatch):
     monkeypatch.setattr(coverlp, "_violated_cliques", counted)
     sol = solve_builtin(model, SearchOptions(time_limit=0.0))
     assert sol.solver_status == "unknown" and calls == 0
-    # the cut-short family is resumed, not served as converged
+    # the cut-short round was not kept, so this call runs the later rounds
     rows, _ = _cover_weights(256, masks, -1)
     assert calls > 0 and len(rows) > len(masks)
 

@@ -288,6 +288,7 @@ def test_search_options_construction_and_defaults():
     assert full == SearchOptions(node_limit=10, time_limit=1.5, incumbent=code)
     assert full != SearchOptions(10, 1.5)
     assert SearchOptions(0, 0.0).node_limit == 0
+    assert SearchOptions(time_limit=2).time_limit == 2  # an int is a number
     assert hash(full) == hash(SearchOptions(10, 1.5, code))
     assert hash(opts) == hash(SearchOptions())
     assert repr(code) == "WordSet(n=3, {000, 111})"
@@ -307,6 +308,14 @@ def test_search_options_construction_and_defaults():
     ({"time_limit": math.nan}, "time_limit must be a number >= 0, got nan"),
     ({"node_limit": 1, "time_limit": math.nan},
      "time_limit must be a number >= 0, got nan"),
+    # a bool is an int, and a budget given as text used to raise TypeError
+    ({"node_limit": True}, "node_limit must be an int, got True"),
+    ({"node_limit": 2.5}, "node_limit must be an int, got 2.5"),
+    ({"node_limit": "3"}, "node_limit must be an int, got '3'"),
+    ({"time_limit": True}, "time_limit must be a number, got True"),
+    ({"time_limit": "1"}, "time_limit must be a number, got '1'"),
+    # a list used to be taken, and the search then raised AttributeError
+    ({"incumbent": [1, 2]}, "incumbent must be a WordSet, got [1, 2]"),
 ])
 def test_search_options_checks(kwargs, message):
     with pytest.raises(ValueError) as info:
