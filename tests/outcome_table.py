@@ -11,15 +11,20 @@ switched off, as "6 greedy" and "7 greedy"; and solve_builtin on 300
 seeded random models, "random <i> n=<n>": the C0 model at n = 3..7 plus
 1-4 rows from tests/test_ilp.py's random_row, under a 2,000-node budget;
 and solve_builtin on the n = 7 C0 model plus the row
-"pair: x_0000001 + x_0000110 >= 2", as "n=7 C0,pair". A random model's
-outcome is its InfeasibleModelError message when it has one, and its node
-count None when its rows and fixes refuse it before the kernel runs. The
-first two parts close at their roots. No seed meets the pair row, so its
-search builds the LP-weighted cover below the root with target -1 and
-proves the optimum 15 in a tree: the one closed proof in the table whose
-tree runs with that cover built. The budget stops every n = 9..13 tree
-before it improves on its warm start, so those cases pin the warm start
-and the budget check.
+"pair: x_0000001 + x_0000110 >= 2", as "n=7 C0,pair"; and solve_builtin on
+the n = 7 model with C0, C1, C4, C5 and C6 plus the mixed-sign rows
+s378_0 (an = row) and s378_1, as "n=7 s378", under a 100,000-node budget.
+A random model's outcome is its InfeasibleModelError message when it has
+one, and its node count None when its rows and fixes refuse it before the
+kernel runs. The first two parts close at their roots. No seed meets the
+pair row, so its search builds the LP-weighted cover below the root with
+target -1 and proves the optimum 15 in a tree: the one closed proof in the
+table whose tree runs with that cover built. The warm start's greedy fill
+reads only the <= halves of the generic rows, so no seed meets the >= half
+of s378_0, the incumbent stays at -1 and the budget stops that search
+with no selection. The budget stops every n = 9..13 tree before it
+improves on its warm start, so those cases pin the warm start and the
+budget check.
 With greedy covers alone the n = 6 and 7 proofs take 61 and 26,511
 nodes, so their node counts pin the branching rule. Outcomes (sizes,
 statuses, witnesses and selections as hex masks) are kept apart from
@@ -61,6 +66,18 @@ RANDOM_LENGTHS = range(3, 8)
 RANDOM_BUDGET = SearchOptions(node_limit=2_000)
 PAIR = LinearConstraint(((0b0000001, 1), (0b0000110, 1)), ">=", 2, "pair")
 PAIR_BUDGET = SearchOptions(node_limit=100_000)
+S378_FAMILIES = ("C0", "C1", "C4", "C5", "C6")
+S378 = (
+    LinearConstraint(
+        ((26, -3), (80, -3), (0, -2), (69, 3), (110, 1), (106, 3)),
+        "=", 0, "s378_0",
+    ),
+    LinearConstraint(
+        ((34, 3), (23, 3), (6, -2), (79, -2), (20, -2), (115, 3), (52, -1),
+         (0, -1)),
+        "<=", 4, "s378_1",
+    ),
+)
 
 
 def build_table() -> dict:
@@ -128,6 +145,8 @@ def build_table() -> dict:
         # after the random models, kept in place so the table keeps its order
         model = IlpModel(7, build_model(7, {"C0"}).constraints + (PAIR,))
         solve("n=7 C0,pair", model, PAIR_BUDGET)
+        model = IlpModel(7, build_model(7, S378_FAMILIES).constraints + S378)
+        solve("n=7 s378", model, PAIR_BUDGET)
         # a simplex allowed no pivot gives up, leaving greedy covers alone
         coverlp._MAX_PIVOTS = 0
         coverlp._cover_weight_cache = {}
