@@ -747,17 +747,15 @@ def verify_solution(model: IlpModel, solution: Solution) -> VerifyReport:
 def _classify_rows(model: IlpModel):
     """Split rows into packing members, singleton fixes, and generic rows.
 
-    Each generic row reaches the kernel as sum <= rhs, a >= row negated
-    and an = row as both (the <= half first), with its (rhs, tested)
-    pair: the take test reads only the halves stated <=, since a negated
-    row would change which words the warm start's greedy fill takes.
-    var_rows[v] lists v's (generic row index, coefficient) pairs in row
-    order, one shared pair per distinct coefficient of a row.
+    Each generic row reaches the kernel as the rhs of sum <= rhs, a >= row
+    negated and an = row as both (the <= half first). var_rows[v] lists
+    v's (generic row index, coefficient) pairs in row order, one shared
+    pair per distinct coefficient of a row.
     """
     nv = 1 << model.n
     packing: list[tuple[int, ...]] = []
     fixes: dict[int, int] = {}
-    generic: list[tuple[int, bool]] = []
+    generic: list[int] = []
     var_rows: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for row in model.constraints:
         terms = row.terms
@@ -791,7 +789,7 @@ def _classify_rows(model: IlpModel):
                 pairs = {c: (ri, sign * c) for c in coeffs}
                 for v, c in terms:
                     var_rows[v].append(pairs[c])
-                generic.append((sign * row.rhs, sign == 1))
+                generic.append(sign * row.rhs)
     return nv, packing, fixes, generic, var_rows
 
 

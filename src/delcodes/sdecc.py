@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 import time
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -271,7 +272,10 @@ class SearchResult(NamedTuple):
 
 def _ones(mask: int) -> list[int]:
     """Positions of the set bits of mask, ascending."""
-    return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    bits = bin(mask)[:1:-1]
+    if mask.bit_count() * 3 > len(bits):  # dense: a pass beats a match per bit
+        return [v for v, bit in enumerate(bits) if bit == "1"]
+    return [m.start() for m in re.finditer("1", bits)]
 
 
 class _ClosedNeighbourhoods(dict):
@@ -384,7 +388,7 @@ def _branch_and_bound(
     seeds: Iterable[Sequence[int]],
     opts: SearchOptions,
     started: float,
-    generic: Sequence[tuple[int, bool]] = (),
+    generic: Sequence[int] = (),
     included: int = 0,
 ) -> tuple[int | None, int, bool]:
     """Exact 0-1 maximum of |included| + |S| over sets S inside the cand mask.
@@ -392,11 +396,10 @@ def _branch_and_bound(
     S puts at most one variable into each packing row (rows_of and closed
     come from _incidence) and, together with the variables already selected
     in included, keeps every generic row's sum <= rhs. generic holds each
-    row's (rhs, tested), tested saying whether the take test reads it, and
-    var_rows[v] lists v's (row index, coefficient) pairs in row order. The
-    variables are 0 .. len(rows_of) - 1; closed is read only at the
-    variables the warm start or the tree takes, so it may build its masks
-    on first lookup.
+    row's rhs, and var_rows[v] lists v's (row index, coefficient) pairs in
+    row order. The variables are 0 .. len(rows_of) - 1; closed is read
+    only at the variables the warm start or the tree takes, so it may
+    build its masks on first lookup.
 
     Warm start: each seed, a sequence of variables, is completed greedily
     over cand, its members first in order, then every variable still free
@@ -451,14 +454,12 @@ def _branch_and_bound(
         # the take test, with neg the undecided negative mass per row; a
         # negative term cannot fail it where reachable holds
         for ri, c in var_rows[v]:
-            if c > 0:
-                rhs, tested = generic[ri]
-                if tested and cur[ri] + c - neg[ri] > rhs:
-                    return False
+            if c > 0 and cur[ri] + c - neg[ri] > generic[ri]:
+                return False
         return True
 
     def reachable(cur, neg) -> bool:
-        for ri, (rhs, _) in enumerate(generic):
+        for ri, rhs in enumerate(generic):
             if cur[ri] - neg[ri] > rhs:
                 return False
         return True

@@ -20,9 +20,8 @@ kernel runs. The first two parts close at their roots. No seed meets the
 pair row, so its search builds the LP-weighted cover below the root with
 target -1 and proves the optimum 15 in a tree: the one closed proof in the
 table whose tree runs with that cover built. The warm start's greedy fill
-reads only the <= halves of the generic rows, so no seed meets the >= half
-of s378_0, the incumbent stays at -1 and the budget stops that search
-with no selection. The budget stops every n = 9..13 tree before it
+meets both halves of s378_0 and s378_1, so that search proves the optimum
+16 at its root. The budget stops every n = 9..13 tree before it
 improves on its warm start, so those cases pin the warm start and the
 budget check.
 With greedy covers alone the n = 6 and 7 proofs take 61 and 26,511
