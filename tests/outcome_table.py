@@ -4,9 +4,10 @@
 
 rewrites tests/outcome_table.json; tests/test_outcome_table.py checks that
 the table built at the current source equals the committed one. It holds
-max_sdecc_exact(1..8); solve_builtin on C0 plus every subset of C1..C6 at
-n = 5..8; solve_builtin on the full C0..C6 models at n = 9..13 under a
-60-node budget; and max_sdecc_exact(6) and (7) with the LP-weighted cover
+max_sdecc_exact(1..8); max_sdecc_exact(9) under a 20,000-node budget, as
+"9 budget"; solve_builtin on C0 plus every subset of C1..C6 at n = 5..8;
+solve_builtin on the full C0..C6 models at n = 9..13 under a 60-node
+budget; and max_sdecc_exact(6) and (7) with the LP-weighted cover
 switched off, as "6 greedy" and "7 greedy"; and solve_builtin on 300
 seeded random models, "random <i> n=<n>": the C0 model at n = 3..7 plus
 1-4 rows from tests/test_ilp.py's random_row, under a 2,000-node budget;
@@ -16,14 +17,16 @@ the n = 7 model with C0, C1, C4, C5 and C6 plus the mixed-sign rows
 s378_0 (an = row) and s378_1, as "n=7 s378", under a 100,000-node budget.
 A random model's outcome is its InfeasibleModelError message when it has
 one, and its node count None when its rows and fixes refuse it before the
-kernel runs. The first two parts close at their roots. No seed meets the
-pair row, so its search builds the LP-weighted cover below the root with
-target -1 and proves the optimum 15 in a tree: the one closed proof in the
-table whose tree runs with that cover built. The warm start's greedy fill
-meets both halves of s378_0 and s378_1, so that search proves the optimum
-16 at its root. The budget stops every n = 9..13 tree before it
-improves on its warm start, so those cases pin the warm start and the
-budget check.
+kernel runs. max_sdecc_exact(1..8) and the n = 5..8 models close at their
+roots. No seed meets the pair row, so its search builds the LP-weighted
+cover below the root with target -1 and proves the optimum 15 in a tree:
+the one closed proof in the table whose tree runs with that cover built.
+The warm start's greedy fill meets both halves of s378_0 and s378_1, so
+that search proves the optimum 16 at its root. The budget stops every
+n = 9..13 tree before it improves on its warm start, so those cases pin the
+warm start and the budget check. At n = 9 the LP-weighted cover is off
+(512 words), so "9 budget" runs a 20,000-node tree on greedy covers alone
+and stops with its warm start, 52 words: the one pinned tree at that size.
 With greedy covers alone the n = 6 and 7 proofs take 61 and 26,511
 nodes, so their node counts pin the branching rule. Outcomes (sizes,
 statuses, witnesses and selections as hex masks) are kept apart from
@@ -31,9 +34,9 @@ kernel node counts, so a change meant to move only node counts
 regenerates the table and shows no outcome moving. solve_builtin does not
 report its node count; it is read from the return of the kernel it calls.
 The table is built from an empty cover-weight cache, and the greedy cases
-from another. Every case but the n = 9..13 ones runs under a node budget
-far above its count, so a change that breaks a cut fails in seconds
-instead of searching a large tree.
+from another. Every case but "9 budget" and the n = 9..13 ones runs
+under a node budget far above its count, so a change that breaks a cut
+fails in seconds instead of searching a large tree.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ EXACT_LENGTHS = range(1, 9)
 MODEL_LENGTHS = range(5, 9)
 EXTRA_FAMILIES = ("C1", "C2", "C3", "C4", "C5", "C6")
 BUDGET = SearchOptions(node_limit=1_000)
+NINE_BUDGET = SearchOptions(node_limit=20_000)
 FULL_LENGTHS = range(9, 14)
 FULL_BUDGET = SearchOptions(node_limit=60)
 GREEDY_LENGTHS = (6, 7)
@@ -121,6 +125,7 @@ def build_table() -> dict:
     try:
         for n in EXACT_LENGTHS:
             exact(str(n), n, BUDGET)
+        exact("9 budget", 9, NINE_BUDGET)
         cases = [
             (n, ("C0",) + extra, BUDGET)
             for n in MODEL_LENGTHS
