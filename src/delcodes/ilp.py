@@ -815,6 +815,10 @@ def solve_builtin(
     start of this call, interrupts, in which case the best incumbent is
     returned with solver_status "feasible" (or "unknown" when none was
     found). A proven-empty feasible set raises InfeasibleModelError.
+
+    Complementing maps syndrome s to n(n+1)/2 - s, so VT_0's complement
+    is VT_{n(n+1)/2 mod (n+1)}: VT_0 itself at even n, where the kernel
+    completes the two equal seeds once.
     """
     started = time.monotonic()
     opts = options or SearchOptions()
@@ -841,7 +845,7 @@ def solve_builtin(
     # of all VT classes and their complements, only these ever won on the
     # generated models
     vt0 = vt_code(n, 0).values
-    seeds: list[Sequence[int]] = [(), vt0, sorted((nv - 1) ^ v for v in vt0)]
+    seeds: list[Iterable[int]] = [(), vt0, ((nv - 1) ^ v for v in vt0)]
     if opts.incumbent is not None:
         inc = opts.incumbent
         if inc.n != n:

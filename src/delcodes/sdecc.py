@@ -385,7 +385,7 @@ def _branch_and_bound(
     closed: Mapping[int, int],
     var_rows: Sequence[Sequence[tuple[int, int]]],
     cand: int,
-    seeds: Iterable[Sequence[int]],
+    seeds: Iterable[Iterable[int]],
     opts: SearchOptions,
     started: float,
     generic: Sequence[int] = (),
@@ -401,17 +401,19 @@ def _branch_and_bound(
     only at the variables the warm start or the tree takes, so it may
     build its masks on first lookup.
 
-    Warm start: each seed, a sequence of variables, is completed greedily
-    over cand, its members first in order, then every variable still free
-    in ascending order, taking those that no taken one blocks and that
-    pass the take test. The first of the largest completions that meets
-    every generic row becomes the incumbent.
+    Warm start: each seed lists distinct variables and is read as a set;
+    each distinct set is completed once, greedily over cand: its members
+    first, then every variable still free, each part in ascending order,
+    taking those that no taken one blocks and that pass the take test. The
+    first of the largest completions that meets every generic row becomes
+    the incumbent.
 
     Depth-first, taking a variable before excluding it, in one loop over a
-    stack of pending nodes rather than a recursion, so a dive may take as
-    many variables as the largest selection; a node is cut when a greedy
-    most-covering-row cover or the LP-weighted cover shows it cannot beat
-    the incumbent. The greedy cover cuts when at most
+    stack of pending nodes (cand, selection, cur, neg) rather than a
+    recursion, so a dive may take as many variables as the largest
+    selection; a node's count is its selection's size. A node is cut when
+    a greedy most-covering-row cover or the LP-weighted cover shows it
+    cannot beat the incumbent. The greedy cover cuts when at most
     need = best - count packing rows cover the candidates. Each pick is
     the row through the lowest uncovered candidate that covers most of
     the others, and a pick removes at most max_row_size candidates. So
@@ -476,27 +478,24 @@ def _branch_and_bound(
     zeros = [0] * len(generic)
     best = -1
     best_selection: int | None = None
-    for seed in seeds:
+    for seed in dict.fromkeys(sum(1 << v for v in seed) for seed in seeds):
         selection = included
         free = cand
         cur = root_cur.copy()
-        for v in seed:
-            if free >> v & 1 and fits(v, cur, zeros):
-                selection |= 1 << v
-                free &= ~closed[v]
-                for ri, c in var_rows[v]:
-                    cur[ri] += c
-        # walk the free rest by its lowest bit: each operation on a
-        # 2^n-bit mask costs time linear in its width, so visit few bits
-        while free:
-            low = free & -free
-            free ^= low
-            v = low.bit_length() - 1
-            if fits(v, cur, zeros):
-                selection |= low
-                free &= ~closed[v]
-                for ri, c in var_rows[v]:
-                    cur[ri] += c
+        # walk the seed's words, then every candidate, by the lowest free
+        # bit: an operation on a 2^n-bit mask costs time linear in its width
+        for walk in (seed, cand):
+            walk &= free
+            while walk:
+                low = walk & -walk
+                walk ^= low
+                v = low.bit_length() - 1
+                if fits(v, cur, zeros):
+                    selection |= low
+                    free &= ~closed[v]
+                    walk &= free
+                    for ri, c in var_rows[v]:
+                        cur[ri] += c
         if selection.bit_count() > best and reachable(cur, zeros):
             best = selection.bit_count()
             best_selection = selection
@@ -514,12 +513,13 @@ def _branch_and_bound(
             if c < 0:
                 neg[ri] -= c
     nodes = 0
-    # each entry is a pending node (cand, selection, count, cur, neg); a
-    # node pushes itself with v excluded, then the child taking v, so the
-    # take is searched first
-    stack = [(cand, included, included.bit_count(), root_cur, neg)]
+    # each entry is a pending node (cand, selection, cur, neg); a node
+    # pushes itself with v excluded, then the child taking v, so the take
+    # is searched first
+    stack = [(cand, included, root_cur, neg)]
     while stack:
-        cand, selection, count, cur, neg = stack.pop()
+        cand, selection, cur, neg = stack.pop()
+        count = selection.bit_count()
         nodes += 1
         if (node_limit is not None and nodes > node_limit) or (
             deadline is not None and time.monotonic() > deadline
@@ -602,11 +602,9 @@ def _branch_and_bound(
         for ri, c in var_rows[v]:
             if c < 0:
                 neg[ri] += c
-        stack.append((cand, selection, count, cur, neg))
+        stack.append((cand, selection, cur, neg))
         if took:
-            stack.append(
-                (cand & ~nbr, selection | bit, count + 1, ccur, cneg)
-            )
+            stack.append((cand & ~nbr, selection | bit, ccur, cneg))
     return best_selection, nodes, False
 
 

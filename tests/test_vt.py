@@ -118,6 +118,18 @@ def test_vt_code_matches_a_brute_syndrome_filter(n):
         assert vt_code(n, a).values == expected, (n, a)
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_the_complement_of_vt0_is_another_vt_class(n):
+    # a complement's syndrome is the sum of all positions, n(n+1)/2, less
+    # the word's; at even n the class is VT_0 again, so solve_builtin's
+    # VT_0 and complement seeds are one seed, which the kernel completes once
+    top = (1 << n) - 1
+    complement = WordSet(n, (top ^ v for v in vt_code(n, 0).values))
+    a = n * (n + 1) // 2 % (n + 1)
+    assert complement == vt_code(n, a)
+    assert (a == 0) == (n % 2 == 0)
+
+
 def test_vt_code_rejects_bad_residue():
     with pytest.raises(ValueError):
         vt_code(5, 6)
