@@ -107,6 +107,9 @@ class Word(_Frozen):
 
     def __init__(self, n: int, value: int) -> None:
         _check_length(n)
+        # a plain int, the hot case, skips the call
+        if value.__class__ is not int and not _is_int(value):
+            raise ValueError(f"word value must be an int, got {value!r}")
         if not 0 <= value < (1 << n):
             raise ValueError(f"value {value} does not fit in {n} bits")
         _set_word_n(self, n)
@@ -150,14 +153,18 @@ class WordSet(_Frozen):
     def __init__(self, n: int, values: Iterable[int | Word] = ()):
         _check_length(n)
         items = values if isinstance(values, (list, tuple)) else list(values)
-        # ints are checked in bulk; Word members, which do not compare with
-        # ints, and out-of-range values take the loop, which names the first
-        # offender in input order
+        # plain ints are checked in bulk, by their types and the ends of
+        # their sorted order; Word members, other types and out-of-range
+        # values take the loop, which names the first offender in input
+        # order
         try:
             vals = frozenset(items)
-            fits = not vals or 0 <= min(vals) and max(vals) < (1 << n)
+            fits = {*map(type, vals)} <= {int}
         except TypeError:
             fits = False
+        if fits:
+            ordered = sorted(vals)
+            fits = not ordered or 0 <= ordered[0] and ordered[-1] < (1 << n)
         if not fits:
             checked = set()
             for v in items:
@@ -166,16 +173,16 @@ class WordSet(_Frozen):
                         raise ValueError(
                             f"word {v} has length {v.n}, expected {n}"
                         )
-                    checked.add(v.value)
-                else:
-                    if not 0 <= v < (1 << n):
-                        raise ValueError(
-                            f"value {v} does not fit in {n} bits"
-                        )
-                    checked.add(v)
+                    v = v.value
+                elif not _is_int(v):
+                    raise ValueError(f"word value must be an int, got {v!r}")
+                elif not 0 <= v < (1 << n):
+                    raise ValueError(f"value {v} does not fit in {n} bits")
+                checked.add(v)
             vals = frozenset(checked)
+            ordered = sorted(vals)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_sorted", tuple(sorted(vals)))
+        object.__setattr__(self, "_sorted", tuple(ordered))
         object.__setattr__(self, "_members", vals)
 
     @classmethod

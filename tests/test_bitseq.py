@@ -135,6 +135,12 @@ def test_wordset_rejects_mismatched_members():
     ([1, Word.parse("01"), 8], "word 01 has length 2, expected 3"),
     ([Word.parse("001"), 8, Word.parse("0001")],
      "value 8 does not fit in 3 bits"),
+    ([1.5, 2], "word value must be an int, got 1.5"),
+    ([2.0], "word value must be an int, got 2.0"),
+    ([2, True], "word value must be an int, got True"),
+    ([False], "word value must be an int, got False"),
+    ([9, 1.5], "value 9 does not fit in 3 bits"),
+    ([Word.parse("001"), 0.0], "word value must be an int, got 0.0"),
 ])
 def test_wordset_names_the_first_bad_member(values, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -148,6 +154,14 @@ def test_wordset_takes_ints_words_and_iterators_alike():
     assert WordSet(4, {0: None, 15: None, 5: None}) == expect
     assert WordSet(4, [Word(4, 15), 0, Word(4, 5)]) == expect
     assert WordSet(4, []).values == ()
+
+
+def test_wordset_keeps_int_subclass_members_as_given():
+    class Value(int):
+        pass
+
+    ws = WordSet(4, [Value(5), 0])
+    assert ws.values == (0, 5) and ws == WordSet(4, [0, 5])
 
 
 def test_wordset_equality_and_hash():

@@ -898,6 +898,13 @@ def test_incumbent_must_match_length_and_be_valid():
         )
 
 
+def test_an_incumbent_with_a_non_int_member_is_refused_before_the_search():
+    # a float member used to reach the kernel and raise TypeError there
+    message = "^word value must be an int, got 0.0$"
+    with pytest.raises(ValueError, match=message):
+        max_sdecc_exact(5, SearchOptions(incumbent=WordSet(5, [0.0])))
+
+
 def test_an_invalid_incumbent_is_refused_at_length_one():
     # the n = 1 answer follows the incumbent checks, as at every length
     with pytest.raises(ValueError, match="not a valid single-deletion code"):

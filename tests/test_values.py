@@ -51,6 +51,9 @@ def test_word_construction_and_fields():
     ((2.0, 0), "word length must be an int, got 2.0"),
     ((3, 8), "value 8 does not fit in 3 bits"),
     ((3, -1), "value -1 does not fit in 3 bits"),
+    ((3, 2.0), "word value must be an int, got 2.0"),
+    ((3, True), "word value must be an int, got True"),
+    ((3, "1"), "word value must be an int, got '1'"),
 ])
 def test_word_checks(args, message):
     with pytest.raises(ValueError) as info:
