@@ -492,8 +492,9 @@ def _branch_and_bound(
                 v = low.bit_length() - 1
                 if fits(v, cur, zeros):
                     selection |= low
-                    free &= ~closed[v]
-                    walk &= free
+                    blocked = ~closed[v]
+                    free &= blocked
+                    walk &= blocked
                     for ri, c in var_rows[v]:
                         cur[ri] += c
         if selection.bit_count() > best and reachable(cur, zeros):

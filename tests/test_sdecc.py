@@ -896,10 +896,8 @@ def test_incumbent_must_match_length_and_be_valid():
         max_sdecc_exact(
             5, SearchOptions(incumbent=code_of("00000", "10000"))
         )
-
-
-def test_an_incumbent_with_a_non_int_member_is_refused_before_the_search():
-    # a float member used to reach the kernel and raise TypeError there
+    # a float member is refused where the incumbent is built, not as a
+    # TypeError inside the kernel
     message = "^word value must be an int, got 0.0$"
     with pytest.raises(ValueError, match=message):
         max_sdecc_exact(5, SearchOptions(incumbent=WordSet(5, [0.0])))
