@@ -7,10 +7,12 @@ must have the plain LP's optimum, its lifted weights must cover every
 vertex, and a family without symmetry must run exactly the plain rounds.
 The length-7 separation rounds are pinned, together with the pivots the
 warm start saves on them, and so is every round's rows and integer
-weights on a set of families, by digests made before the rounds' bookkeeping
-moved to member matrices. The cache of served rounds keeps a bounded
-number of them, one that serves a call among them; each target is served
-the round it would run to, and a round the deadline cut short is not kept.
+weights on a set of families, by digests. Each family is put through
+sdecc._incidence, as the kernel's are, so its masks are distinct. The
+cache of served rounds keeps a bounded number of them, one that serves a
+call among them; each target is served the round it would run to, and a
+round the deadline cut short is not kept. An LP file that repeats rows is
+solved on the family of its distinct rows.
 """
 
 import hashlib
@@ -34,14 +36,41 @@ from delcodes.coverlp import (
     _separation_rounds,
     _symmetries,
 )
-from delcodes.ilp import _classify_rows, solve_builtin
-from delcodes.sdecc import _incidence, conflict_graph, max_sdecc_exact
+from delcodes.ilp import (
+    IlpModel,
+    LinearConstraint,
+    _classify_rows,
+    read_lp,
+    solve_builtin,
+    write_lp,
+)
+from delcodes.sdecc import (
+    SearchOptions,
+    _incidence,
+    conflict_graph,
+    max_sdecc_exact,
+)
 
 
 def center_masks(n: int) -> list[int]:
     cliques = conflict_graph(n).cliques_by_center.values()
     masks, _, _ = _incidence(1 << n, cliques)
     return masks
+
+
+def family(nv: int, masks) -> tuple[int, list[int]]:
+    # the family as the kernel hands it over: through _incidence, so its
+    # masks are distinct, each at its first copy
+    masks, _, _ = _incidence(nv, [_members(m) for m in masks])
+    return nv, masks
+
+
+def center_family(n: int) -> tuple[int, list[int]]:
+    return family(1 << n, center_masks(n))
+
+
+def _members(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def image(mask: int, perm) -> int:
@@ -56,7 +85,7 @@ def symmetries(nv: int, masks) -> list[list[int]]:
 
 
 def length_seven_rounds() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return list(itertools.islice(_separation_rounds(128, center_masks(7)), 4))
+    return list(itertools.islice(_separation_rounds(*center_family(7)), 4))
 
 
 def quotient_rows(rows, group) -> list[int]:
@@ -132,7 +161,7 @@ def test_warm_resolve_matches_a_cold_solve_on_separated_rounds(n):
     lp = PackingLP(nv)
     rows: list[int] = []
     # iterating every round runs the separation to convergence
-    for round_rows, _ in _separation_rounds(nv, center_masks(n)):
+    for round_rows, _ in _separation_rounds(*center_family(n)):
         assert lp.add_rows(round_rows[len(rows):]), (n, len(round_rows))
         rows = list(round_rows)
         check_against_cold(lp, rows, (n, len(rows)))
@@ -150,7 +179,8 @@ def pinned_families() -> list[tuple[int, list[int]]]:
     # cliques, so they add no family); the n = 7 cliques without a row of
     # orbit four, with the identity alone;
     # the cocktail-party pairs, with the complement alone; and seeded
-    # random families over the full group, some orbits cut short or twice
+    # random families over the full group, some orbits cut short or given
+    # twice, which _incidence keeps once
     families = [(1 << n, center_masks(n)) for n in range(2, 9)]
     for extra in itertools.chain.from_iterable(
         itertools.combinations(("C1", "C2", "C3", "C4", "C5", "C6"), k)
@@ -188,14 +218,15 @@ def rounds_digest(families) -> str:
     digest = hashlib.sha256()
     for nv, masks in families:
         # iterating every round runs the separation to convergence
-        digest.update(repr(list(_separation_rounds(nv, masks))).encode())
+        rounds = _separation_rounds(*family(nv, masks))
+        digest.update(repr(list(rounds)).encode())
     return digest.hexdigest()
 
 
 def test_separation_rounds_are_pinned_bit_for_bit():
     # every round's rows and integer weights, run to convergence
     assert rounds_digest(pinned_families()) == (
-        "49f600141388a6041ea17326f2abd480c4dbc02e0f9e27600c47dbf4f788ef75"
+        "96724063b9abdb1c679adeb5786dd433bce5c88de9c7ec21c16579b2ed17ece8"
     )
 
 
@@ -314,6 +345,7 @@ def test_lifted_weights_cover_every_vertex_on_symmetric_families():
             if not any(m >> v & 1 for m in masks):
                 masks += dict.fromkeys(image(1 << v, perm) for perm in full)
         rng.shuffle(masks)
+        _, masks = family(nv, masks)  # a repeated mask is kept once
         assert len(symmetries(nv, masks)) == 4, case
         # the first round's weights price the plain LP optimum, plus at
         # most the rounding up of each row's share
@@ -347,24 +379,29 @@ def test_a_family_without_symmetry_runs_the_plain_rounds():
 def test_cover_weight_cache_keeps_the_most_recent_families():
     _cover_weight_cache.clear()
     nv = 12
-    # distinct families: a chain of pairs, each with one extra row
+    # distinct families: a chain of pairs, each with one extra row that is
+    # not a chain row
     chain = [(1 << v) | (1 << (v + 1)) for v in range(nv - 1)]
     extras = range(1, 3 * _COVER_CACHE_ENTRIES + 1)
-    families = [chain + [extra] for extra in extras]
+    families = [
+        family(nv, chain + [extra]) for extra in extras if extra not in chain
+    ]
     newest = families.pop()
-    for masks in families:
-        assert _cover_weights(nv, masks, -1) is not None
+    for fam in families:
+        assert _cover_weights(*fam, -1) is not None
         assert len(_cover_weight_cache) <= _COVER_CACHE_ENTRIES
     kept = [key[1] for key in _cover_weight_cache]
-    assert kept == [tuple(m) for m in families[-_COVER_CACHE_ENTRIES:]]
+    assert kept == [
+        tuple(fam[1]) for fam in families[-_COVER_CACHE_ENTRIES:]
+    ]
     # a family served again becomes the most recent one and outlives the rest
     oldest = families[-_COVER_CACHE_ENTRIES]
-    _cover_weights(nv, oldest, -1)
-    _cover_weights(nv, newest, -1)
+    _cover_weights(*oldest, -1)
+    _cover_weights(*newest, -1)
     kept = [key[1] for key in _cover_weight_cache]
     assert len(kept) == _COVER_CACHE_ENTRIES
-    assert kept[-2:] == [tuple(oldest), tuple(newest)]
-    assert tuple(families[1 - _COVER_CACHE_ENTRIES]) not in kept
+    assert kept[-2:] == [tuple(oldest[1]), tuple(newest[1])]
+    assert tuple(families[1 - _COVER_CACHE_ENTRIES][1]) not in kept
     _cover_weight_cache.clear()
 
 
@@ -379,7 +416,7 @@ def test_halved_duals_are_repaired_to_a_sound_cover(monkeypatch):
         return duals / 2, x
 
     monkeypatch.setattr(PackingLP, "solution", halved)
-    rows, weights = _cover_weights(64, center_masks(6), -1)
+    rows, weights = _cover_weights(*center_family(6), -1)
     for v in range(64):
         got = sum(w for m, w in zip(rows, weights) if m >> v & 1)
         assert got >= _COVER_DENOM, (v, got)
@@ -391,7 +428,7 @@ def test_halved_duals_are_repaired_to_a_sound_cover(monkeypatch):
 def test_a_simplex_that_gives_up_leaves_greedy_covers(monkeypatch):
     monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
     monkeypatch.setattr(coverlp, "_MAX_PIVOTS", 0)
-    assert _cover_weights(64, center_masks(6), -1) is None
+    assert _cover_weights(*center_family(6), -1) is None
     result = max_sdecc_exact(6)
     assert (result.size, result.proof_status) == (10, "optimal")
     assert result.nodes > 1  # the LP closes n = 6 at the root
@@ -410,7 +447,7 @@ def test_greedy_covers_alone_cut_the_same_nodes(monkeypatch, n, size, nodes):
 
 def test_a_vertex_in_no_mask_has_no_cover_weights(monkeypatch):
     monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
-    assert _cover_weights(4, [0b0011], -1) is None
+    assert _cover_weights(*family(4, [0b0011]), -1) is None
 
 
 def test_a_packing_lp_with_a_vertex_in_no_row_gives_up():
@@ -428,10 +465,10 @@ def test_a_cached_round_that_serves_a_call_stays_cached(monkeypatch):
         return separation_rounds(nv, masks)
 
     monkeypatch.setattr(coverlp, "_separation_rounds", counted)
-    masks = center_masks(7)
+    nv, masks = center_family(7)
     # M(7) = 16: a separated round meets the target, and later calls are
     # served by that cached round
-    served = [_cover_weights(128, masks, 16) for _ in range(3)]
+    served = [_cover_weights(nv, masks, 16) for _ in range(3)]
     assert runs == [128]
     assert served[0] == served[1] == served[2]
     assert sum(served[0][1]) // _COVER_DENOM <= 16
@@ -443,7 +480,7 @@ def test_a_call_past_its_deadline_keeps_no_round(monkeypatch):
     # but not kept, so a later call runs the rounds it skipped
     monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
     started = time.monotonic()
-    rows, weights = _cover_weights(128, center_masks(7), 16, started - 1)
+    rows, weights = _cover_weights(*center_family(7), 16, started - 1)
     assert (len(rows), sum(weights) // _COVER_DENOM) == (64, 17)
     assert coverlp._cover_weight_cache == {}
 
@@ -452,12 +489,12 @@ def test_each_target_is_served_the_round_it_would_run_to(monkeypatch):
     # the first round whose bound meets the target, else the last round,
     # whichever targets were asked before
     monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
-    masks = center_masks(7)
-    rounds = list(_separation_rounds(128, masks))
+    fam = center_family(7)
+    rounds = list(_separation_rounds(*fam))
     for target in (16, -1, 16, 17, 30, -1):
         met = [r for r in rounds if sum(r[1]) // _COVER_DENOM <= target]
         want = met[0] if met else rounds[-1]
-        assert _cover_weights(128, masks, target) == want, target
+        assert _cover_weights(*fam, target) == want, target
 
 
 def test_c5_rows_that_repeat_c0_rows_share_its_cached_family(monkeypatch):
@@ -469,3 +506,28 @@ def test_c5_rows_that_repeat_c0_rows_share_its_cached_family(monkeypatch):
         sol = solve_builtin(build_model(7, families))
         assert (sol.objective, sol.solver_status) == (16, "optimal")
     assert [key[0] for key in coverlp._cover_weight_cache] == [128]
+
+
+def test_an_lp_file_repeating_every_c0_row_is_solved_on_c0s_family(
+    monkeypatch, tmp_path
+):
+    # each C0 row again under another label: the solver keeps the first
+    # copy of each, so the cover is C0's, separated once and closing the
+    # root
+    monkeypatch.setattr(coverlp, "_cover_weight_cache", {})
+    rows = build_model(7, {"C0"}).constraints
+    again = tuple(
+        LinearConstraint(row.terms, row.sense, row.rhs, f"again_{row.label}")
+        for row in rows
+    )
+    path = tmp_path / "c0-twice.lp"
+    with open(path, "w", encoding="utf-8") as sink:
+        write_lp(IlpModel(7, rows + again), sink)
+    with open(path, encoding="utf-8") as source:
+        model = read_lp(source)
+    assert len(model.constraints) == 128
+    sol = solve_builtin(model, SearchOptions(node_limit=1))
+    assert (sol.objective, sol.solver_status) == (16, "optimal")
+    masks = center_masks(7)
+    assert len(masks) == 64
+    assert list(coverlp._cover_weight_cache) == [(128, tuple(masks), 16)]

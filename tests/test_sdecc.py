@@ -628,6 +628,8 @@ def test_cover_weights_cover_every_vertex_on_random_families():
         for v in range(nv):  # every vertex lies in some mask
             if not any(m >> v & 1 for m in masks):
                 masks[rng.randrange(len(masks))] |= 1 << v
+        # the kernel's family: each repeated mask kept once
+        masks, _, _ = _incidence(nv, map(_members, masks))
         # a target no bound meets runs the separation to convergence
         cover = _cover_weights(nv, masks, -1)
         assert cover is not None, case
@@ -835,7 +837,9 @@ def test_time_budget_stops_separation_after_the_first_round(monkeypatch):
         LinearConstraint(((0b00000001, 1), (0b00000110, 1)), ">=", 2, "both")
     )
     model = IlpModel(8, tuple(rows))
-    masks = [sum(1 << v for v, _ in row.terms) for row in rows[:-1]]
+    masks, _, _ = _incidence(
+        256, [[v for v, _ in row.terms] for row in rows[:-1]]
+    )
     _cover_weight_cache.pop((256, tuple(masks), -1), None)
     calls = 0
     violated_cliques = coverlp._violated_cliques
