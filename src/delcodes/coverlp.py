@@ -15,19 +15,19 @@ round costs the few pivots the new rows need rather than a whole solve.
 _cover_weights keeps the round that meets a call's target, serving later
 calls on the same mask family and target without an LP.
 
-The per-mask bookkeeping works on a family's 0/1 member matrix (a row per
-mask, a column per vertex) rather than bit by bit: a symmetry's images of
-the masks are a column permutation of it, serving the symmetry test, the
-pairing of rows into orbits and the orbits of new cliques alike; a
-round's per-vertex weight totals are one reduction over its (row, vertex)
-pairs; and the clique search takes its renumbered neighbourhoods as the
-support's columns of the support's closed neighbourhoods.
+The per-mask bookkeeping works on the 0/1 member matrix (a row per mask,
+a column per vertex) of a family's distinct masks rather than bit by bit:
+a symmetry's images of the masks are a column permutation of it, serving
+the symmetry test, the grouping of rows into orbits and the orbits of new
+cliques alike; a round's per-vertex weight totals are one reduction over
+its (row, vertex) pairs; and the clique search takes the support's
+columns of the kernel's closed neighbourhoods.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -357,12 +357,11 @@ def _symmetries(
     complementing it (v ^ (nv - 1)) and doing both map single-deletion
     surfaces onto single-deletion surfaces. Returns (group, images): as
     vertex permutations with the identity first, those of the three that
-    are not the identity and map the list of masks onto itself as a
-    multiset, and the masks' images under each kept one (under the
-    identity, the masks). With the identity they form a group, since the
-    product of two kept ones is the third, each its own inverse. Any
-    other nv gets the identity alone. members is the masks' member matrix
-    (_member_matrix).
+    are not the identity and map the set of masks onto itself, and the
+    masks' images under each kept one (under the identity, the masks).
+    With the identity they form a group, since the product of two kept
+    ones is the third, each its own inverse. Any other nv gets the
+    identity alone. members is the masks' member matrix (_member_matrix).
     """
     identity = list(range(nv))
     group, images = [identity], [list(masks)]
@@ -373,9 +372,9 @@ def _symmetries(
     complement = [v ^ (nv - 1) for v in identity]
     both = [reverse[v] for v in complement]
     perms = (reverse, complement, both)
-    ordered = sorted(masks)
+    distinct = set(masks)
     for perm, image in zip(perms, _images(members, perms)):
-        if perm not in group and sorted(image) == ordered:
+        if perm not in group and set(image) == distinct:
             group.append(perm)
             images.append(image)
     return group, images
@@ -394,7 +393,7 @@ def _orbits(group: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _separation_rounds(
-    nv: int, masks: Sequence[int]
+    nv: int, masks: Sequence[int], closed: Mapping[int, int]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The rounds of _cover_weights on one mask family, as (rows, weights).
 
@@ -403,8 +402,8 @@ def _separation_rounds(
     orbits and optimal duals constant on row orbits (Bödi, Herr and
     Joswig, Math. Prog. 2013), so the PackingLP has a column per vertex
     orbit and a row per row orbit, given by one member of the orbit. The
-    input masks fall into row orbits in input order, copies pairing off
-    as the multiset allows. Each round solves that LP over the rows so
+    masks, distinct as sdecc._incidence gives them, fall into row orbits
+    in input order. Each round solves that LP over the rows so
     far and gives each row of an orbit R the dual of R divided by |R|;
     every vertex then still gets at least 1 in total, because an orbit
     of rows meets the vertices of an orbit of vertices equally often. It
@@ -422,7 +421,8 @@ def _separation_rounds(
     orbit, and skips an orbit that does not fit. With the identity alone
     every orbit is a single vertex or row, and this is the plain LP.
     Stops when a simplex gives up, as the first does when some vertex
-    appears in no mask, or when no new violated clique is found.
+    appears in no mask, or when no new violated clique is found. closed[v]
+    is the union of the masks through v (sdecc._ClosedNeighbourhoods).
     """
     import numpy as np
 
@@ -435,24 +435,19 @@ def _separation_rounds(
     lp_row = [-1] * len(rows)  # the LP row standing for each row
     sizes: list[int] = []  # the number of rows each LP row stands for
     new = []
-    unpaired: dict[int, list[int]] = {}  # mask -> unplaced indices, last first
-    for idx in reversed(range(len(rows))):
-        unpaired.setdefault(rows[idx], []).append(idx)
+    index = {m: idx for idx, m in enumerate(rows)}
     for idx, m in enumerate(rows):
         if lp_row[idx] < 0:
             orbit = {image[idx] for image in images}
             for image in orbit:
-                lp_row[unpaired[image].pop()] = len(sizes)
+                lp_row[index[image]] = len(sizes)
             sizes.append(len(orbit))
             new.append(m)
     # every (row, vertex) membership, by row then vertex
     hit_row, hit_vertex = np.nonzero(members)
     # later rounds read none of these: freed now, they do not add to the
     # peak memory of separation
-    del members, images, unpaired
-    # closed[v]: v and every variable sharing an input mask with it, built
-    # when separation first needs it
-    closed = None
+    del members, images, index
     room = nv  # how many rows separation may still add
     while True:
         if not lp.add_rows(new):
@@ -470,10 +465,6 @@ def _separation_rounds(
             if got < denom:
                 weights[through[0]] += denom - got
         yield tuple(rows), tuple(weights)
-        if closed is None:
-            closed = [0] * nv
-            for r, v in zip(hit_row.tolist(), hit_vertex.tolist()):
-                closed[v] |= rows[r]
         new = []
         start = len(rows)
         found = _violated_cliques(x, closed, nv, known, room)
@@ -498,21 +489,21 @@ def _separation_rounds(
 
 
 def _cover_weights(
-    nv: int, masks: Sequence[int], target: int,
+    nv: int, masks: Sequence[int], closed: Mapping[int, int], target: int,
     deadline: float | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Clique rows and integer weights making a weighted cover bound.
 
-    The rows are the masks, in input order, then any clique rows
-    separated from them, each followed by its images under the masks'
-    symmetries (see _separation_rounds). Every row puts at most one
-    vertex into any selection that puts at most one vertex into each
-    mask: its members pairwise share a mask. The weights satisfy, for
-    every vertex v < nv, sum of W over rows containing v >= _COVER_DENOM.
-    Such a selection then has size at most the sum of W over rows meeting
-    the selectable set, floor-divided by _COVER_DENOM: each selected
-    vertex consumes a full denominator of weight and no row is charged
-    twice.
+    masks and closed come from sdecc._incidence; a repeated mask would
+    weaken the bound, not break it. The rows are the masks, in input
+    order, then any clique rows separated from them, each followed by its
+    images under the masks' symmetries. Every row puts at most one vertex
+    into any selection that puts at most one vertex into each mask: its
+    members pairwise share a mask. The weights satisfy, for every vertex
+    v < nv, sum of W over rows containing v >= _COVER_DENOM. Such a
+    selection then has size at most the sum of W over rows meeting the
+    selectable set, floor-divided by _COVER_DENOM: each selected vertex
+    consumes a full denominator of weight and no row is charged twice.
 
     Returns the first round whose bound is at most target, else the last
     round run. Rounds after the first are not started once the monotonic
@@ -529,7 +520,7 @@ def _cover_weights(
     key = (nv, tuple(masks), target)
     served = _cover_weight_cache.pop(key, None)
     if served is None:
-        for served in _separation_rounds(nv, masks):
+        for served in _separation_rounds(nv, masks, closed):
             if sum(served[1]) // _COVER_DENOM <= target:
                 break
             if deadline is not None and time.monotonic() > deadline:

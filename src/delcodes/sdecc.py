@@ -398,8 +398,8 @@ def _branch_and_bound(
     in included, keeps every generic row's sum <= rhs. generic holds each
     row's rhs, and var_rows[v] lists v's (row index, coefficient) pairs in
     row order. The variables are 0 .. len(rows_of) - 1; closed is read
-    only at the variables the warm start or the tree takes, so it may
-    build its masks on first lookup.
+    only at the variables the warm start or the tree takes and those
+    coverlp's clique separation visits, so its masks may be built lazily.
 
     Warm start: each seed lists distinct variables and is read as a set;
     each distinct set is completed once, greedily over cand: its members
@@ -556,7 +556,7 @@ def _branch_and_bound(
             if not rest and room > 0:
                 continue  # even this cover cannot beat the incumbent
             if weighted is None:
-                cover = _cover_weights(nv, packing, target, deadline)
+                cover = _cover_weights(nv, packing, closed, target, deadline)
                 weighted = [] if cover is None else [
                     (m, w) for m, w in zip(*cover) if w
                 ]

@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import random
 import time
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -58,14 +59,15 @@ def center_masks(n: int) -> list[int]:
     return masks
 
 
-def family(nv: int, masks) -> tuple[int, list[int]]:
+def family(nv: int, masks) -> tuple[int, list[int], Mapping[int, int]]:
     # the family as the kernel hands it over: through _incidence, so its
-    # masks are distinct, each at its first copy
-    masks, _, _ = _incidence(nv, [_members(m) for m in masks])
-    return nv, masks
+    # masks are distinct, each at its first copy, with their row graph's
+    # closed neighbourhoods
+    masks, _, closed = _incidence(nv, [_members(m) for m in masks])
+    return nv, masks, closed
 
 
-def center_family(n: int) -> tuple[int, list[int]]:
+def center_family(n: int) -> tuple[int, list[int], Mapping[int, int]]:
     return family(1 << n, center_masks(n))
 
 
@@ -345,16 +347,16 @@ def test_lifted_weights_cover_every_vertex_on_symmetric_families():
             if not any(m >> v & 1 for m in masks):
                 masks += dict.fromkeys(image(1 << v, perm) for perm in full)
         rng.shuffle(masks)
-        _, masks = family(nv, masks)  # a repeated mask is kept once
+        _, masks, closed = family(nv, masks)  # a repeated mask is kept once
         assert len(symmetries(nv, masks)) == 4, case
         # the first round's weights price the plain LP optimum, plus at
         # most the rounding up of each row's share
-        _, weights = next(_separation_rounds(nv, masks))
+        _, weights = next(_separation_rounds(nv, masks, closed))
         plain = PackingLP(nv)
         assert plain.add_rows(masks), case
         excess = sum(weights) / _COVER_DENOM - plain.solution()[1].sum()
         assert -1e-4 <= excess <= len(masks) / _COVER_DENOM, (case, excess)
-        rows, weights = _cover_weights(nv, masks, -1)
+        rows, weights = _cover_weights(nv, masks, closed, -1)
         assert rows[:len(masks)] == tuple(masks), case
         assert min(weights) >= 0, case
         for v in range(nv):
@@ -366,7 +368,7 @@ def test_a_family_without_symmetry_runs_the_plain_rounds():
     masks = center_masks(7)
     del masks[1]  # its orbit has four rows
     assert len(symmetries(128, masks)) == 1
-    rounds = list(_separation_rounds(128, masks))
+    rounds = list(_separation_rounds(*family(128, masks)))
     # the rounds of the plain LP, before the quotient existed
     assert [len(rows) for rows, _ in rounds] == [63, 91, 109, 118, 121]
     assert [sum(w) // _COVER_DENOM for _, w in rounds] == [17] * 5
@@ -460,15 +462,15 @@ def test_a_cached_round_that_serves_a_call_stays_cached(monkeypatch):
     runs = []
     separation_rounds = coverlp._separation_rounds
 
-    def counted(nv, masks):
+    def counted(nv, masks, closed):
         runs.append(nv)
-        return separation_rounds(nv, masks)
+        return separation_rounds(nv, masks, closed)
 
     monkeypatch.setattr(coverlp, "_separation_rounds", counted)
-    nv, masks = center_family(7)
+    nv, masks, closed = center_family(7)
     # M(7) = 16: a separated round meets the target, and later calls are
     # served by that cached round
-    served = [_cover_weights(nv, masks, 16) for _ in range(3)]
+    served = [_cover_weights(nv, masks, closed, 16) for _ in range(3)]
     assert runs == [128]
     assert served[0] == served[1] == served[2]
     assert sum(served[0][1]) // _COVER_DENOM <= 16

@@ -629,9 +629,9 @@ def test_cover_weights_cover_every_vertex_on_random_families():
             if not any(m >> v & 1 for m in masks):
                 masks[rng.randrange(len(masks))] |= 1 << v
         # the kernel's family: each repeated mask kept once
-        masks, _, _ = _incidence(nv, map(_members, masks))
+        masks, _, closed = _incidence(nv, map(_members, masks))
         # a target no bound meets runs the separation to convergence
-        cover = _cover_weights(nv, masks, -1)
+        cover = _cover_weights(nv, masks, closed, -1)
         assert cover is not None, case
         rows, weights = cover
         assert rows[:len(masks)] == tuple(masks), case
@@ -685,9 +685,9 @@ def test_a_cover_built_without_an_incumbent_aims_at_minus_one(monkeypatch):
     targets = []
     cover_weights = sdecc_module._cover_weights
 
-    def recorded(nv, masks, target, deadline=None):
+    def recorded(nv, masks, closed, target, deadline=None):
         targets.append(target)
-        return cover_weights(nv, masks, target, deadline)
+        return cover_weights(nv, masks, closed, target, deadline)
 
     monkeypatch.setattr(sdecc_module, "_cover_weights", recorded)
     sol = solve_builtin(model)
@@ -695,10 +695,10 @@ def test_a_cover_built_without_an_incumbent_aims_at_minus_one(monkeypatch):
     assert targets == [-1]
     [lazy] = coverlp._cover_weight_cache.values()
     coverlp._cover_weight_cache.clear()
-    masks, _, _ = _incidence(64, _classify_rows(model)[1])
+    masks, _, closed = _incidence(64, _classify_rows(model)[1])
     # the kept round has separated rows, and a fresh call runs to it
     assert len(lazy[0]) > len(masks)
-    assert lazy == _cover_weights(64, masks, -1)
+    assert lazy == _cover_weights(64, masks, closed, -1)
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))
@@ -707,7 +707,7 @@ def test_separated_rows_are_maximal_cliques_of_the_input_rows(n):
     masks, _, closed = _incidence(
         nv, conflict_graph(n).cliques_by_center.values()
     )
-    rows, _ = _cover_weights(nv, masks, -1)
+    rows, _ = _cover_weights(nv, masks, closed, -1)
     assert rows[:len(masks)] == tuple(masks) and len(rows) > len(masks)
     # adjacency is read off the masks themselves, not off closed
     share: set[tuple[int, int]] = set()
@@ -819,7 +819,7 @@ def test_separation_is_capped_on_a_point_violating_every_clique():
     found = _violated_cliques([0.5] * nv, closed, nv, {masks[0]}, 10)
     assert len(found) == len(set(found)) == 10
     assert all(c.bit_count() == 16 and c not in masks for c in found)
-    rows, _ = _cover_weights(nv, masks, -1)
+    rows, _ = _cover_weights(nv, masks, closed, -1)
     assert len(masks) < len(rows) <= len(masks) + nv
 
 
@@ -837,7 +837,7 @@ def test_time_budget_stops_separation_after_the_first_round(monkeypatch):
         LinearConstraint(((0b00000001, 1), (0b00000110, 1)), ">=", 2, "both")
     )
     model = IlpModel(8, tuple(rows))
-    masks, _, _ = _incidence(
+    masks, _, closed = _incidence(
         256, [[v for v, _ in row.terms] for row in rows[:-1]]
     )
     _cover_weight_cache.pop((256, tuple(masks), -1), None)
@@ -853,7 +853,7 @@ def test_time_budget_stops_separation_after_the_first_round(monkeypatch):
     sol = solve_builtin(model, SearchOptions(time_limit=0.0))
     assert sol.solver_status == "unknown" and calls == 0
     # the cut-short round was not kept, so this call runs the later rounds
-    rows, _ = _cover_weights(256, masks, -1)
+    rows, _ = _cover_weights(256, masks, closed, -1)
     assert calls > 0 and len(rows) > len(masks)
 
 
