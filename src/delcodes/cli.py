@@ -13,12 +13,12 @@ checks, infeasible or unsolved models), 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json as jsonlib
 import os
 import sys
-from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .constraints import build_model
@@ -43,8 +43,19 @@ from .vt import is_perfect, parse_code, vt0_size, vt1_size, vt_code
 _Handled = tuple[int, dict, list[str]]
 
 
+@contextlib.contextmanager
+def _open_text(path: str) -> Iterator[TextIO]:
+    """path opened as UTF-8 text; bytes that do not decode fail naming it."""
+    try:
+        with open(path, encoding="utf-8") as source:
+            yield source
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with _open_text(path) as source:
+        return source.read()
 
 
 def _cmd_vt(args: argparse.Namespace) -> _Handled:
@@ -179,7 +190,7 @@ def _cmd_gen(args: argparse.Namespace) -> _Handled:
 
 
 def _cmd_solve(args: argparse.Namespace) -> _Handled:
-    with open(args.model, encoding="utf-8") as source:
+    with _open_text(args.model) as source:
         model = read_lp(source)
     solution = solve_builtin(model, _search_options(args))
     if solution.solver_status == "unknown":
@@ -205,9 +216,9 @@ def _cmd_solve(args: argparse.Namespace) -> _Handled:
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Handled:
-    with open(args.model, encoding="utf-8") as source:
+    with _open_text(args.model) as source:
         model = read_lp(source)
-    with open(args.solution, encoding="utf-8") as source:
+    with _open_text(args.solution) as source:
         solution = read_solution(source, model, strict=args.strict)
     report = verify_solution(model, solution)
     data: dict = {

@@ -423,6 +423,30 @@ def test_verify_rejects_numerals_float_would_take(tmp_path, capsys, value):
     assert f"error: line 2: non-numeric value '{value}'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--code", "{bad}"),
+    ("max", "--n", "6", "--incumbent", "{bad}"),
+    ("solve", "--model", "{bad}"),
+    ("verify", "--model", "{bad}", "--solution", "{solution}"),
+    ("verify", "--model", "{model}", "--solution", "{bad}"),
+], ids=["code", "incumbent", "solve-model", "verify-model", "solution"])
+def test_a_file_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys, argv):
+    paths = {
+        "bad": tmp_path / "bad.txt",
+        "model": tmp_path / "m.lp",
+        "solution": tmp_path / "s.txt",
+    }
+    paths["bad"].write_bytes(b"\xff\n")
+    run(capsys, "gen", "--n", "3", "--families", "c0",
+        "--out", str(paths["model"]))
+    paths["solution"].write_text("x_000 1\n")
+    status, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (status, out) == (1, "")
+    assert err == (
+        f"error: {paths['bad']}: not UTF-8 text (invalid start byte)\n"
+    )
+
+
 # -------------------------------------------------------------------- bounds
 
 
