@@ -53,10 +53,14 @@ from delcodes.sdecc import (
 )
 
 
-def center_masks(n: int) -> list[int]:
+def center_family(n: int) -> tuple[int, list[int], Mapping[int, int]]:
     cliques = conflict_graph(n).cliques_by_center.values()
-    masks, _, _ = _incidence(1 << n, cliques)
-    return masks
+    masks, _, closed = _incidence(1 << n, cliques)
+    return 1 << n, masks, closed
+
+
+def center_masks(n: int) -> list[int]:
+    return center_family(n)[1]
 
 
 def family(nv: int, masks) -> tuple[int, list[int], Mapping[int, int]]:
@@ -65,10 +69,6 @@ def family(nv: int, masks) -> tuple[int, list[int], Mapping[int, int]]:
     # closed neighbourhoods
     masks, _, closed = _incidence(nv, [_members(m) for m in masks])
     return nv, masks, closed
-
-
-def center_family(n: int) -> tuple[int, list[int], Mapping[int, int]]:
-    return family(1 << n, center_masks(n))
 
 
 def _members(mask: int) -> list[int]:
