@@ -327,6 +327,7 @@ def _violated_cliques(
             t ^= low
 
     expand(0, 0.0, (1 << len(support)) - 1, 0)
+    del expand  # it calls itself: a cycle that would hold closed until gc
     return found
 
 
@@ -372,9 +373,8 @@ def _symmetries(
     complement = [v ^ (nv - 1) for v in identity]
     both = [reverse[v] for v in complement]
     perms = (reverse, complement, both)
-    distinct = set(masks)
     for perm, image in zip(perms, _images(members, perms)):
-        if perm not in group and set(image) == distinct:
+        if perm not in group and set(image) == set(masks):
             group.append(perm)
             images.append(image)
     return group, images
